@@ -6,7 +6,8 @@
 // chunks, with the site caches, store-fault/retry machinery, and node
 // lifecycle (periodic checkpoints + stochastic spot reclamation) all
 // enabled — and reports the DES kernel's throughput: executed events per
-// wall-clock second, total wall time, and peak RSS.
+// wall-clock second, total wall time, and peak RSS, plus the DES churn:
+// events scheduled and cancelled, and schedules per executed event.
 //
 // The run itself is fully deterministic (same seed => same simulated
 // makespan and event count); only the wall-clock side varies with the host.
@@ -180,6 +181,10 @@ int main(int argc, char** argv) {
   const double wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
   const std::uint64_t events = platform.sim().executed_events();
+  const std::uint64_t scheduled = platform.sim().scheduled_events();
+  const std::uint64_t cancelled = platform.sim().cancelled_events();
+  const double schedules_per_event =
+      events > 0 ? static_cast<double>(scheduled) / static_cast<double>(events) : 0.0;
   const double events_per_sec =
       wall_seconds > 0.0 ? static_cast<double>(events) / wall_seconds : 0.0;
   const std::uint64_t rss = peak_rss_bytes();
@@ -204,6 +209,9 @@ int main(int argc, char** argv) {
   table.add_row({"checkpoints flushed", std::to_string(checkpoints)});
   table.add_row({"sim makespan", AsciiTable::num(result.makespan, 1) + " s"});
   table.add_row({"executed events", std::to_string(events)});
+  table.add_row({"scheduled / cancelled events",
+                 std::to_string(scheduled) + " / " + std::to_string(cancelled)});
+  table.add_row({"schedules per event", AsciiTable::num(schedules_per_event, 3)});
   table.add_row({"wall clock", AsciiTable::num(wall_seconds, 2) + " s"});
   table.add_row({"events/sec", AsciiTable::num(events_per_sec, 0)});
   table.add_row({"peak RSS", units::format_bytes(rss)});
@@ -223,12 +231,16 @@ int main(int argc, char** argv) {
                  "  \"chunks_total\": %" PRIu64 ",\n"
                  "  \"sim_makespan_seconds\": %.6f,\n"
                  "  \"executed_events\": %" PRIu64 ",\n"
+                 "  \"scheduled_events\": %" PRIu64 ",\n"
+                 "  \"cancelled_events\": %" PRIu64 ",\n"
+                 "  \"schedules_per_event\": %.6f,\n"
                  "  \"wall_seconds\": %.6f,\n"
                  "  \"events_per_sec\": %.1f,\n"
                  "  \"peak_rss_bytes\": %" PRIu64 "\n"
                  "}\n",
                  cfg.quick ? "quick" : "full", cfg.seed, nodes, cfg.jobs(),
-                 total_chunks, result.makespan, events, wall_seconds,
+                 total_chunks, result.makespan, events, scheduled, cancelled,
+                 schedules_per_event, wall_seconds,
                  events_per_sec, rss);
     std::fclose(out);
     std::printf("wrote %s\n", out_path);

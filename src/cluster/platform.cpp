@@ -170,7 +170,9 @@ Platform::Platform(const PlatformSpec& spec) : spec_(spec) {
   // Routes. Cluster <-> cluster crosses the pair's WAN link. A fabric store
   // is reached through the fabric from its own cluster and through the
   // owner's WAN link from every other site (the store front end is on the
-  // public internet; the fabric is the provider-internal shortcut).
+  // public internet; the fabric is the provider-internal shortcut). Two
+  // fabric stores reach each other over their owners' WAN link (replica
+  // repair copies store to store).
   for (ClusterId a = 0; a < n_sites; ++a) {
     for (ClusterId b = a + 1; b < n_sites; ++b) {
       net.set_route_symmetric(cluster_site[a], cluster_site[b], {wan[a][b]});
@@ -182,6 +184,10 @@ Platform::Platform(const PlatformSpec& spec) : spec_(spec) {
     for (ClusterId other = 0; other < n_sites; ++other) {
       if (other == i) continue;
       net.set_route_symmetric(cluster_site[other], store_site[i], {wan[other][i]});
+    }
+    for (ClusterId j = i + 1; j < n_sites; ++j) {
+      if (store_site[j] == cluster_site[j]) continue;
+      net.set_route_symmetric(store_site[i], store_site[j], {wan[i][j]});
     }
   }
 

@@ -35,6 +35,20 @@ EventHandle Simulator::schedule(SimDuration delay, EventFn fn) {
 
 EventHandle Simulator::schedule_at(SimTime when, EventFn fn) {
   if (when < now_) throw std::invalid_argument("Simulator::schedule_at: time in the past");
+  return push(when, next_seq_++, std::move(fn));
+}
+
+EventHandle Simulator::schedule_reserved(SimTime when, std::uint64_t seq, EventFn fn) {
+  if (when < now_) {
+    throw std::invalid_argument("Simulator::schedule_reserved: time in the past");
+  }
+  if (seq >= next_seq_) {
+    throw std::invalid_argument("Simulator::schedule_reserved: sequence not reserved");
+  }
+  return push(when, seq, std::move(fn));
+}
+
+EventHandle Simulator::push(SimTime when, std::uint64_t seq, EventFn fn) {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -45,12 +59,13 @@ EventHandle Simulator::schedule_at(SimTime when, EventFn fn) {
   }
   EventRecord& rec = slab_[slot];
   rec.time = when;
-  rec.seq = next_seq_++;
+  rec.seq = seq;
   rec.live = true;
   rec.fn = std::move(fn);
   queue_.push_back(QueueEntry{rec.time, rec.seq, slot, rec.generation});
   std::push_heap(queue_.begin(), queue_.end(), Later{});
   ++live_count_;
+  ++scheduled_;
   return EventHandle(self_, slot, rec.generation);
 }
 
@@ -63,6 +78,7 @@ bool Simulator::cancel(std::uint32_t slot, std::uint32_t generation) {
   ++rec.generation;
   free_slots_.push_back(slot);
   --live_count_;
+  ++cancelled_;
   ++dead_in_queue_;
   maybe_compact();
   return true;

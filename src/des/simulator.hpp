@@ -1,10 +1,11 @@
 // Discrete-event simulation kernel.
 //
 // A Simulator owns a priority queue of (time, sequence, callback) events.
-// Ties on time break by insertion sequence, which makes every run fully
-// deterministic. Events may be cancelled via the EventHandle returned at
-// scheduling time (used by the network layer when fair-share rates change
-// and flow completion times must be re-estimated).
+// Ties on time break by insertion sequence (or by a sequence number reserved
+// earlier, see reserve_sequence), which makes every run fully deterministic.
+// Events may be cancelled via the EventHandle returned at scheduling time
+// (used e.g. by the network layer to move its flow-completion wake event when
+// fair-share rates change).
 //
 // Event storage & performance
 // ---------------------------
@@ -81,6 +82,17 @@ class Simulator {
   /// Schedule at an absolute time >= now().
   EventHandle schedule_at(SimTime when, EventFn fn);
 
+  /// Take the next tie-break sequence number without queueing anything.
+  /// schedule_reserved() later queues an event under that number, so it
+  /// fires exactly where an event scheduled at reservation time would have.
+  /// This lets a client keep its own queue of timers and hand the kernel only
+  /// the earliest one (net::Network's flow completions work this way).
+  std::uint64_t reserve_sequence() { return next_seq_++; }
+
+  /// Schedule at an absolute time >= now() under a sequence number from
+  /// reserve_sequence(). At most one live event may hold a given number.
+  EventHandle schedule_reserved(SimTime when, std::uint64_t seq, EventFn fn);
+
   /// Run until the event queue drains. Returns the final simulated time.
   SimTime run();
 
@@ -95,6 +107,10 @@ class Simulator {
   /// (live events only; lazily-deleted queue entries are not counted).
   std::size_t pending_events() const { return live_count_; }
   std::uint64_t executed_events() const { return executed_; }
+  /// Events ever queued (schedule, schedule_at, schedule_reserved).
+  std::uint64_t scheduled_events() const { return scheduled_; }
+  /// Events removed by a cancel before they fired.
+  std::uint64_t cancelled_events() const { return cancelled_; }
 
  private:
   friend class EventHandle;
@@ -125,6 +141,7 @@ class Simulator {
     }
   };
 
+  EventHandle push(SimTime when, std::uint64_t seq, EventFn fn);
   bool cancel(std::uint32_t slot, std::uint32_t generation);
   bool is_pending(std::uint32_t slot, std::uint32_t generation) const;
   /// Drop dead queue entries once they outnumber live ones.
@@ -133,6 +150,8 @@ class Simulator {
   SimTime now_ = kSimStart;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
+  std::uint64_t scheduled_ = 0;
+  std::uint64_t cancelled_ = 0;
   std::size_t live_count_ = 0;
   std::size_t dead_in_queue_ = 0;
 

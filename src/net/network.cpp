@@ -1,9 +1,11 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "common/logging.hpp"
 
@@ -104,7 +106,7 @@ void Network::attach_to_links(Flow& flow) {
   for (std::size_t i = 0; i < flow.links.size(); ++i) {
     auto& list = link_active_[flow.links[i]];
     flow.link_pos[i] = static_cast<std::uint32_t>(list.size());
-    list.push_back(ActiveRef{flow.id, static_cast<std::uint32_t>(i)});
+    list.push_back(ActiveRef{&flow, static_cast<std::uint32_t>(i)});
   }
 }
 
@@ -115,8 +117,8 @@ void Network::detach_from_links(Flow& flow) {
     const ActiveRef moved = list.back();
     list[pos] = moved;
     list.pop_back();
-    if (moved.flow != flow.id) {
-      flows_.find(moved.flow)->second.link_pos[moved.slot] = pos;
+    if (moved.flow != &flow) {
+      moved.flow->link_pos[moved.slot] = pos;
     } else if (moved.slot != i) {
       flow.link_pos[moved.slot] = pos;  // path crosses this link twice
     }
@@ -140,11 +142,11 @@ void Network::collect_component(const std::vector<LinkId>& seed_links) {
     const LinkId l = bfs_stack_.back();
     bfs_stack_.pop_back();
     for (const ActiveRef& ref : link_active_[l]) {
-      Flow& flow = flows_.find(ref.flow)->second;
-      if (flow.visit_epoch == epoch_) continue;
-      flow.visit_epoch = epoch_;
-      comp_flows_.push_back(&flow);
-      for (LinkId l2 : flow.links) push_link(l2);
+      Flow* flow = ref.flow;
+      if (flow->visit_epoch == epoch_) continue;
+      flow->visit_epoch = epoch_;
+      comp_flows_.push_back(flow);
+      for (LinkId l2 : flow->links) push_link(l2);
     }
   }
   std::sort(comp_flows_.begin(), comp_flows_.end(),
@@ -168,7 +170,7 @@ void Network::settle_flows(const std::vector<Flow*>& flows) {
   }
 }
 
-void Network::recompute_and_rearm(std::vector<Flow*>& comp) {
+void Network::recompute_rates(std::vector<Flow*>& comp) {
   if (rebalance_mode_ == RebalanceMode::kGlobalReference) {
     // Reference mode: recompute everything. The solver below is a pure
     // function of each connected component, so this must reproduce the
@@ -257,26 +259,126 @@ void Network::recompute_and_rearm(std::vector<Flow*>& comp) {
     unfrozen_.swap(still_);
   }
 
-  // Re-arm completion events, but only where the rate actually changed: an
-  // unchanged rate means the armed completion time is still correct, and
-  // skipping the cancel/re-schedule churn is where the scoped rebalance
-  // saves most of its event traffic.
+  // Re-key completions, but only where the rate actually changed: an
+  // unchanged rate means the keyed completion time is still correct, and
+  // skipping the re-key is where the scoped rebalance saves most of its work.
+  std::size_t changed = 0;
+  for (const Flow* flow : comp) changed += flow->next_rate != flow->rate;
+  // Re-keying k flows one sift at a time costs O(k log n); when a component
+  // re-rates a large share of the heap, re-key in place and rebuild it in
+  // O(n) instead. Keys are unique, so both leave the same flow on top.
+  const bool rebuild = changed * std::bit_width(heap_.size()) > heap_.size();
   for (Flow* flow : comp) {
-    const double new_rate = flow->next_rate;
-    if (new_rate == flow->rate) continue;
-    flow->rate = new_rate;
-    flow->completion.cancel();
-    const FlowId fid = flow->id;
-    if (flow->remaining <= kByteEpsilon) {
-      flow->completion = sim_.schedule(0, [this, fid] { finish_flow(fid); });
-    } else if (new_rate > 0.0) {
-      const double secs = flow->remaining / new_rate;
-      flow->completion =
-          sim_.schedule(std::max<des::SimDuration>(des::from_seconds(secs), 1),
-                        [this, fid] { finish_flow(fid); });
-    }
-    // rate == 0 (fully starved): no completion until a rebalance frees capacity.
+    if (flow->next_rate == flow->rate) continue;
+    flow->rate = flow->next_rate;
+    key_completion(*flow, /*sift=*/!rebuild);
   }
+  if (rebuild) {
+    for (std::size_t pos = heap_.size() / 2; pos-- > 0;) {
+      sift_down(static_cast<std::uint32_t>(pos));
+    }
+  }
+}
+
+// --- completion heap ---------------------------------------------------------
+
+namespace {
+bool due_before(des::SimTime due_a, std::uint64_t seq_a, des::SimTime due_b,
+                std::uint64_t seq_b) {
+  return due_a != due_b ? due_a < due_b : seq_a < seq_b;
+}
+}  // namespace
+
+void Network::key_completion(Flow& flow, bool sift) {
+  const des::SimTime now = sim_.now();
+  if (flow.remaining <= kByteEpsilon) {
+    flow.due = now;
+  } else if (flow.rate > 0.0) {
+    const double secs = flow.remaining / flow.rate;
+    flow.due = now + std::max<des::SimDuration>(des::from_seconds(secs), 1);
+  } else {
+    // Fully starved: no completion until a rebalance frees capacity.
+    heap_remove(flow, sift);
+    return;
+  }
+  // A fresh sequence number per keying keeps ties in the order the kernel
+  // would give one completion event scheduled right now.
+  flow.due_seq = sim_.reserve_sequence();
+  if (flow.heap_pos == kNotInHeap) {
+    flow.heap_pos = static_cast<std::uint32_t>(heap_.size());
+    heap_.push_back(&flow);
+  }
+  if (sift) {
+    sift_up(flow.heap_pos);
+    sift_down(flow.heap_pos);
+  }
+}
+
+void Network::heap_remove(Flow& flow, bool sift) {
+  const std::uint32_t pos = flow.heap_pos;
+  if (pos == kNotInHeap) return;
+  flow.heap_pos = kNotInHeap;
+  Flow* last = heap_.back();
+  heap_.pop_back();
+  if (last == &flow) return;
+  heap_[pos] = last;
+  last->heap_pos = pos;
+  if (sift) {
+    sift_up(pos);
+    sift_down(last->heap_pos);
+  }
+}
+
+void Network::sift_up(std::uint32_t pos) {
+  Flow* flow = heap_[pos];
+  while (pos > 0) {
+    const std::uint32_t parent = (pos - 1) / 2;
+    Flow* p = heap_[parent];
+    if (!due_before(flow->due, flow->due_seq, p->due, p->due_seq)) break;
+    heap_[pos] = p;
+    p->heap_pos = pos;
+    pos = parent;
+  }
+  heap_[pos] = flow;
+  flow->heap_pos = pos;
+}
+
+void Network::sift_down(std::uint32_t pos) {
+  Flow* flow = heap_[pos];
+  const auto n = static_cast<std::uint32_t>(heap_.size());
+  while (true) {
+    std::uint32_t child = 2 * pos + 1;
+    if (child >= n) break;
+    Flow* c = heap_[child];
+    if (child + 1 < n) {
+      Flow* r = heap_[child + 1];
+      if (due_before(r->due, r->due_seq, c->due, c->due_seq)) {
+        ++child;
+        c = r;
+      }
+    }
+    if (!due_before(c->due, c->due_seq, flow->due, flow->due_seq)) break;
+    heap_[pos] = c;
+    c->heap_pos = pos;
+    pos = child;
+  }
+  heap_[pos] = flow;
+  flow->heap_pos = pos;
+}
+
+void Network::sync_wake() {
+  const bool armed = wake_.pending();
+  if (heap_.empty()) {
+    if (armed) wake_.cancel();
+    return;
+  }
+  const Flow* top = heap_.front();
+  if (armed && wake_due_ == top->due && wake_seq_ == top->due_seq) return;
+  if (armed) wake_.cancel();
+  wake_due_ = top->due;
+  wake_seq_ = top->due_seq;
+  wake_ = sim_.schedule_reserved(wake_due_, wake_seq_,
+                                 [this] { finish_flow(*heap_.front()); });
 }
 
 void Network::activate_flow(FlowId id) {
@@ -290,10 +392,11 @@ void Network::activate_flow(FlowId id) {
   if (flow.links.empty()) comp_flows_.push_back(&flow);  // loopback: own component
   settle_flows(comp_flows_);
   if (flow.remaining <= kByteEpsilon) {
-    finish_flow(id);
+    finish_flow(flow);
     return;
   }
-  recompute_and_rearm(comp_flows_);
+  recompute_rates(comp_flows_);
+  sync_wake();
 }
 
 double Network::cancel_flow(FlowId id) {
@@ -301,7 +404,6 @@ double Network::cancel_flow(FlowId id) {
   if (it == flows_.end()) return 0.0;
   Flow& flow = it->second;
   flow.activation.cancel();
-  flow.completion.cancel();
   if (!flow.active) {
     // Latency phase: the flow never held bandwidth, nothing to rebalance.
     const double unmoved = flow.remaining;
@@ -312,10 +414,12 @@ double Network::cancel_flow(FlowId id) {
   if (flow.links.empty()) comp_flows_.push_back(&flow);
   settle_flows(comp_flows_);
   const double unmoved = flow.remaining;
+  heap_remove(flow);
   detach_from_links(flow);
   comp_flows_.erase(std::find(comp_flows_.begin(), comp_flows_.end(), &flow));
   flows_.erase(it);
-  recompute_and_rearm(comp_flows_);
+  recompute_rates(comp_flows_);
+  sync_wake();
   return unmoved;
 }
 
@@ -339,12 +443,13 @@ void Network::set_link_capacity_factor(LinkId id, double factor) {
   if (link.capacity_factor == factor) return;
   // Settle the affected component at the old rates before the capacity
   // changes, then recompute. A factor of 0 starves crossing flows to rate 0:
-  // recompute_and_rearm cancels their completion events and they stall until
-  // a later rebalance (e.g. restoring the link) frees capacity.
+  // they leave the completion heap and stall until a later rebalance (e.g.
+  // restoring the link) frees capacity.
   collect_component({id});
   settle_flows(comp_flows_);
   link.capacity_factor = factor;
-  recompute_and_rearm(comp_flows_);
+  recompute_rates(comp_flows_);
+  sync_wake();
 }
 
 double Network::flow_rate(FlowId id) const {
@@ -357,30 +462,92 @@ double Network::flow_remaining(FlowId id) const {
   return it == flows_.end() ? 0.0 : it->second.remaining;
 }
 
-void Network::finish_flow(FlowId id) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) return;
-  Flow& flow = it->second;
+void Network::check_invariants() const {
+  const auto fail = [](const std::string& what) {
+    throw std::logic_error("Network invariant violated: " + what);
+  };
+  // Link capacity, and the per-link lists against the flows' back-pointers.
+  std::size_t refs = 0;
+  for (std::size_t l = 0; l < links_.size(); ++l) {
+    const auto& list = link_active_[l];
+    refs += list.size();
+    double sum = 0.0;
+    for (std::size_t pos = 0; pos < list.size(); ++pos) {
+      const ActiveRef& ref = list[pos];
+      const Flow& flow = *ref.flow;
+      const auto it = flows_.find(flow.id);
+      if (it == flows_.end() || &it->second != &flow || !flow.active) {
+        fail("link " + links_[l].name + " lists a flow that is not active");
+      }
+      if (ref.slot >= flow.links.size() || flow.links[ref.slot] != l ||
+          flow.link_pos[ref.slot] != pos) {
+        fail("link " + links_[l].name + " entry disagrees with flow " +
+             std::to_string(flow.id) + "'s link_pos");
+      }
+      sum += flow.rate;
+    }
+    const double cap = links_[l].effective_bandwidth();
+    if (sum > cap * (1.0 + 1e-9)) {
+      fail("link " + links_[l].name + " carries " + std::to_string(sum) +
+           " B/s over its " + std::to_string(cap));
+    }
+  }
+  // Completion heap membership: exactly the active flows that drain or have
+  // drained.
+  std::size_t expected_refs = 0;
+  std::size_t keyed = 0;
+  for (const auto& [id, flow] : flows_) {
+    if (flow.active) expected_refs += flow.links.size();
+    const bool should_key =
+        flow.active && (flow.rate > 0.0 || flow.remaining <= kByteEpsilon);
+    const bool in_heap = flow.heap_pos != kNotInHeap;
+    if (in_heap && (flow.heap_pos >= heap_.size() || heap_[flow.heap_pos] != &flow)) {
+      fail("flow " + std::to_string(id) + " heap_pos does not point back at it");
+    }
+    if (should_key != in_heap) {
+      fail("flow " + std::to_string(id) + (in_heap ? " is starved or inactive but in"
+                                                    : " drains but is missing from") +
+           " the completion heap");
+    }
+    keyed += in_heap;
+  }
+  if (refs != expected_refs) fail("link lists and active flow paths differ in size");
+  if (keyed != heap_.size()) fail("completion heap holds flows that are gone");
+  for (std::size_t pos = 1; pos < heap_.size(); ++pos) {
+    const Flow* child = heap_[pos];
+    const Flow* parent = heap_[(pos - 1) / 2];
+    if (due_before(child->due, child->due_seq, parent->due, parent->due_seq)) {
+      fail("completion heap order broken at position " + std::to_string(pos));
+    }
+  }
+  // The one DES event sits at the heap top.
+  if (wake_.pending() == heap_.empty()) {
+    fail("wake event pending state disagrees with the completion heap");
+  }
+  if (!heap_.empty() &&
+      (wake_due_ != heap_.front()->due || wake_seq_ != heap_.front()->due_seq)) {
+    fail("wake event is not at the completion heap top");
+  }
+}
+
+void Network::finish_flow(Flow& flow) {
   collect_component(flow.links);
   if (flow.links.empty()) comp_flows_.push_back(&flow);
   settle_flows(comp_flows_);
   if (flow.remaining > kByteEpsilon) {
-    // Rates changed since this event was armed; re-estimate.
-    if (flow.rate > 0.0) {
-      const double secs = flow.remaining / flow.rate;
-      const FlowId fid = id;
-      flow.completion =
-          sim_.schedule(std::max<des::SimDuration>(des::from_seconds(secs), 1),
-                        [this, fid] { finish_flow(fid); });
-    }
+    // The keyed finish rounded to a tick short of the last byte: re-estimate
+    // from the settled remainder.
+    key_completion(flow);
+    sync_wake();
     return;
   }
   auto callback = std::move(flow.on_complete);
-  flow.completion.cancel();
+  heap_remove(flow);
   detach_from_links(flow);
   comp_flows_.erase(std::find(comp_flows_.begin(), comp_flows_.end(), &flow));
-  flows_.erase(it);
-  recompute_and_rearm(comp_flows_);
+  flows_.erase(flow.id);
+  recompute_rates(comp_flows_);
+  sync_wake();
   if (callback) callback();
 }
 

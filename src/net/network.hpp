@@ -21,14 +21,14 @@
 // ------------------
 // A flow arrival or departure can only change the rates of flows it shares
 // bandwidth with, directly or transitively. Each link keeps the list of
-// active flows crossing it, so a mutation walks the *connected component*
-// of the affected links (flows <-> links), settles exactly those flows,
+// active flows crossing it (pointers straight to the flows, so the walk never
+// looks a flow up by id), so a mutation walks the *connected component* of
+// the affected links (flows <-> links), settles exactly those flows,
 // recomputes their max-min rates with a freeze-event water-filling pass
 // (O(component) instead of O(all flows x all links) per filling round), and
-// re-arms completion events only for flows whose rate actually changed.
-// Disjoint traffic — e.g. independent sites, or the thousands of concurrent
-// chunk fetches that never meet on a link — pays nothing for each other's
-// churn.
+// re-keys completions only for flows whose rate actually changed. Disjoint
+// traffic — e.g. independent sites, or the thousands of concurrent chunk
+// fetches that never meet on a link — pays nothing for each other's churn.
 //
 // The per-component solver is a pure function of the component's (sorted)
 // flows, caps and link bandwidths, so recomputing an unaffected component
@@ -38,9 +38,26 @@
 // test in tests/test_network_perf.cpp drives both modes through the same
 // operation sequence and asserts exactly that.
 //
+// Lazy completions
+// ----------------
+// Flows hold no DES events of their own. Every active flow that drains (rate
+// > 0) or has nothing left to drain sits in one network-owned indexed
+// min-heap keyed by (due, seq): due = now + max(remaining / rate, 1 tick) at
+// the last rate change (or now, if nothing is left), and seq is a DES
+// sequence number reserved at that moment (des::Simulator::reserve_sequence).
+// A rate change re-keys the flow in place; a starved, cancelled or finished
+// flow leaves the heap. One DES event, `wake_`, sits at the heap top under
+// the top's own (due, seq) key, so it fires exactly where the flow's own
+// completion event would have, and it is re-armed only when the top's key
+// changes. Each firing handles exactly one flow, so the executed-event count
+// is the same as with one DES event per flow, while a rebalance that re-rates
+// a whole component costs heap sifts (or one O(n) heap rebuild, when it
+// re-rates a large share of the heap) instead of a DES cancel + schedule per
+// flow. check_invariants() audits the heap, the wake event and the per-link
+// lists.
+//
 // Everything is deterministic: component flows are processed in id order,
-// and completion events inherit the DES kernel's (time, sequence) total
-// ordering.
+// and completions follow the DES kernel's (time, sequence) total ordering.
 #pragma once
 
 #include <map>
@@ -113,6 +130,14 @@ class Network {
 
   std::size_t active_flows() const { return flows_.size(); }
 
+  /// Audit the solver state; throws std::logic_error naming the first
+  /// violation. Checks that each link carries at most its effective
+  /// bandwidth, that the per-link active lists and the flows' back-pointers
+  /// agree, that exactly the draining (or drained) active flows sit in the
+  /// completion heap, that the heap is ordered and its back-pointers hold,
+  /// and that the wake event is pending exactly at the heap top.
+  void check_invariants() const;
+
   std::vector<LinkId> path(EndpointId src, EndpointId dst) const;
   des::SimDuration path_latency(EndpointId src, EndpointId dst) const;
 
@@ -133,6 +158,8 @@ class Network {
     std::vector<LinkId> access;
   };
 
+  static constexpr std::uint32_t kNotInHeap = 0xffffffffu;
+
   struct Flow {
     FlowId id;
     EndpointId src = 0;
@@ -144,7 +171,9 @@ class Network {
     double next_rate = 0.0;  ///< scratch for the water-filling pass
     bool active = false;     ///< false during the latency phase
     des::SimTime last_update = 0;
-    des::EventHandle completion;
+    des::SimTime due = 0;         ///< completion-heap key, valid while in the heap
+    std::uint64_t due_seq = 0;    ///< tie-break: DES sequence reserved at keying
+    std::uint32_t heap_pos = kNotInHeap;
     des::EventHandle activation;
     des::EventFn on_complete;
     /// For each links[i]: this flow's position in link_active_[links[i]]
@@ -155,8 +184,9 @@ class Network {
 
   /// One active-flow registration on a link: the flow plus which of the
   /// flow's path slots this entry belongs to (paths may repeat a link).
+  /// Flows live in a node-based map, so the pointer is stable.
   struct ActiveRef {
-    FlowId flow;
+    Flow* flow;
     std::uint32_t slot;
   };
 
@@ -182,12 +212,22 @@ class Network {
   void settle_flows(const std::vector<Flow*>& flows);
 
   /// Max-min fair rates for `comp` (sorted by id; in kGlobalReference mode
-  /// the argument is replaced by all active flows) and re-arm completion
-  /// events for flows whose rate changed.
-  void recompute_and_rearm(std::vector<Flow*>& comp);
+  /// the argument is replaced by all active flows); re-keys the completions
+  /// of flows whose rate changed.
+  void recompute_rates(std::vector<Flow*>& comp);
+
+  /// Completion heap: key the flow at its projected finish from its current
+  /// rate and remaining bytes (or drop it if starved); remove it. With
+  /// sift = false the heap order is left for the caller to rebuild.
+  void key_completion(Flow& flow, bool sift = true);
+  void heap_remove(Flow& flow, bool sift = true);
+  void sift_up(std::uint32_t pos);
+  void sift_down(std::uint32_t pos);
+  /// Point wake_ at the heap top; no-op if it already sits there.
+  void sync_wake();
 
   void activate_flow(FlowId id);
-  void finish_flow(FlowId id);
+  void finish_flow(Flow& flow);
 
   des::Simulator& sim_;
   std::vector<std::string> sites_;
@@ -196,6 +236,11 @@ class Network {
   std::map<std::pair<SiteId, SiteId>, std::vector<LinkId>> routes_;
   std::map<FlowId, Flow> flows_;  // id order => deterministic iteration
   FlowId next_flow_id_ = 0;
+
+  std::vector<Flow*> heap_;  ///< completion min-heap on (due, due_seq)
+  des::EventHandle wake_;    ///< the one DES event, at the heap top's key
+  des::SimTime wake_due_ = 0;
+  std::uint64_t wake_seq_ = 0;
 
   RebalanceMode rebalance_mode_ = RebalanceMode::kScoped;
 

@@ -508,10 +508,14 @@ TEST(NetTeardown, DeadEndpointFlowsSettleAndFreeTheirShare) {
 
   // Kill b1 shortly in: both of its flows (one as dst, one as src) must
   // leave the link's active list so the survivor gets the whole 1 MB/s.
+  net.check_invariants();
   sim.schedule(des::from_seconds(0.1), [&] {
+    net.check_invariants();
     EXPECT_EQ(net.cancel_flows_with_endpoint(b1), 2u);
+    net.check_invariants();
   });
   sim.run();
+  net.check_invariants();
 
   EXPECT_FALSE(doomed_fired);
   ASSERT_GT(survivor_done, 0.0);

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -103,9 +104,9 @@ struct Harness {
     net.set_route_symmetric(a, c, {wan_ab, wan_bc});  // two-hop path
   }
 
-  // Runs the op sequence; after each op appends a bit-pattern hash of the
-  // most recent flows' rates (exact-equality signature, localizes a
-  // divergence to the first differing op).
+  // Runs the op sequence; after each op audits the solver state and appends
+  // a bit-pattern hash of the most recent flows' rates (exact-equality
+  // signature, localizes a divergence to the first differing op).
   void drive(const std::vector<Op>& ops, std::vector<std::uint64_t>& rate_sig) {
     for (std::size_t i = 0; i < ops.size(); ++i) {
       sim.schedule_at(ops[i].at, [this, &ops, &rate_sig, i] {
@@ -118,6 +119,7 @@ struct Harness {
               eps[op.src], eps[op.dst], op.bytes, op.cap,
               [this, idx] { completed.emplace(idx, sim.now()); }));
         }
+        net.check_invariants();
         std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
         const std::size_t begin = flows.size() > 64 ? flows.size() - 64 : 0;
         for (std::size_t k = begin; k < flows.size(); ++k) {
@@ -229,6 +231,135 @@ TEST(ScopedRebalance, DisjointComponentChurnDoesNotPerturbCompletion) {
     return done;
   };
   EXPECT_EQ(run_measured(false), run_measured(true));
+}
+
+// --- DES churn -----------------------------------------------------------
+
+// 64 flows share one link and every completion starts a replacement, so each
+// arrival and departure re-rates all 64. Re-rating only re-keys the
+// network's completion heap: the DES sees the activations and one wake event
+// per completion, not a cancel + schedule per re-rated flow.
+TEST(NetworkChurn, SixtyFourFlowsOnOneLinkTakeUnderTwoSchedulesPerEvent) {
+  des::Simulator sim;
+  Network net(sim);
+  const SiteId a = net.add_site("a");
+  const SiteId b = net.add_site("b");
+  const LinkId link = net.add_link("shared", 1e8, des::from_seconds(0.0001));
+  const EndpointId src = net.add_endpoint("src", a);
+  const EndpointId dst = net.add_endpoint("dst", b);
+  net.set_route_symmetric(a, b, {link});
+
+  int completions = 0;
+  std::uint64_t next_bytes = 1;
+  std::function<void()> start = [&] {
+    next_bytes = next_bytes * 6364136223846793005ull + 1442695040888963407ull;
+    net.start_flow(src, dst, 10'000 + (next_bytes >> 40) % 100'000, 0.0, [&] {
+      if (++completions < 1'000) start();
+    });
+  };
+  for (int i = 0; i < 64; ++i) start();
+  sim.run();
+
+  ASSERT_EQ(completions, 1'000 + 63);
+  const double per_event = static_cast<double>(sim.scheduled_events()) /
+                           static_cast<double>(sim.executed_events());
+  EXPECT_LT(per_event, 2.0) << sim.scheduled_events() << " schedules for "
+                            << sim.executed_events() << " events";
+  EXPECT_EQ(net.active_flows(), 0u);
+}
+
+// --- pinned completion order ----------------------------------------------
+
+// FNV-1a over 64-bit words: an order-sensitive signature of a run.
+struct OrderHash {
+  std::uint64_t h = 1469598103934665603ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xffu)) * 1099511628211ull;
+    }
+  }
+};
+
+// Seeded mix of every mutating entry point, on round bandwidths and a 1 ms
+// op grid so flow completions can land on the same tick as op events. The
+// signature covers the interleaving of completion callbacks (flow id, time)
+// with op events (op index, time), plus the executed-event count. The
+// constants were computed with per-flow completion events in the DES queue;
+// any completion scheme must reproduce them bit for bit, including how it
+// orders a completion against an unrelated event due on the same tick.
+TEST(NetworkCompletionOrder, SeededMixMatchesPinnedSignature) {
+  des::Simulator sim;
+  Network net(sim);
+  const SiteId a = net.add_site("a");
+  const SiteId b = net.add_site("b");
+  std::vector<LinkId> links;
+  links.push_back(net.add_link("wan", 40e6, des::from_seconds(0.002)));
+  std::vector<EndpointId> eps;
+  for (int i = 0; i < 6; ++i) {
+    const SiteId site = i < 3 ? a : b;
+    const EndpointId ep = net.add_endpoint("e" + std::to_string(i), site);
+    const LinkId nic = net.add_link("nic" + std::to_string(i), 1e7 * (1 + i % 3),
+                                    i % 2 == 0 ? 0 : des::from_seconds(0.001));
+    net.set_access_path(ep, {nic});
+    links.push_back(nic);
+    eps.push_back(ep);
+  }
+  net.set_route_symmetric(a, b, {links[0]});
+
+  OrderHash sig;
+  std::vector<FlowId> issued;
+  std::size_t completions = 0;
+  std::function<void(FlowId)> on_done;
+  auto start = [&](int src, int dst, std::uint64_t bytes, double cap) {
+    const std::size_t idx = issued.size();
+    issued.push_back(net.start_flow(eps[src], eps[dst], bytes, cap,
+                                    [&on_done, &issued, idx] { on_done(issued[idx]); }));
+  };
+  on_done = [&](FlowId id) {
+    ++completions;
+    sig.add(id);
+    sig.add(static_cast<std::uint64_t>(sim.now()));
+    // Chain a follow-up transfer from inside the callback now and then.
+    if (id % 4 == 0) {
+      start(static_cast<int>(id % 6), static_cast<int>((id / 4) % 6), 1'000 * (id % 50), 0.0);
+    }
+  };
+
+  Rng rng{0xc0de'2026'1016ull};
+  for (int i = 0; i < 6'000; ++i) {
+    const des::SimTime at = des::kMillisecond * static_cast<des::SimTime>(i + rng.below(3));
+    const std::uint64_t kind = rng.below(100);
+    const std::uint64_t x = rng.next();
+    sim.schedule_at(at, [&, i, kind, x] {
+      sig.add(0xffff'0000'0000ull + static_cast<std::uint64_t>(i));
+      sig.add(static_cast<std::uint64_t>(sim.now()));
+      if (kind < 75 || issued.empty()) {
+        const double cap = x % 5 == 0 ? 2.5e6 : 0.0;
+        start(static_cast<int>(x % 6), static_cast<int>((x >> 8) % 6),
+              1'000 * ((x >> 16) % 40), cap);
+      } else if (kind < 85) {
+        const double unmoved = net.cancel_flow(issued[(x >> 4) % issued.size()]);
+        std::uint64_t bits;
+        std::memcpy(&bits, &unmoved, sizeof(bits));
+        sig.add(bits);
+      } else if (kind < 99) {
+        static constexpr double kFactors[] = {0.0, 0.25, 0.5, 1.0, 1.0};
+        net.set_link_capacity_factor(links[x % links.size()], kFactors[(x >> 8) % 5]);
+      } else {
+        sig.add(net.cancel_flows_with_endpoint(eps[x % eps.size()]));
+      }
+    });
+  }
+  // Restore every link so stalled flows drain and the run terminates.
+  sim.schedule_at(des::from_seconds(20.0), [&] {
+    for (LinkId l : links) net.set_link_capacity_factor(l, 1.0);
+  });
+  sim.run();
+
+  EXPECT_EQ(net.active_flows(), 0u);
+  EXPECT_GT(completions, 4'000u);
+  EXPECT_EQ(sig.h, 0x14790b951959bee5ull);
+  EXPECT_EQ(sim.executed_events(), 17'134u);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "middleware/runtime.hpp"
 #include "replica/repair.hpp"
 #include "replica/replica_set.hpp"
+#include "storage/retry.hpp"
 #include "trace/trace.hpp"
 #include "workload/workload_manager.hpp"
 
@@ -539,6 +540,79 @@ TEST(ReplicaRepair, ActorRunsTransfersUnderConcurrencyCap) {
     for (StoreId s = 0; s < p.store_count(); ++s) live += rs.is_live(chunk.id, s);
     EXPECT_EQ(live, 2u) << "chunk " << chunk.id;
   }
+}
+
+// Regression: two cloud sites whose stores both sit behind their provider's
+// fabric (paper_cloud_site) had no route between the stores, so a repair
+// from one cloud store to the other threw "no route from site east-store to
+// west-store". The repair now crosses the two providers' WAN link.
+TEST(ReplicaRepair, CrossCloudRepairBetweenFabricStoresCompletes) {
+  PlatformSpec spec;
+  spec.sites.push_back(PlatformSpec::paper_cloud_site(8, "east"));
+  spec.sites.push_back(PlatformSpec::paper_cloud_site(8, "west"));
+  spec.wan_bandwidth = MBps(60);
+  spec.wan_latency = des::from_seconds(ms(60));
+  Platform p(spec);
+  ASSERT_GT(p.spec().store(0).fabric_bandwidth, 0.0);
+  ASSERT_GT(p.spec().store(1).fabric_bandwidth, 0.0);
+
+  storage::LayoutSpec lspec;
+  lspec.total_bytes = MiB(32);
+  lspec.num_files = 2;
+  lspec.chunks_per_file = 2;
+  lspec.unit_bytes = 64;
+  storage::DataLayout layout = storage::build_layout(lspec);
+  const StoreId east = p.store_of_cluster(0);
+  const StoreId west = p.store_of_cluster(1);
+  storage::assign_stores_by_weights(layout, {1.0, 0.0}, {east, west});
+
+  ReplicationConfig cfg;
+  cfg.replication_factor = 2;
+  cfg.placement = PlacementPolicy::CrossSite;
+  cfg.repair_interval_seconds = 0.5;
+  cfg.suspect_seconds = 0.25;
+  ReplicaSet rs{cfg};
+  rs.attach(layout, p);
+  // Every extra copy sits on the west store; lose them all.
+  for (const auto& [chunk, store] : rs.initial_extras()) {
+    ASSERT_EQ(store, west);
+    rs.mark_lost(chunk, store, 0.0);
+  }
+  const std::uint32_t losses = rs.replicas_lost();
+  ASSERT_EQ(losses, layout.chunks().size());
+
+  bool stopped = false;
+  std::uint64_t moved = 0;
+  replica::RepairActor::Env env;
+  env.now = [&] { return des::to_seconds(p.sim().now()); };
+  env.schedule = [&](double delay, std::function<void()> fn) {
+    p.sim().schedule(des::from_seconds(delay), std::move(fn));
+  };
+  env.stopped = [&] { return stopped; };
+  env.transfer = [&](const ReplicaSet::RepairTask& task, std::function<void(bool)> done) {
+    EXPECT_EQ(task.src, east);
+    EXPECT_EQ(task.dst, west);
+    storage::fetch_with_retry(p.sim(), p.store(task.src), p.store(task.dst).endpoint(),
+                              layout.chunk(task.chunk), 4, storage::RetryPolicy{}, {},
+                              [&, done = std::move(done)](const storage::FetchResult& r) {
+                                moved += r.bytes_moved;
+                                done(r.ok);
+                                if (rs.replicas_repaired() == losses) stopped = true;
+                              });
+  };
+  replica::RepairActor actor(rs, std::move(env));
+  actor.start();
+  p.sim().run();
+
+  EXPECT_EQ(rs.replicas_repaired(), losses);
+  EXPECT_EQ(moved, lspec.total_bytes);
+  for (const auto& chunk : layout.chunks()) EXPECT_TRUE(rs.is_live(chunk.id, west));
+  // The copies crossed the providers' WAN link, not some other path.
+  const net::Network& net = p.network();
+  const auto path = net.path(p.store(east).endpoint(), p.store(west).endpoint());
+  EXPECT_NE(std::find_if(path.begin(), path.end(),
+                         [&](net::LinkId l) { return net.link(l).name == "wan"; }),
+            path.end());
 }
 
 // --- middleware integration --------------------------------------------------

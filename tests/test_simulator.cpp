@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "des/simulator.hpp"
@@ -137,8 +139,28 @@ TEST(Simulator, ExecutedEventsCountsOnlyFired) {
   auto h = sim.schedule(1, [] {});
   sim.schedule(2, [] {});
   h.cancel();
+  h.cancel();  // a second cancel is a no-op and is not counted
   sim.run();
   EXPECT_EQ(sim.executed_events(), 1u);
+  EXPECT_EQ(sim.scheduled_events(), 2u);
+  EXPECT_EQ(sim.cancelled_events(), 1u);
+}
+
+// An event queued under a reserved sequence number fires where an event
+// scheduled at reservation time would have: after same-time events queued
+// before the reservation, before those queued after it.
+TEST(Simulator, ReservedSequenceKeepsReservationOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(kSecond, [&] { order.push_back(1); });
+  const std::uint64_t seq = sim.reserve_sequence();
+  sim.schedule(kSecond, [&] { order.push_back(3); });
+  sim.schedule_reserved(kSecond, seq, [&] { order.push_back(2); });
+  EXPECT_THROW(sim.schedule_reserved(kSecond, seq + 100, [] {}), std::invalid_argument);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_THROW(sim.schedule_reserved(0, sim.reserve_sequence(), [] {}),
+               std::invalid_argument);
 }
 
 TEST(Simulator, ManyEventsStressOrdering) {
