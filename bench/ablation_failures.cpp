@@ -13,8 +13,14 @@ namespace {
 
 using namespace cloudburst;
 
-middleware::RunResult run_knn(std::uint64_t seed,
-                              const std::vector<middleware::RunOptions::FailureEvent>& failures,
+using NodeEvent = middleware::RunOptions::LifecycleEvent;
+
+/// A crash of cloud node 0 at `at_seconds`.
+std::vector<NodeEvent> cloud_crash(double at_seconds) {
+  return {{NodeEvent::Kind::Crash, cluster::kCloudSite, 0, at_seconds}};
+}
+
+middleware::RunResult run_knn(std::uint64_t seed, const std::vector<NodeEvent>& crashes,
                               double detection_seconds,
                               double checkpoint_interval = 0.0,
                               const storage::FaultProfile& cloud_fault = {},
@@ -28,7 +34,7 @@ middleware::RunResult run_knn(std::uint64_t seed,
   middleware::RunOptions options = apps::paper_run_options(apps::PaperApp::Knn);
   options.reduction_tree = false;
   options.random_seed = seed;
-  options.failures = failures;
+  options.lifecycle = crashes;
   options.failure_detection_seconds = detection_seconds;
   options.checkpoint_interval_seconds = checkpoint_interval;
   options.retry = retry;
@@ -51,8 +57,7 @@ int main(int argc, char** argv) {
       args.quick ? std::vector<double>{0.5} : std::vector<double>{0.5, 2.0};
   for (double frac : crash_fracs) {
     for (double detect : detections) {
-      const auto result = run_knn(
-          args.seed, {{cluster::kCloudSite, 0, frac * clean.total_time}}, detect);
+      const auto result = run_knn(args.seed, cloud_crash(frac * clean.total_time), detect);
       table.add_row({AsciiTable::pct(frac, 0) + " of run",
                      AsciiTable::num(detect, 1) + " s",
                      AsciiTable::num(result.total_time, 2),
@@ -72,8 +77,8 @@ int main(int argc, char** argv) {
       args.quick ? std::vector<double>{0.0, 2.0}
                  : std::vector<double>{0.0, 10.0, 5.0, 2.0, 1.0};
   for (double interval : intervals) {
-    const auto result = run_knn(
-        args.seed, {{cluster::kCloudSite, 0, 0.7 * clean.total_time}}, 1.0, interval);
+    const auto result =
+        run_knn(args.seed, cloud_crash(0.7 * clean.total_time), 1.0, interval);
     ckpt.add_row({interval == 0.0 ? std::string("off")
                                   : AsciiTable::num(interval, 0) + " s",
                   AsciiTable::num(result.total_time, 2),
@@ -102,18 +107,16 @@ int main(int argc, char** argv) {
                        "jobs assigned (96 unique)"});
   struct Scenario {
     const char* name;
-    std::vector<middleware::RunOptions::FailureEvent> failures;
+    std::vector<NodeEvent> crashes;
     storage::FaultProfile fault;
   };
   const Scenario scenarios[] = {
-      {"crash only", {{cluster::kCloudSite, 0, 0.5 * clean.total_time}}, {}},
+      {"crash only", cloud_crash(0.5 * clean.total_time), {}},
       {"throttle window only", {}, throttled},
-      {"crash inside window",
-       {{cluster::kCloudSite, 0, 0.5 * clean.total_time}},
-       throttled},
+      {"crash inside window", cloud_crash(0.5 * clean.total_time), throttled},
   };
   for (const Scenario& s : scenarios) {
-    const auto result = run_knn(args.seed, s.failures, 1.0, 0.0, s.fault, retry);
+    const auto result = run_knn(args.seed, s.crashes, 1.0, 0.0, s.fault, retry);
     compound.add_row({s.name, AsciiTable::num(result.total_time, 2),
                       AsciiTable::pct(result.total_time / clean.total_time - 1.0, 1),
                       std::to_string(result.store_faults()),

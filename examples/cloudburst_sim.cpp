@@ -71,8 +71,8 @@ int main(int argc, char** argv) {
 
   if (cfg.contains("fail_cloud_node")) {
     options.reduction_tree = false;
-    options.failures.push_back(
-        {cluster::kCloudSite,
+    options.lifecycle.push_back(
+        {middleware::RunOptions::LifecycleEvent::Kind::Crash, cluster::kCloudSite,
          static_cast<std::uint32_t>(cfg.get_int("fail_cloud_node", 0)),
          cfg.get_double("fail_at", 5.0)});
   }

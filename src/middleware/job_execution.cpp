@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -10,6 +11,45 @@
 #include "common/rng.hpp"
 
 namespace cloudburst::middleware {
+
+namespace {
+
+/// Stochastic spot draws beyond this horizon are never scheduled: the DES
+/// runs until its queue drains, so a reclaim drawn months into simulated
+/// time must not keep the run alive.
+constexpr double kSpotHorizonSeconds = 1e7;
+
+using NodeEvent = RunOptions::LifecycleEvent;
+
+/// A chaos plan's node event as the lifecycle entry it stands for; nullopt
+/// for the plan's link, store and site windows.
+std::optional<NodeEvent> as_node_event(const chaos::ChaosEvent& ev) {
+  using ChaosKind = chaos::ChaosEvent::Kind;
+  NodeEvent out{NodeEvent::Kind::Crash, ev.site_a, ev.node_index, ev.at_seconds,
+                ev.notice_seconds};
+  if (ev.kind == ChaosKind::NodeDrain) {
+    out.kind = NodeEvent::Kind::Drain;
+  } else if (ev.kind == ChaosKind::SpotReclaim) {
+    out.kind = NodeEvent::Kind::SpotReclaim;
+  } else if (ev.kind != ChaosKind::NodeCrash) {
+    return std::nullopt;
+  }
+  return out;
+}
+
+/// Every scripted node event of a run: the lifecycle entries, then the chaos
+/// plan's node events.
+std::vector<NodeEvent> node_events(const RunOptions& options) {
+  std::vector<NodeEvent> events = options.lifecycle;
+  if (options.chaos) {
+    for (const auto& ev : options.chaos->events) {
+      if (const auto node_ev = as_node_event(ev)) events.push_back(*node_ev);
+    }
+  }
+  return events;
+}
+
+}  // namespace
 
 void validate_run(const cluster::Platform& platform, const storage::DataLayout& layout,
                   const RunOptions& options) {
@@ -32,11 +72,6 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
     throw std::invalid_argument(
         "run_distributed: periodic checkpointing requires reduction_tree = false");
   }
-  if (!options.failures.empty() && options.reduction_tree) {
-    throw std::invalid_argument(
-        "run_distributed: failure injection requires reduction_tree = false "
-        "(the master must track per-slave work)");
-  }
   if (options.elastic.enabled) {
     if (options.reduction_tree) {
       throw std::invalid_argument(
@@ -51,22 +86,9 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
       throw std::invalid_argument("run_distributed: elastic check interval must be > 0");
     }
   }
-  for (const auto& f : options.failures) {
-    if (f.side >= platform.cluster_count()) {
-      throw std::invalid_argument("run_distributed: failure names an unknown cluster");
-    }
-    const auto& nodes = platform.nodes(f.side);
-    if (f.node_index >= nodes.size()) {
-      throw std::invalid_argument("run_distributed: failure names an unknown node");
-    }
-    std::size_t failing_here = 0;
-    for (const auto& g : options.failures) {
-      if (g.side == f.side) ++failing_here;
-    }
-    if (failing_here >= nodes.size()) {
-      throw std::invalid_argument(
-          "run_distributed: failures would leave a cluster with no live slaves");
-    }
+  if (options.elastic.enabled && options.static_assignment) {
+    throw std::invalid_argument(
+        "run_distributed: static assignment excludes elastic bursting");
   }
 
   // --- dynamic control plane (directory / elastic node pool) -----------------
@@ -92,11 +114,10 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
           "run_distributed: pool leases require RunOptions::directory");
     }
     if (options.elastic.enabled || options.migration.standby_nodes > 0 ||
-        !options.lifecycle.empty() || !options.failures.empty() ||
         options.spot.reclaim_rate_per_hour > 0.0) {
       throw std::invalid_argument(
           "run_distributed: the elastic node pool owns cloud-node lifetime — "
-          "per-job elastic/migration/lifecycle/failure machinery is excluded");
+          "per-job elastic/migration/spot machinery is excluded");
     }
     if (options.static_assignment) {
       throw std::invalid_argument(
@@ -113,44 +134,51 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
     options.qos->validate_against(platform);
   }
 
-  // --- node lifecycle (crash / drain / spot reclamation / migration) --------
-  const bool has_lifecycle = !options.lifecycle.empty() ||
-                             options.spot.reclaim_rate_per_hour > 0.0 ||
-                             options.migration.standby_nodes > 0;
-  if (has_lifecycle && options.reduction_tree) {
+  // --- node loss: scripted node events (lifecycle entries and chaos plan
+  // node events alike), stochastic spot reclamation, migration -------------
+  const std::vector<NodeEvent> events = node_events(options);
+  const bool loses_nodes = !events.empty() || options.spot.reclaim_rate_per_hour > 0.0 ||
+                           options.migration.standby_nodes > 0;
+  if (loses_nodes && options.reduction_tree) {
     throw std::invalid_argument(
-        "run_distributed: node lifecycle events require reduction_tree = false "
+        "run_distributed: node events require reduction_tree = false "
         "(the master must track per-slave work)");
   }
-  if (has_lifecycle && options.elastic.enabled) {
+  if (loses_nodes && options.elastic.enabled) {
     throw std::invalid_argument(
-        "run_distributed: node lifecycle events are mutually exclusive with "
-        "elastic bursting (one controller owns the dormant pool)");
+        "run_distributed: node events are mutually exclusive with elastic "
+        "bursting (one controller owns the dormant pool)");
   }
-  if (has_lifecycle && options.static_assignment) {
+  if (loses_nodes && options.static_assignment) {
     throw std::invalid_argument(
-        "run_distributed: static assignment excludes node lifecycle events");
+        "run_distributed: static assignment excludes node events");
   }
   if (options.spot.reclaim_rate_per_hour < 0.0) {
     throw std::invalid_argument("run_distributed: spot reclaim rate must be >= 0");
   }
-  for (const auto& ev : options.lifecycle) {
+  // Every scripted removal (a drain also takes its node out of the run) must
+  // leave each site one platform node; distinct victims only, so a node named
+  // twice counts once.
+  std::map<cluster::ClusterId, std::set<std::uint32_t>> victims;
+  for (const NodeEvent& ev : events) {
     if (ev.site >= platform.cluster_count()) {
-      throw std::invalid_argument(
-          "run_distributed: lifecycle event names an unknown cluster");
+      throw std::invalid_argument("run_distributed: node event names an unknown site");
     }
     if (ev.node_index >= platform.nodes(ev.site).size()) {
-      throw std::invalid_argument(
-          "run_distributed: lifecycle event names an unknown node");
+      throw std::invalid_argument("run_distributed: node event names an unknown node");
     }
     if (ev.at_seconds < 0.0) {
-      throw std::invalid_argument(
-          "run_distributed: lifecycle event time must be >= 0");
+      throw std::invalid_argument("run_distributed: node event time must be >= 0");
     }
-    if (ev.kind == RunOptions::LifecycleEvent::Kind::SpotReclaim &&
-        ev.notice_seconds < 0.0) {
+    if (ev.kind == NodeEvent::Kind::SpotReclaim && ev.notice_seconds < 0.0) {
+      throw std::invalid_argument("run_distributed: spot reclaim notice must be >= 0");
+    }
+    victims[ev.site].insert(ev.node_index);
+  }
+  for (const auto& [site, nodes] : victims) {
+    if (nodes.size() >= platform.nodes(site).size()) {
       throw std::invalid_argument(
-          "run_distributed: spot reclaim notice must be >= 0");
+          "run_distributed: node events would leave a site with no live slaves");
     }
   }
   if (options.migration.standby_nodes > 0) {
@@ -161,25 +189,6 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
     }
     if (options.migration.boot_seconds < 0.0) {
       throw std::invalid_argument("run_distributed: migration boot time must be >= 0");
-    }
-  }
-  // Every scheduled removal (legacy failures plus lifecycle events — a drain
-  // also takes its node out of the run) must leave each cluster one live,
-  // non-standby slave; distinct victims only, so a node named twice counts once.
-  for (cluster::ClusterId site = 0; site < platform.cluster_count(); ++site) {
-    const auto& nodes = platform.nodes(site);
-    if (nodes.empty()) continue;
-    std::set<std::uint32_t> victims;
-    for (const auto& f : options.failures) {
-      if (f.side == site) victims.insert(f.node_index);
-    }
-    for (const auto& ev : options.lifecycle) {
-      if (ev.site == site) victims.insert(ev.node_index);
-    }
-    if (victims.size() >= nodes.size()) {
-      throw std::invalid_argument(
-          "run_distributed: lifecycle events would leave a cluster with no live "
-          "slaves");
     }
   }
 
@@ -230,21 +239,8 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
           break;
         case ChaosKind::NodeCrash:
         case ChaosKind::NodeDrain:
-          if (ev.node_index >= platform.nodes(ev.site_a).size()) {
-            throw std::invalid_argument(
-                "run_distributed: chaos event names an unknown node");
-          }
-          break;
         case ChaosKind::SpotReclaim:
-          if (ev.node_index >= platform.nodes(ev.site_a).size()) {
-            throw std::invalid_argument(
-                "run_distributed: chaos event names an unknown node");
-          }
-          if (ev.notice_seconds < 0.0) {
-            throw std::invalid_argument(
-                "run_distributed: chaos spot-reclaim notice must be >= 0");
-          }
-          break;
+          break;  // checked with the lifecycle entries above
       }
     }
   }
@@ -266,7 +262,6 @@ JobExecution::JobExecution(cluster::Platform& platform, const storage::DataLayou
   build_prefetchers();
   build_actors(register_mailbox);
   apply_static_assignment();
-  schedule_failures();
   setup_elastic();
   setup_migration();
   schedule_lifecycle();
@@ -634,10 +629,6 @@ void JobExecution::build_actors(const MailboxRegistrar& register_mailbox) {
 void JobExecution::apply_static_assignment() {
   const RunOptions& options = ctx_.options;
   if (!options.static_assignment) return;
-  if (!options.failures.empty() || options.elastic.enabled) {
-    throw std::invalid_argument(
-        "run_distributed: static assignment excludes failures and elastic mode");
-  }
   // Each chunk goes to the cluster whose preferred store holds it; chunks
   // on a store no active cluster prefers are dealt round-robin across the
   // clusters (a lone cluster therefore takes everything).
@@ -661,84 +652,9 @@ void JobExecution::apply_static_assignment() {
   }
 }
 
-void JobExecution::schedule_failures() {
-  // Injection times are relative to construction — i.e. to the job's own
-  // start, since start() follows construction at the same sim instant.
-  for (const auto& f : ctx_.options.failures) {
-    // Locate the victim slave and its master.
-    const auto& nodes = platform_.nodes(f.side);
-    const net::EndpointId victim_ep = nodes.at(f.node_index).endpoint;
-    SlaveNode* victim = nullptr;
-    for (auto& s : slaves_) {
-      if (s->endpoint() == victim_ep) victim = s.get();
-    }
-    MasterNode* master = nullptr;
-    for (auto& m : masters_) {
-      if (m->site() == f.side) master = m.get();
-    }
-    if (!victim || !master) {
-      throw std::logic_error("run_distributed: failure target not instantiated");
-    }
-    platform_.sim().schedule(des::from_seconds(f.at_seconds), [this, victim] {
-      ctx_.trace(trace::EventKind::SlaveFailed, "node", 0, 0);
-      ++ctx_.recorder.lifecycle.nodes_crashed;
-      victim->kill();
-    });
-    platform_.sim().schedule(
-        des::from_seconds(f.at_seconds + ctx_.options.failure_detection_seconds),
-        [master, victim_ep] { master->on_slave_failed(victim_ep); });
-  }
-}
-
-namespace {
-/// Stochastic spot draws beyond this horizon are never scheduled: the DES
-/// runs until its queue drains, so a reclaim drawn months into simulated
-/// time must not keep the run alive.
-constexpr double kSpotHorizonSeconds = 1e7;
-}  // namespace
-
 void JobExecution::schedule_lifecycle() {
   const RunOptions& options = ctx_.options;
-  using Kind = RunOptions::LifecycleEvent::Kind;
-  for (const auto& ev : options.lifecycle) {
-    const auto& nodes = platform_.nodes(ev.site);
-    const net::EndpointId victim_ep = nodes.at(ev.node_index).endpoint;
-    const std::string victim_name = nodes.at(ev.node_index).name;
-    switch (ev.kind) {
-      case Kind::Crash: {
-        // Same mechanics as a legacy FailureEvent, with guards: a node that
-        // already vacated (or a never-leased standby) cannot crash.
-        SlaveNode* victim = slave_by_endpoint(victim_ep);
-        MasterNode* master = master_of(ev.site);
-        if (!victim || !master) {
-          throw std::logic_error("run_distributed: lifecycle target not instantiated");
-        }
-        platform_.sim().schedule(des::from_seconds(ev.at_seconds), [this, victim] {
-          if (ctx_.recorder.finished || !victim->alive()) return;
-          if (dormant_standby_.count(victim->endpoint())) return;
-          ctx_.trace(trace::EventKind::SlaveFailed, "node", 0, 0);
-          ++ctx_.recorder.lifecycle.nodes_crashed;
-          victim->kill();
-        });
-        platform_.sim().schedule(
-            des::from_seconds(ev.at_seconds + options.failure_detection_seconds),
-            [this, master, victim_ep] {
-              if (ctx_.recorder.finished) return;
-              if (dormant_standby_.count(victim_ep)) return;
-              master->on_slave_failed(victim_ep);
-            });
-        break;
-      }
-      case Kind::Drain:
-        schedule_drain(ev.site, victim_ep, victim_name, ev.at_seconds,
-                       /*notice_seconds=*/-1.0);
-        break;
-      case Kind::SpotReclaim:
-        schedule_drain(ev.site, victim_ep, victim_name, ev.at_seconds,
-                       std::max(0.0, ev.notice_seconds));
-        break;
-    }
-  }
+  for (const auto& ev : options.lifecycle) schedule_node_event(ev);
 
   if (options.spot.reclaim_rate_per_hour > 0.0) {
     // One exponential reclaim draw per rented cloud node, each from its own
@@ -754,41 +670,71 @@ void JobExecution::schedule_lifecycle() {
         const double at = rng.exponential(rate_per_second);
         if (dormant_standby_.count(node.endpoint)) continue;
         if (at > kSpotHorizonSeconds) continue;
-        schedule_drain(site, node.endpoint, node.name, at,
+        schedule_drain(slave_by_endpoint(node.endpoint), master_of(site), at,
                        std::max(0.0, options.spot.notice_seconds));
       }
     }
   }
 }
 
-void JobExecution::schedule_drain(cluster::ClusterId site, net::EndpointId victim_ep,
-                                  const std::string& victim_name, double at_seconds,
-                                  double notice_seconds) {
+void JobExecution::schedule_node_event(const RunOptions::LifecycleEvent& ev) {
+  // A node this job has no slave on (directory-filtered, not leased by a
+  // pooled job) misses quietly: random chaos plans name such nodes freely.
+  const net::EndpointId victim_ep = platform_.nodes(ev.site).at(ev.node_index).endpoint;
   SlaveNode* victim = slave_by_endpoint(victim_ep);
-  MasterNode* master = master_of(site);
-  if (!victim || !master) {
-    throw std::logic_error("run_distributed: lifecycle target not instantiated");
+  MasterNode* master = master_of(ev.site);
+  if (!victim || !master) return;
+  using Kind = RunOptions::LifecycleEvent::Kind;
+  switch (ev.kind) {
+    case Kind::Crash:
+      // The node goes silent; its master notices one heartbeat timeout later
+      // and re-executes the un-checkpointed work. A node that already
+      // vacated (or a never-leased standby) cannot crash.
+      platform_.sim().schedule(des::from_seconds(ev.at_seconds), [this, victim] {
+        if (ctx_.recorder.finished || !victim->alive()) return;
+        if (dormant_standby_.count(victim->endpoint())) return;
+        ctx_.trace(trace::EventKind::SlaveFailed, "node", 0, 0);
+        ++ctx_.recorder.lifecycle.nodes_crashed;
+        victim->kill();
+      });
+      platform_.sim().schedule(
+          des::from_seconds(ev.at_seconds + ctx_.options.failure_detection_seconds),
+          [this, master, victim_ep] {
+            if (ctx_.recorder.finished) return;
+            if (dormant_standby_.count(victim_ep)) return;
+            master->on_slave_failed(victim_ep);
+          });
+      break;
+    case Kind::Drain:
+      schedule_drain(victim, master, ev.at_seconds, /*notice_seconds=*/-1.0);
+      break;
+    case Kind::SpotReclaim:
+      schedule_drain(victim, master, ev.at_seconds, std::max(0.0, ev.notice_seconds));
+      break;
   }
+}
+
+void JobExecution::schedule_drain(SlaveNode* victim, MasterNode* master,
+                                  double at_seconds, double notice_seconds) {
   const bool hard = notice_seconds >= 0.0;  // spot reclaim: kill at deadline
   platform_.sim().schedule(
-      des::from_seconds(at_seconds),
-      [this, victim, victim_name, notice_seconds, hard] {
+      des::from_seconds(at_seconds), [this, victim, notice_seconds, hard] {
         if (ctx_.recorder.finished || !victim->alive() || victim->draining()) return;
         if (dormant_standby_.count(victim->endpoint())) return;
-        ctx_.trace(trace::EventKind::NodeDrainRequested, victim_name,
+        ctx_.trace(trace::EventKind::NodeDrainRequested, victim->name(),
                    hard ? static_cast<std::uint64_t>(notice_seconds) : 0,
                    hard ? 1 : 0);
         victim->begin_drain();
       });
   if (!hard) return;
   platform_.sim().schedule(
-      des::from_seconds(at_seconds + notice_seconds),
-      [this, victim, master, victim_ep, victim_name] {
+      des::from_seconds(at_seconds + notice_seconds), [this, victim, master] {
         // Already vacated (or never drained because it was dead/dormant at
         // notice time): nothing to reclaim.
         if (ctx_.recorder.finished || !victim->alive()) return;
+        const net::EndpointId victim_ep = victim->endpoint();
         if (dormant_standby_.count(victim_ep)) return;
-        ctx_.trace(trace::EventKind::NodeReclaimed, victim_name, 0, 0);
+        ctx_.trace(trace::EventKind::NodeReclaimed, victim->name(), 0, 0);
         ++ctx_.recorder.lifecycle.nodes_reclaimed;
         // Spot billing stops the instant the provider takes the node back.
         ctx_.recorder.end_cloud_billing(
@@ -880,44 +826,11 @@ void JobExecution::setup_chaos() {
         }
         break;
       }
-      case ChaosKind::NodeCrash: {
-        // Random plans may target nodes outside this job's membership
-        // (directory-filtered, pooled): those events miss quietly instead of
-        // throwing like the hand-written lifecycle specs.
-        const auto& nodes = platform_.nodes(ev.site_a);
-        if (ev.node_index >= nodes.size()) break;
-        const net::EndpointId victim_ep = nodes[ev.node_index].endpoint;
-        SlaveNode* victim = slave_by_endpoint(victim_ep);
-        MasterNode* master = master_of(ev.site_a);
-        if (!victim || !master) break;
-        platform_.sim().schedule(des::from_seconds(ev.at_seconds), [this, victim] {
-          if (ctx_.recorder.finished || !victim->alive()) return;
-          if (dormant_standby_.count(victim->endpoint())) return;
-          ctx_.trace(trace::EventKind::SlaveFailed, "node", 0, 0);
-          ++ctx_.recorder.lifecycle.nodes_crashed;
-          victim->kill();
-        });
-        platform_.sim().schedule(
-            des::from_seconds(ev.at_seconds + ctx_.options.failure_detection_seconds),
-            [this, master, victim_ep] {
-              if (ctx_.recorder.finished) return;
-              if (dormant_standby_.count(victim_ep)) return;
-              master->on_slave_failed(victim_ep);
-            });
-        break;
-      }
+      case ChaosKind::NodeCrash:
       case ChaosKind::NodeDrain:
-      case ChaosKind::SpotReclaim: {
-        const auto& nodes = platform_.nodes(ev.site_a);
-        if (ev.node_index >= nodes.size()) break;
-        const net::EndpointId victim_ep = nodes[ev.node_index].endpoint;
-        if (!slave_by_endpoint(victim_ep) || !master_of(ev.site_a)) break;
-        schedule_drain(ev.site_a, victim_ep, nodes[ev.node_index].name, ev.at_seconds,
-                       ev.kind == ChaosKind::SpotReclaim
-                           ? std::max(0.0, ev.notice_seconds)
-                           : -1.0);
+      case ChaosKind::SpotReclaim:
+        schedule_node_event(*as_node_event(ev));
         break;
-      }
       case ChaosKind::SiteOutage: {
         const cluster::ClusterId site = ev.site_a;
         platform_.sim().schedule(des::from_seconds(ev.at_seconds),
@@ -1123,7 +1036,7 @@ bool JobExecution::lease_replacement(cluster::ClusterId site) {
     Rng rng = Rng::substream(seed, spot_streams_used_++);
     const double at = rng.exponential(options.spot.reclaim_rate_per_hour / 3600.0);
     if (at <= kSpotHorizonSeconds) {
-      schedule_drain(site, chosen.slave->endpoint(), name, at,
+      schedule_drain(chosen.slave, master_of(site), at,
                      std::max(0.0, options.spot.notice_seconds));
     }
   }

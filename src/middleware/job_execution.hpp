@@ -43,7 +43,7 @@ class JobExecution {
       std::function<void(net::EndpointId, std::function<void(net::EndpointId, Message)>)>;
 
   /// Builds the full actor tree and schedules the job's self-driving events
-  /// (failure injections, elastic controller ticks) — everything short of
+  /// (node events, elastic controller ticks) — everything short of
   /// the first master/slave action, which start() triggers. The referenced
   /// platform/layout/options/postman must outlive this object.
   JobExecution(cluster::Platform& platform, const storage::DataLayout& layout,
@@ -104,7 +104,6 @@ class JobExecution {
   void build_prefetchers();
   void build_actors(const MailboxRegistrar& register_mailbox);
   void apply_static_assignment();
-  void schedule_failures();
   void setup_elastic();
   /// Checkpointed migration: hold back standby cloud slaves and install the
   /// on_node_lost hook that leases them.
@@ -112,6 +111,11 @@ class JobExecution {
   /// Schedule RunOptions::lifecycle events plus the stochastic spot-reclaim
   /// draws (one exponential per active cloud node).
   void schedule_lifecycle();
+  /// Schedule one node event, whether a RunOptions::lifecycle entry or a
+  /// chaos plan node event: a crash (kill, then detection one heartbeat
+  /// timeout later) or a drain/reclaim notice. A no-op when this job has no
+  /// slave on the named node.
+  void schedule_node_event(const RunOptions::LifecycleEvent& ev);
   /// Schedule every window of RunOptions::chaos (no-op when null): link
   /// faults and partitions, store outages, node crash/drain/reclaim events,
   /// and whole-site blackouts with recovery.
@@ -126,8 +130,7 @@ class JobExecution {
   void recover_site(cluster::ClusterId site);
   /// Drain notice at `at_seconds` (relative to now); `notice_seconds >= 0`
   /// adds a spot-reclaim hard-kill deadline that far after the notice.
-  void schedule_drain(cluster::ClusterId site, net::EndpointId victim_ep,
-                      const std::string& victim_name, double at_seconds,
+  void schedule_drain(SlaveNode* victim, MasterNode* master, double at_seconds,
                       double notice_seconds);
   /// Lease the next same-site standby for a lost node; false when none left.
   bool lease_replacement(cluster::ClusterId site);

@@ -113,8 +113,8 @@ struct WorkloadOptions {
 
   /// Elastic node pool (requires `directory`): the manager leases cloud
   /// nodes to jobs instead of each job activating its own instances. Pooled
-  /// jobs must not combine with per-job elastic/migration/lifecycle/failure
-  /// options (validate_run enforces this) and need reduction_tree = false.
+  /// jobs must not combine with per-job elastic/migration/spot options
+  /// (validate_run enforces this) and need reduction_tree = false.
   PoolOptions pool;
 
   /// Admission quotas keyed by tenant (tenants without an entry are

@@ -159,7 +159,7 @@ std::uint32_t WorkloadManager::submit(JobSpec spec, double at_seconds) {
   if (options_.directory) job->effective.directory = options_.directory;
   if (pool_) job->effective.pool_plan.enabled = true;  // leases fill at start
   // Validate the effective options (directory and pool flags included), so a
-  // pooled job combining per-job elastic/lifecycle machinery fails here.
+  // pooled job combining per-job elastic/migration/spot machinery fails here.
   middleware::validate_run(platform_, spec.layout, job->effective);
   job->spec = std::move(spec);
   job->estimate_seconds =

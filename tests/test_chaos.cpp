@@ -485,6 +485,50 @@ TEST(ChaosSoak, RandomPlansPreserveInvariantsUnderFullStack) {
   }
 }
 
+// --- pooled jobs take lifecycle entries like chaos node events --------------
+
+TEST(PooledNodeEvents, LeasedDrainAndUnleasedCrashFinishExactlyOnce) {
+  // The job leases cloud nodes 0 and 1 of 4: the drain on node 0 vacates a
+  // leased node, the crash on node 3 names one the job never leased and
+  // misses quietly.
+  MarkerRig rig(4, 4, 48000);
+  auto run = [&rig](std::vector<RunOptions::LifecycleEvent> events) {
+    Platform platform(PlatformSpec::paper_testbed(16, 32));
+    directory::PlatformDirectory dir(platform);
+    dir.bootstrap();
+    workload::WorkloadOptions wopts;
+    wopts.directory = &dir;
+    wopts.pool.enabled = true;
+    wopts.pool.boot_seconds = 2.0;
+    workload::WorkloadManager manager(platform, wopts);
+    storage::assign_stores_by_fraction(rig.layout, 0.5, platform.local_store_id(),
+                                       platform.cloud_store_id());
+    workload::JobSpec spec;
+    spec.name = "scan";
+    spec.layout = rig.layout;
+    spec.pool_nodes = 2;
+    spec.options = rig.options();
+    spec.options.lifecycle = std::move(events);
+    manager.submit(std::move(spec), 0.0);
+    return manager.run();
+  };
+  const auto clean = run({});
+  using Kind = RunOptions::LifecycleEvent::Kind;
+  const double at = 0.5 * clean.makespan;
+  const auto result = run({{Kind::Drain, cluster::kCloudSite, 0, at},
+                           {Kind::Crash, cluster::kCloudSite, 3, at}});
+
+  ASSERT_EQ(result.jobs.size(), 1u);
+  const RunResult& job = result.jobs[0].run;
+  EXPECT_EQ(job.lifecycle.drains_requested, 1u);
+  EXPECT_EQ(job.lifecycle.nodes_vacated, 1u);
+  EXPECT_EQ(job.lifecycle.nodes_crashed, 0u);
+  const auto once = chaos::audit_exactly_once(rig.executions(job));
+  EXPECT_TRUE(once.ok) << once.detail;
+  const auto bills = chaos::audit_bills(result);
+  EXPECT_TRUE(bills.ok) << bills.detail;
+}
+
 // --- flow teardown on endpoint death (regression) ----------------------------
 
 TEST(NetTeardown, DeadEndpointFlowsSettleAndFreeTheirShare) {

@@ -18,6 +18,7 @@ using cluster::kCloudSite;
 using cluster::kLocalSite;
 using cluster::Platform;
 using cluster::PlatformSpec;
+using Kind = RunOptions::LifecycleEvent::Kind;
 
 /// Real-execution wordcount rig: any run must reproduce the serial counts.
 struct FaultRig {
@@ -96,7 +97,7 @@ TEST(FaultTolerance, SingleCrashMidRunStillExactlyCorrect) {
   RunOptions o = rig.options();
   // Kill a local node mid-run: its accumulated robj (several chunks of
   // work) is lost and must be re-executed elsewhere.
-  o.failures.push_back({kLocalSite, 0, 0.5 * clean.total_time});
+  o.lifecycle.push_back({Kind::Crash, kLocalSite, 0, 0.5 * clean.total_time});
   o.failure_detection_seconds = 0.2;
   const auto result = rig.run(o);
   rig.expect_correct(result);
@@ -107,7 +108,7 @@ TEST(FaultTolerance, SingleCrashMidRunStillExactlyCorrect) {
 TEST(FaultTolerance, CrashBeforeAnyWorkIsHarmless) {
   FaultRig rig;
   RunOptions o = rig.options();
-  o.failures.push_back({kCloudSite, 2, /*at_seconds=*/0.001});
+  o.lifecycle.push_back({Kind::Crash, kCloudSite, 2, /*at_seconds=*/0.001});
   o.failure_detection_seconds = 0.01;
   rig.expect_correct(rig.run(o));
 }
@@ -117,7 +118,7 @@ TEST(FaultTolerance, CrashNearEndOfRunStillCorrect) {
   // Find the failure-free duration first, then kill someone at ~90% of it.
   const auto clean = rig.run(rig.options());
   RunOptions o = rig.options();
-  o.failures.push_back({kLocalSite, 1, 0.9 * clean.total_time});
+  o.lifecycle.push_back({Kind::Crash, kLocalSite, 1, 0.9 * clean.total_time});
   o.failure_detection_seconds = 0.2;
   const auto result = rig.run(o);
   rig.expect_correct(result);
@@ -128,9 +129,9 @@ TEST(FaultTolerance, MultipleCrashesAcrossClusters) {
   FaultRig rig;
   const auto clean = rig.run(rig.options());
   RunOptions o = rig.options();
-  o.failures.push_back({kLocalSite, 0, 0.3 * clean.total_time});
-  o.failures.push_back({kCloudSite, 3, 0.5 * clean.total_time});
-  o.failures.push_back({kCloudSite, 5, 0.8 * clean.total_time});
+  o.lifecycle.push_back({Kind::Crash, kLocalSite, 0, 0.3 * clean.total_time});
+  o.lifecycle.push_back({Kind::Crash, kCloudSite, 3, 0.5 * clean.total_time});
+  o.lifecycle.push_back({Kind::Crash, kCloudSite, 5, 0.8 * clean.total_time});
   o.failure_detection_seconds = 0.2;
   const auto result = rig.run(o);
   rig.expect_correct(result);
@@ -140,7 +141,7 @@ TEST(FaultTolerance, DetectionDelayDelaysRecovery) {
   FaultRig rig;
   const auto clean = rig.run(rig.options());
   RunOptions fast = rig.options();
-  fast.failures.push_back({kLocalSite, 0, 0.5 * clean.total_time});
+  fast.lifecycle.push_back({Kind::Crash, kLocalSite, 0, 0.5 * clean.total_time});
   fast.failure_detection_seconds = 0.2;
   RunOptions slow = fast;
   slow.failure_detection_seconds = 5.0 + clean.total_time;
@@ -155,22 +156,22 @@ TEST(FaultTolerance, RejectsTreeModeWithFailures) {
   FaultRig rig;
   RunOptions o = rig.options();
   o.reduction_tree = true;
-  o.failures.push_back({kLocalSite, 0, 1.0});
+  o.lifecycle.push_back({Kind::Crash, kLocalSite, 0, 1.0});
   EXPECT_THROW(rig.run(o), std::invalid_argument);
 }
 
 TEST(FaultTolerance, RejectsUnknownNode) {
   FaultRig rig;
   RunOptions o = rig.options();
-  o.failures.push_back({kLocalSite, 99, 1.0});
+  o.lifecycle.push_back({Kind::Crash, kLocalSite, 99, 1.0});
   EXPECT_THROW(rig.run(o), std::invalid_argument);
 }
 
 TEST(FaultTolerance, RejectsWipingOutACluster) {
   FaultRig rig;
   RunOptions o = rig.options();
-  o.failures.push_back({kLocalSite, 0, 1.0});
-  o.failures.push_back({kLocalSite, 1, 2.0});
+  o.lifecycle.push_back({Kind::Crash, kLocalSite, 0, 1.0});
+  o.lifecycle.push_back({Kind::Crash, kLocalSite, 1, 2.0});
   // 16 local cores == 2 nodes: killing both leaves no live slave.
   EXPECT_THROW(rig.run(o), std::invalid_argument);
 }
@@ -193,7 +194,7 @@ TEST(Checkpointing, BoundsWorkLostToACrash) {
   // processed is re-executed; with frequent checkpoints only the last
   // interval's work is.
   RunOptions no_ckpt = rig.options();
-  no_ckpt.failures.push_back({kCloudSite, 0, 0.5 * clean.total_time});
+  no_ckpt.lifecycle.push_back({Kind::Crash, kCloudSite, 0, 0.5 * clean.total_time});
   no_ckpt.failure_detection_seconds = 0.2;
   RunOptions ckpt = no_ckpt;
   ckpt.checkpoint_interval_seconds = 1.0;
@@ -214,7 +215,7 @@ TEST(Checkpointing, CorrectAcrossIntervals) {
   for (double interval : {0.5, 1.5, 4.0}) {
     RunOptions o = rig.options();
     o.checkpoint_interval_seconds = interval;
-    o.failures.push_back({kLocalSite, 0, 0.6 * clean.total_time});
+    o.lifecycle.push_back({Kind::Crash, kLocalSite, 0, 0.6 * clean.total_time});
     o.failure_detection_seconds = 0.2;
     rig.expect_correct(rig.run(o));
   }
@@ -234,8 +235,7 @@ TEST_P(CrashTimeSweep, CorrectAtAnyCrashPoint) {
   FaultRig rig;
   const auto clean = rig.run(rig.options());
   RunOptions o = rig.options();
-  o.failures.push_back(
-      {kCloudSite, 1, GetParam() * clean.total_time});
+  o.lifecycle.push_back({Kind::Crash, kCloudSite, 1, GetParam() * clean.total_time});
   rig.expect_correct(rig.run(o));
 }
 

@@ -692,7 +692,8 @@ TEST(CombinedAxes, CrashInsideThrottleWindowStillExactlyOnce) {
   o.cache = &fleet;
   o.retry.max_attempts = 3;
   o.retry.backoff_base_seconds = 0.05;
-  o.failures.push_back({kCloudSite, 1, 0.5 * T});  // dies mid-window
+  o.lifecycle.push_back({middleware::RunOptions::LifecycleEvent::Kind::Crash, kCloudSite,
+                         1, 0.5 * T});  // dies mid-window
   o.failure_detection_seconds = 0.2;
 
   const auto out = rig.run(spec, o);

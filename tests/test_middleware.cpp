@@ -14,6 +14,7 @@
 #include "apps/wordcount.hpp"
 #include "common/units.hpp"
 #include "engine/gr_engine.hpp"
+#include "middleware/job_execution.hpp"
 #include "middleware/runtime.hpp"
 
 namespace cloudburst::middleware {
@@ -46,8 +47,7 @@ struct Rig {
     total_bytes = MiB(1536);
   }
 
-  RunResult run() {
-    Platform platform(spec);
+  storage::DataLayout layout(const Platform& platform) const {
     storage::LayoutSpec lspec;
     lspec.total_bytes = total_bytes;
     lspec.num_files = files;
@@ -56,7 +56,17 @@ struct Rig {
     storage::DataLayout layout = storage::build_layout(lspec);
     storage::assign_stores_by_fraction(layout, local_fraction, platform.local_store_id(),
                                        platform.cloud_store_id());
-    return run_distributed(platform, layout, options);
+    return layout;
+  }
+
+  RunResult run() {
+    Platform platform(spec);
+    return run_distributed(platform, layout(platform), options);
+  }
+
+  void validate() {
+    Platform platform(spec);
+    validate_run(platform, layout(platform), options);
   }
 };
 
@@ -267,7 +277,8 @@ TEST(Runtime, StaticAssignmentExcludesFailuresAndElastic) {
   Rig rig;
   rig.options.static_assignment = true;
   rig.options.reduction_tree = false;
-  rig.options.failures.push_back({kCloudSite, 0, 1.0});
+  rig.options.lifecycle.push_back(
+      {RunOptions::LifecycleEvent::Kind::Crash, kCloudSite, 0, 1.0});
   EXPECT_THROW(rig.run(), std::invalid_argument);
 
   Rig rig2;
@@ -276,6 +287,17 @@ TEST(Runtime, StaticAssignmentExcludesFailuresAndElastic) {
   rig2.options.elastic.enabled = true;
   rig2.options.elastic.deadline_seconds = 1.0;
   EXPECT_THROW(rig2.run(), std::invalid_argument);
+}
+
+TEST(Runtime, ValidateRunRejectsStaticAssignmentWithElastic) {
+  // Rejected up front, so a workload refuses the job at submission instead of
+  // aborting mid-run when the job starts.
+  Rig rig;
+  rig.options.static_assignment = true;
+  rig.options.reduction_tree = false;
+  rig.options.elastic.enabled = true;
+  rig.options.elastic.deadline_seconds = 1.0;
+  EXPECT_THROW(rig.validate(), std::invalid_argument);
 }
 
 TEST(Runtime, StaticAssignmentRealExecutionCorrect) {

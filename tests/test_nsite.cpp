@@ -230,7 +230,8 @@ TEST(NSiteRun, ThreeSiteFailureRecovers) {
   const RunResult clean = run_distributed(clean_platform, layout, options);
 
   Platform platform(three_site_spec());
-  options.failures.push_back({2, 1, 0.4 * clean.total_time});
+  options.lifecycle.push_back(
+      {RunOptions::LifecycleEvent::Kind::Crash, 2, 1, 0.4 * clean.total_time});
   const RunResult result = run_distributed(platform, layout, options);
   // Re-executed jobs of the dead slave are accounted again.
   EXPECT_GE(result.total_jobs(), 36u);
