@@ -78,7 +78,9 @@ struct Harness {
   std::vector<FlowId> flows;               // issue order
   std::map<int, des::SimTime> completed;   // issue index -> completion time
 
-  explicit Harness(Network::RebalanceMode mode) {
+  // With `twin_access`, two more endpoints (one per site a and b) share
+  // endpoint a0's access link, so some paths cross that link twice.
+  explicit Harness(Network::RebalanceMode mode, bool twin_access = false) {
     net.set_rebalance_mode_for_test(mode);
     const SiteId a = net.add_site("a");
     const SiteId b = net.add_site("b");
@@ -86,6 +88,7 @@ struct Harness {
     const LinkId wan_ab =
         net.add_link("wan-ab", 100e6, des::from_seconds(0.010));
     const LinkId wan_bc = net.add_link("wan-bc", 60e6, des::from_seconds(0.015));
+    std::vector<LinkId> nics;
     auto attach = [&](SiteId site, const char* prefix, int n, double bw) {
       for (int i = 0; i < n; ++i) {
         const EndpointId ep = net.add_endpoint(prefix + std::to_string(i), site);
@@ -94,6 +97,7 @@ struct Harness {
                                            des::from_seconds(0.0005));
         net.set_access_path(ep, {access});
         eps.push_back(ep);
+        nics.push_back(access);
       }
     };
     attach(a, "a", 4, 200e6);
@@ -102,6 +106,13 @@ struct Harness {
     net.set_route_symmetric(a, b, {wan_ab});
     net.set_route_symmetric(b, c, {wan_bc});
     net.set_route_symmetric(a, c, {wan_ab, wan_bc});  // two-hop path
+    if (twin_access) {
+      for (SiteId site : {a, b}) {
+        const EndpointId ep = net.add_endpoint("twin" + std::to_string(site), site);
+        net.set_access_path(ep, {nics[0]});
+        eps.push_back(ep);
+      }
+    }
   }
 
   // Runs the op sequence; after each op audits the solver state and appends
@@ -156,6 +167,30 @@ TEST(ScopedRebalanceDifferential, MatchesGlobalReferenceOver10kOps) {
   // The sequence must have exercised real churn, or the comparison is vacuous.
   EXPECT_GT(scoped.completed.size(), 1'000u);
   EXPECT_EQ(scoped.sim.now(), reference.sim.now());
+}
+
+// Two endpoints on a0's access link: a0 <-> twin-b paths run
+// [a0 nic, wan-ab, a0 nic] and a0 <-> twin-a paths [a0 nic, a0 nic], so a
+// flow contends twice on one link and leaves both of its registrations on
+// departure. check_invariants() runs after every op in both modes.
+TEST(ScopedRebalanceDifferential, PathsCrossingALinkTwiceMatchGlobalReference) {
+  const std::vector<Op> ops = make_ops(4'000, 11, 0x7417'2026'1017ull);
+  Harness scoped(Network::RebalanceMode::kScoped, /*twin_access=*/true);
+  Harness reference(Network::RebalanceMode::kGlobalReference, /*twin_access=*/true);
+  ASSERT_EQ(scoped.net.path(scoped.eps[0], scoped.eps[10]).size(), 3u);
+  ASSERT_EQ(scoped.net.path(scoped.eps[9], scoped.eps[0]).size(), 2u);
+  std::vector<std::uint64_t> sig_scoped, sig_reference;
+  scoped.drive(ops, sig_scoped);
+  reference.drive(ops, sig_reference);
+
+  ASSERT_EQ(sig_scoped.size(), sig_reference.size());
+  for (std::size_t i = 0; i < sig_scoped.size(); ++i) {
+    ASSERT_EQ(sig_scoped[i], sig_reference[i]) << "rate divergence at op " << i;
+  }
+  EXPECT_EQ(scoped.completed, reference.completed);
+  EXPECT_EQ(scoped.sim.executed_events(), reference.sim.executed_events());
+  EXPECT_GT(scoped.completed.size(), 500u);
+  EXPECT_EQ(scoped.net.active_flows(), 0u);
 }
 
 // --- unified re-arm floor --------------------------------------------------
@@ -266,6 +301,39 @@ TEST(NetworkChurn, SixtyFourFlowsOnOneLinkTakeUnderTwoSchedulesPerEvent) {
   EXPECT_LT(per_event, 2.0) << sim.scheduled_events() << " schedules for "
                             << sim.executed_events() << " events";
   EXPECT_EQ(net.active_flows(), 0u);
+}
+
+// --- same-tick ties --------------------------------------------------------
+
+// N equal flows start together on one link, so the last activation re-rates
+// all of them to the same share and they finish on the same tick. Their
+// callbacks must fire in flow-id order.
+TEST(NetworkCompletionOrder, EqualFlowsFinishingOnOneTickFireInIdOrder) {
+  des::Simulator sim;
+  Network net(sim);
+  const SiteId a = net.add_site("a");
+  const SiteId b = net.add_site("b");
+  const LinkId link = net.add_link("shared", 1e6, des::from_seconds(0.001));
+  const EndpointId src = net.add_endpoint("src", a);
+  const EndpointId dst = net.add_endpoint("dst", b);
+  net.set_route_symmetric(a, b, {link});
+
+  constexpr int kFlows = 16;
+  std::vector<FlowId> ids;
+  std::vector<FlowId> fired;
+  std::vector<des::SimTime> at;
+  for (int i = 0; i < kFlows; ++i) {
+    ids.push_back(net.start_flow(src, dst, 1'000'000, 0.0, [&, i] {
+      fired.push_back(ids[i]);
+      at.push_back(sim.now());
+    }));
+  }
+  sim.run();
+
+  ASSERT_EQ(fired.size(), static_cast<std::size_t>(kFlows));
+  EXPECT_EQ(fired, ids);
+  for (des::SimTime t : at) EXPECT_EQ(t, at.front());
+  EXPECT_EQ(at.front(), des::from_seconds(0.001 + kFlows * 1.0));
 }
 
 // --- pinned completion order ----------------------------------------------
