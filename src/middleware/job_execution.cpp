@@ -217,7 +217,7 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
             throw std::invalid_argument(
                 "run_distributed: chaos link fault needs two distinct sites");
           }
-          if (ev.factor < 0.0 || ev.factor > 1.0) {
+          if (!(ev.factor >= 0.0 && ev.factor <= 1.0)) {  // NaN fails too
             throw std::invalid_argument(
                 "run_distributed: chaos link factor must be in [0, 1]");
           }

@@ -27,13 +27,12 @@ SiteId Network::add_site(std::string name) {
 
 LinkId Network::add_link(std::string name, double bandwidth_bytes_per_sec,
                          des::SimDuration latency) {
-  if (bandwidth_bytes_per_sec <= 0.0) {
-    throw std::invalid_argument("link bandwidth must be positive: " + name);
+  if (!std::isfinite(bandwidth_bytes_per_sec) || bandwidth_bytes_per_sec <= 0.0) {
+    throw std::invalid_argument("link bandwidth must be positive and finite: " + name);
   }
   if (latency < 0) throw std::invalid_argument("link latency must be >= 0: " + name);
   links_.push_back(Link{std::move(name), bandwidth_bytes_per_sec, latency, 0});
   link_active_.emplace_back();
-  link_epoch_.push_back(0);
   water_.emplace_back();
   return static_cast<LinkId>(links_.size() - 1);
 }
@@ -83,6 +82,9 @@ des::SimDuration Network::path_latency(EndpointId src, EndpointId dst) const {
 
 FlowId Network::start_flow(EndpointId src, EndpointId dst, std::uint64_t bytes,
                            double rate_cap, des::EventFn on_complete) {
+  if (!std::isfinite(rate_cap) || rate_cap < 0.0) {
+    throw std::invalid_argument("flow rate cap must be finite and >= 0");
+  }
   const FlowId id = next_flow_id_++;
   Flow flow;
   flow.id = id;
@@ -125,49 +127,63 @@ void Network::detach_from_links(Flow& flow) {
   }
 }
 
-void Network::collect_component(const std::vector<LinkId>& seed_links) {
+bool Network::stamp_link(LinkId l) {
+  LinkWater& w = water_[l];
+  if (w.epoch == epoch_) return false;
+  w.committed = 0.0;
+  w.count = 0;
+  w.epoch = epoch_;
+  water_links_.push_back(l);
+  return true;
+}
+
+void Network::visit_flow(Flow& flow, des::SimTime now) {
+  if (flow.visit_epoch == epoch_) return;
+  flow.visit_epoch = epoch_;
+  settle(flow, now);
+  comp_flows_.push_back(&flow);
+  for (LinkId l : flow.links) {
+    if (stamp_link(l)) bfs_stack_.push_back(l);
+    ++water_[l].count;  // a path crossing a link twice contends twice
+  }
+}
+
+void Network::collect_component(Flow* seed, LinkId seed_link) {
   ++epoch_;
   comp_flows_.clear();
-  comp_links_.clear();
+  water_links_.clear();
   bfs_stack_.clear();
-  const auto push_link = [this](LinkId l) {
-    if (link_epoch_[l] != epoch_) {
-      link_epoch_[l] = epoch_;
-      comp_links_.push_back(l);
-      bfs_stack_.push_back(l);
-    }
-  };
-  for (LinkId l : seed_links) push_link(l);
+  const des::SimTime now = sim_.now();
+  if (seed != nullptr) {
+    visit_flow(*seed, now);  // a loopback seed is its own component
+  } else {
+    stamp_link(seed_link);
+    bfs_stack_.push_back(seed_link);
+  }
   while (!bfs_stack_.empty()) {
     const LinkId l = bfs_stack_.back();
     bfs_stack_.pop_back();
-    for (const ActiveRef& ref : link_active_[l]) {
-      Flow* flow = ref.flow;
-      if (flow->visit_epoch == epoch_) continue;
-      flow->visit_epoch = epoch_;
-      comp_flows_.push_back(flow);
-      for (LinkId l2 : flow->links) push_link(l2);
-    }
+    for (const ActiveRef& ref : link_active_[l]) visit_flow(*ref.flow, now);
   }
-  std::sort(comp_flows_.begin(), comp_flows_.end(),
-            [](const Flow* a, const Flow* b) { return a->id < b->id; });
-  std::sort(comp_links_.begin(), comp_links_.end());
 }
 
-void Network::settle_flows(const std::vector<Flow*>& flows) {
-  const des::SimTime now = sim_.now();
-  for (Flow* flow : flows) {
-    if (!flow->active) continue;
-    const double dt = des::to_seconds(now - flow->last_update);
-    if (dt > 0.0 && flow->rate > 0.0) {
-      const double moved = std::min(flow->remaining, flow->rate * dt);
-      flow->remaining -= moved;
-      for (LinkId l : flow->links) {
-        links_[l].bytes_carried += moved;
-      }
+void Network::drop_seed_from_component() {
+  const Flow& flow = *comp_flows_.front();
+  for (LinkId l : flow.links) --water_[l].count;
+  comp_flows_.front() = comp_flows_.back();
+  comp_flows_.pop_back();
+}
+
+void Network::settle(Flow& flow, des::SimTime now) {
+  const double dt = des::to_seconds(now - flow.last_update);
+  if (dt > 0.0 && flow.rate > 0.0) {
+    const double moved = std::min(flow.remaining, flow.rate * dt);
+    flow.remaining -= moved;
+    for (LinkId l : flow.links) {
+      links_[l].bytes_carried += moved;
     }
-    flow->last_update = now;
   }
+  flow.last_update = now;
 }
 
 void Network::recompute_rates(std::vector<Flow*>& comp) {
@@ -175,35 +191,34 @@ void Network::recompute_rates(std::vector<Flow*>& comp) {
     // Reference mode: recompute everything. The solver below is a pure
     // function of each connected component, so this must reproduce the
     // scoped result bit-for-bit (see header).
+    ++epoch_;
+    water_links_.clear();
     comp.clear();
     for (auto& [id, flow] : flows_) {
-      if (flow.active) comp.push_back(&flow);
+      if (!flow.active) continue;
+      comp.push_back(&flow);
+      for (LinkId l : flow.links) {
+        stamp_link(l);
+        ++water_[l].count;
+      }
     }
   }
   if (comp.empty()) return;
 
-  // Freeze-event water-filling. All unfrozen flows share one rising level r;
-  // link l saturates at level (bandwidth - committed) / count. Each round
-  // jumps r straight to the smallest binding constraint (a link saturation
-  // level or a flow cap) and freezes every flow pinned there, so each round
-  // freezes at least one flow and rates come out of a single division per
-  // link instead of O(rounds) incremental passes.
-  ++water_epoch_;
-  water_links_.clear();
-  for (const Flow* flow : comp) {
-    for (LinkId l : flow->links) {
-      LinkWater& w = water_[l];
-      if (w.epoch != water_epoch_) {
-        w.committed = 0.0;
-        w.count = 0;
-        w.epoch = water_epoch_;
-        water_links_.push_back(l);
-      }
-      ++w.count;  // a path crossing a link twice contends twice, as before
-    }
-  }
-
-  unfrozen_ = comp;  // sorted by id => deterministic freeze order
+  // Freeze-event water-filling over the counts the walk left in water_. All
+  // unfrozen flows share one rising level r; link l saturates at level
+  // (bandwidth - committed) / count. Each round jumps r straight to the
+  // smallest binding constraint (a link saturation level or a flow cap) and
+  // freezes every flow pinned there, so each round freezes at least one flow
+  // and rates come out of a single division per link instead of O(rounds)
+  // incremental passes. Flow order does not matter (see header).
+  changed_.clear();
+  const auto set_rate = [this](Flow* flow, double rate) {
+    if (flow->rate == rate) return;
+    flow->rate = rate;
+    changed_.push_back(flow);
+  };
+  unfrozen_ = comp;
   while (!unfrozen_.empty()) {
     double r = std::numeric_limits<double>::infinity();
     for (LinkId l : water_links_) {
@@ -219,7 +234,7 @@ void Network::recompute_rates(std::vector<Flow*>& comp) {
     }
     if (!std::isfinite(r)) {
       // Only link-less, uncapped flows remain (loopback): infinitely fast.
-      for (Flow* flow : unfrozen_) flow->next_rate = kInfiniteRate;
+      for (Flow* flow : unfrozen_) set_rate(flow, kInfiniteRate);
       break;
     }
 
@@ -239,7 +254,7 @@ void Network::recompute_rates(std::vector<Flow*>& comp) {
         }
       }
       if (frozen) {
-        flow->next_rate = r;
+        set_rate(flow, r);
         froze = true;
         for (LinkId l : flow->links) {
           LinkWater& w = water_[l];
@@ -253,7 +268,7 @@ void Network::recompute_rates(std::vector<Flow*>& comp) {
     if (!froze) {
       // Unreachable by construction (r always binds some flow); freeze the
       // rest at the current level rather than loop forever.
-      for (Flow* flow : unfrozen_) flow->next_rate = r;
+      for (Flow* flow : unfrozen_) set_rate(flow, r);
       break;
     }
     unfrozen_.swap(still_);
@@ -262,17 +277,12 @@ void Network::recompute_rates(std::vector<Flow*>& comp) {
   // Re-key completions, but only where the rate actually changed: an
   // unchanged rate means the keyed completion time is still correct, and
   // skipping the re-key is where the scoped rebalance saves most of its work.
-  std::size_t changed = 0;
-  for (const Flow* flow : comp) changed += flow->next_rate != flow->rate;
   // Re-keying k flows one sift at a time costs O(k log n); when a component
   // re-rates a large share of the heap, re-key in place and rebuild it in
   // O(n) instead. Keys are unique, so both leave the same flow on top.
-  const bool rebuild = changed * std::bit_width(heap_.size()) > heap_.size();
-  for (Flow* flow : comp) {
-    if (flow->next_rate == flow->rate) continue;
-    flow->rate = flow->next_rate;
-    key_completion(*flow, /*sift=*/!rebuild);
-  }
+  const bool rebuild = changed_.size() * std::bit_width(heap_.size()) > heap_.size();
+  std::optional<std::uint64_t> seq;
+  for (Flow* flow : changed_) key_completion(*flow, seq, /*sift=*/!rebuild);
   if (rebuild) {
     for (std::size_t pos = heap_.size() / 2; pos-- > 0;) {
       sift_down(static_cast<std::uint32_t>(pos));
@@ -282,14 +292,13 @@ void Network::recompute_rates(std::vector<Flow*>& comp) {
 
 // --- completion heap ---------------------------------------------------------
 
-namespace {
-bool due_before(des::SimTime due_a, std::uint64_t seq_a, des::SimTime due_b,
-                std::uint64_t seq_b) {
-  return due_a != due_b ? due_a < due_b : seq_a < seq_b;
+bool Network::due_before(const Flow& a, const Flow& b) {
+  if (a.due != b.due) return a.due < b.due;
+  if (a.due_seq != b.due_seq) return a.due_seq < b.due_seq;
+  return a.id < b.id;
 }
-}  // namespace
 
-void Network::key_completion(Flow& flow, bool sift) {
+void Network::key_completion(Flow& flow, std::optional<std::uint64_t>& seq, bool sift) {
   const des::SimTime now = sim_.now();
   if (flow.remaining <= kByteEpsilon) {
     flow.due = now;
@@ -301,9 +310,11 @@ void Network::key_completion(Flow& flow, bool sift) {
     heap_remove(flow, sift);
     return;
   }
-  // A fresh sequence number per keying keeps ties in the order the kernel
-  // would give one completion event scheduled right now.
-  flow.due_seq = sim_.reserve_sequence();
+  // Flows keyed in one rebalance share one sequence number and tie-break by
+  // id: the order the kernel would give completion events scheduled right
+  // now in id order, since nothing else can take a sequence in between.
+  if (!seq) seq = sim_.reserve_sequence();
+  flow.due_seq = *seq;
   if (flow.heap_pos == kNotInHeap) {
     flow.heap_pos = static_cast<std::uint32_t>(heap_.size());
     heap_.push_back(&flow);
@@ -334,7 +345,7 @@ void Network::sift_up(std::uint32_t pos) {
   while (pos > 0) {
     const std::uint32_t parent = (pos - 1) / 2;
     Flow* p = heap_[parent];
-    if (!due_before(flow->due, flow->due_seq, p->due, p->due_seq)) break;
+    if (!due_before(*flow, *p)) break;
     heap_[pos] = p;
     p->heap_pos = pos;
     pos = parent;
@@ -352,12 +363,12 @@ void Network::sift_down(std::uint32_t pos) {
     Flow* c = heap_[child];
     if (child + 1 < n) {
       Flow* r = heap_[child + 1];
-      if (due_before(r->due, r->due_seq, c->due, c->due_seq)) {
+      if (due_before(*r, *c)) {
         ++child;
         c = r;
       }
     }
-    if (!due_before(c->due, c->due_seq, flow->due, flow->due_seq)) break;
+    if (!due_before(*c, *flow)) break;
     heap_[pos] = c;
     c->heap_pos = pos;
     pos = child;
@@ -373,10 +384,11 @@ void Network::sync_wake() {
     return;
   }
   const Flow* top = heap_.front();
-  if (armed && wake_due_ == top->due && wake_seq_ == top->due_seq) return;
+  if (armed && wake_at(*top)) return;
   if (armed) wake_.cancel();
   wake_due_ = top->due;
   wake_seq_ = top->due_seq;
+  wake_id_ = top->id;
   wake_ = sim_.schedule_reserved(wake_due_, wake_seq_,
                                  [this] { finish_flow(*heap_.front()); });
 }
@@ -388,9 +400,7 @@ void Network::activate_flow(FlowId id) {
   flow.active = true;
   flow.last_update = sim_.now();
   attach_to_links(flow);
-  collect_component(flow.links);  // finds `flow` itself via its links
-  if (flow.links.empty()) comp_flows_.push_back(&flow);  // loopback: own component
-  settle_flows(comp_flows_);
+  collect_component(&flow);
   if (flow.remaining <= kByteEpsilon) {
     finish_flow(flow);
     return;
@@ -410,13 +420,11 @@ double Network::cancel_flow(FlowId id) {
     flows_.erase(it);
     return unmoved;
   }
-  collect_component(flow.links);
-  if (flow.links.empty()) comp_flows_.push_back(&flow);
-  settle_flows(comp_flows_);
+  collect_component(&flow);
   const double unmoved = flow.remaining;
   heap_remove(flow);
   detach_from_links(flow);
-  comp_flows_.erase(std::find(comp_flows_.begin(), comp_flows_.end(), &flow));
+  drop_seed_from_component();
   flows_.erase(it);
   recompute_rates(comp_flows_);
   sync_wake();
@@ -436,8 +444,8 @@ std::size_t Network::cancel_flows_with_endpoint(EndpointId ep) {
 }
 
 void Network::set_link_capacity_factor(LinkId id, double factor) {
-  if (factor < 0.0) {
-    throw std::invalid_argument("link capacity factor must be >= 0");
+  if (!std::isfinite(factor) || factor < 0.0) {
+    throw std::invalid_argument("link capacity factor must be finite and >= 0");
   }
   Link& link = links_.at(id);
   if (link.capacity_factor == factor) return;
@@ -445,8 +453,7 @@ void Network::set_link_capacity_factor(LinkId id, double factor) {
   // changes, then recompute. A factor of 0 starves crossing flows to rate 0:
   // they leave the completion heap and stall until a later rebalance (e.g.
   // restoring the link) frees capacity.
-  collect_component({id});
-  settle_flows(comp_flows_);
+  collect_component(nullptr, id);
   link.capacity_factor = factor;
   recompute_rates(comp_flows_);
   sync_wake();
@@ -469,6 +476,9 @@ void Network::check_invariants() const {
   // Link capacity, and the per-link lists against the flows' back-pointers.
   std::size_t refs = 0;
   for (std::size_t l = 0; l < links_.size(); ++l) {
+    if (!std::isfinite(links_[l].effective_bandwidth())) {
+      fail("link " + links_[l].name + " has a non-finite bandwidth");
+    }
     const auto& list = link_active_[l];
     refs += list.size();
     double sum = 0.0;
@@ -497,6 +507,9 @@ void Network::check_invariants() const {
   std::size_t expected_refs = 0;
   std::size_t keyed = 0;
   for (const auto& [id, flow] : flows_) {
+    if (!std::isfinite(flow.rate)) {
+      fail("flow " + std::to_string(id) + " has a non-finite rate");
+    }
     if (flow.active) expected_refs += flow.links.size();
     const bool should_key =
         flow.active && (flow.rate > 0.0 || flow.remaining <= kByteEpsilon);
@@ -516,7 +529,7 @@ void Network::check_invariants() const {
   for (std::size_t pos = 1; pos < heap_.size(); ++pos) {
     const Flow* child = heap_[pos];
     const Flow* parent = heap_[(pos - 1) / 2];
-    if (due_before(child->due, child->due_seq, parent->due, parent->due_seq)) {
+    if (due_before(*child, *parent)) {
       fail("completion heap order broken at position " + std::to_string(pos));
     }
   }
@@ -524,27 +537,25 @@ void Network::check_invariants() const {
   if (wake_.pending() == heap_.empty()) {
     fail("wake event pending state disagrees with the completion heap");
   }
-  if (!heap_.empty() &&
-      (wake_due_ != heap_.front()->due || wake_seq_ != heap_.front()->due_seq)) {
+  if (!heap_.empty() && !wake_at(*heap_.front())) {
     fail("wake event is not at the completion heap top");
   }
 }
 
 void Network::finish_flow(Flow& flow) {
-  collect_component(flow.links);
-  if (flow.links.empty()) comp_flows_.push_back(&flow);
-  settle_flows(comp_flows_);
+  collect_component(&flow);
   if (flow.remaining > kByteEpsilon) {
     // The keyed finish rounded to a tick short of the last byte: re-estimate
     // from the settled remainder.
-    key_completion(flow);
+    std::optional<std::uint64_t> seq;
+    key_completion(flow, seq);
     sync_wake();
     return;
   }
   auto callback = std::move(flow.on_complete);
   heap_remove(flow);
   detach_from_links(flow);
-  comp_flows_.erase(std::find(comp_flows_.begin(), comp_flows_.end(), &flow));
+  drop_seed_from_component();
   flows_.erase(flow.id);
   recompute_rates(comp_flows_);
   sync_wake();

@@ -6,6 +6,7 @@
 // regression for dead endpoints.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -193,6 +194,34 @@ TEST(ChaosValidate, RejectsBadPlans) {
   crash.node_index = 99;
   bad_node.events.push_back(crash);
   expect_reject(bad_node);
+}
+
+// NaN fails every comparison, so a `factor < 0 || factor > 1` rule let it
+// through and the network then ran the faulted link at NaN capacity.
+TEST(ChaosValidate, RejectsNaNLinkFactor) {
+  Platform platform(three_site_spec());
+  storage::LayoutSpec lspec;
+  lspec.total_bytes = MiB(12);
+  lspec.num_files = 3;
+  lspec.chunks_per_file = 2;
+  lspec.unit_bytes = 64;
+  const DataLayout layout = storage::build_layout(lspec);
+
+  ChaosPlan plan;
+  ChaosEvent fault;
+  fault.kind = ChaosEvent::Kind::LinkFault;
+  fault.site_a = 0;
+  fault.site_b = 1;
+  fault.factor = std::numeric_limits<double>::quiet_NaN();
+  plan.events.push_back(fault);
+  RunOptions o;
+  o.profile.unit_bytes = 64;
+  o.reduction_tree = false;
+  o.chaos = &plan;
+  EXPECT_THROW(middleware::validate_run(platform, layout, o), std::invalid_argument);
+
+  plan.events.front().factor = 0.5;
+  EXPECT_NO_THROW(middleware::validate_run(platform, layout, o));
 }
 
 // --- chaos-off byte identity -------------------------------------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "des/simulator.hpp"
 #include "net/network.hpp"
@@ -158,6 +159,39 @@ TEST(Network, BadLinkParametersThrow) {
   EXPECT_THROW(net.add_link("bad", 0.0, 0), std::invalid_argument);
   EXPECT_THROW(net.add_link("bad", -1.0, 0), std::invalid_argument);
   EXPECT_THROW(net.add_link("bad", 1.0, -5), std::invalid_argument);
+  // NaN passes a `<= 0` test; a NaN or infinite capacity made flows finish
+  // one tick after activation.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(net.add_link("bad", nan, 0), std::invalid_argument);
+  EXPECT_THROW(net.add_link("bad", inf, 0), std::invalid_argument);
+  EXPECT_EQ(net.link_count(), 0u);
+
+  const SiteId s = net.add_site("s");
+  const LinkId l = net.add_link("ok", 1e6, 0);
+  const EndpointId a = net.add_endpoint("a", s);
+  const EndpointId b = net.add_endpoint("b", s);
+  net.set_access_path(a, {l});
+  EXPECT_THROW(net.set_link_capacity_factor(l, nan), std::invalid_argument);
+  EXPECT_THROW(net.set_link_capacity_factor(l, inf), std::invalid_argument);
+  EXPECT_THROW(net.set_link_capacity_factor(l, -0.5), std::invalid_argument);
+  EXPECT_EQ(net.link(l).capacity_factor, 1.0);
+  EXPECT_THROW(net.start_flow(a, b, 1'000, nan, nullptr), std::invalid_argument);
+  EXPECT_THROW(net.start_flow(a, b, 1'000, inf, nullptr), std::invalid_argument);
+  EXPECT_THROW(net.start_flow(a, b, 1'000, -1.0, nullptr), std::invalid_argument);
+  EXPECT_EQ(net.active_flows(), 0u);
+
+  // The valid edge values still work: factor 0 stalls, cap 0 is uncapped.
+  des::SimTime done = -1;
+  net.start_flow(a, b, 1'000'000, 0.0, [&] { done = sim.now(); });
+  net.set_link_capacity_factor(l, 0.0);
+  sim.schedule_at(from_seconds(5.0), [&] {
+    EXPECT_EQ(done, -1);
+    net.check_invariants();
+    net.set_link_capacity_factor(l, 1.0);
+  });
+  sim.run();
+  EXPECT_EQ(done, from_seconds(6.0));
 }
 
 /// Dumbbell: two senders with private access links into one shared trunk.
