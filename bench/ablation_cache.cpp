@@ -54,8 +54,9 @@ SweepPoint run_point(const storage::DataLayout& layout, cache::CacheFleet* fleet
   point.hit_rate = result.cache_hit_rate();
   point.s3_gets = result.s3_get_requests();
   for (const auto& pass : result.passes) {
-    point.prefetch_issued += pass.prefetch_issued();
-    point.prefetch_wasted += pass.prefetch_wasted();
+    const auto totals = pass.totals();
+    point.prefetch_issued += totals.prefetch_issued;
+    point.prefetch_wasted += totals.prefetch_wasted;
   }
   return point;
 }

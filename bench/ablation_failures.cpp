@@ -117,10 +117,11 @@ int main(int argc, char** argv) {
   };
   for (const Scenario& s : scenarios) {
     const auto result = run_knn(args.seed, s.crashes, 1.0, 0.0, s.fault, retry);
+    const auto totals = result.totals();
     compound.add_row({s.name, AsciiTable::num(result.total_time, 2),
                       AsciiTable::pct(result.total_time / clean.total_time - 1.0, 1),
-                      std::to_string(result.store_faults()),
-                      std::to_string(result.fetch_retries()),
+                      std::to_string(totals.store_faults),
+                      std::to_string(totals.fetch_retries),
                       std::to_string(result.total_jobs())});
   }
   std::printf("%s\n",

@@ -72,12 +72,13 @@ int main(int argc, char** argv) {
   for (double p : fail_probs) {
     for (const Policy& policy : policies) {
       const auto result = run_knn(p, policy.retry, args.seed);
+      const auto totals = result.totals();
       table.add_row({AsciiTable::pct(p, 0), policy.name,
                      AsciiTable::num(result.total_time, 2),
                      AsciiTable::pct(result.total_time / clean.total_time - 1.0, 1),
-                     std::to_string(result.store_faults()),
-                     std::to_string(result.fetch_retries()),
-                     std::to_string(result.hedges_won()),
+                     std::to_string(totals.store_faults),
+                     std::to_string(totals.fetch_retries),
+                     std::to_string(totals.hedges_won),
                      AsciiTable::num(
                          static_cast<double>(result.bytes_retried_total()) / 1e6, 1)});
     }

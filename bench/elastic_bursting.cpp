@@ -54,7 +54,7 @@ int main() {
                    AsciiTable::num(out.result.total_time, 1),
                    out.result.total_time <= deadline ? "yes" : "no",
                    std::to_string(out.result.elastic_activations),
-                   std::to_string(out.result.cloud_instance_starts.size()),
+                   std::to_string(out.result.rentals.size()),
                    AsciiTable::num(out.cost.total_usd(), 3)});
   }
   std::printf("%s\n",

@@ -60,7 +60,7 @@ class Prefetcher {
     /// Event sink with the actor name pre-bound ("prefetch-<site>"); may be
     /// null when no tracer is attached.
     std::function<void(trace::EventKind, std::uint64_t, std::uint64_t)> trace;
-    /// Accounting hook fired per issued GET (recorder bytes_from_store etc.).
+    /// Accounting hook fired per issued GET (the site's StoreTraffic etc.).
     std::function<void(storage::StoreId, const storage::ChunkInfo&)> on_issue;
     /// Reverts on_issue when the GET permanently failed: nothing was
     /// delivered, so the issue-time store charge must not stand.

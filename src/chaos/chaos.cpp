@@ -151,14 +151,7 @@ AuditResult audit_bills(const workload::WorkloadResult& result) {
                     job.id, job.attributed_cost.total_usd());
       return AuditResult{false, line_buf};
     }
-    sum.instance_hours += job.attributed_cost.instance_hours;
-    sum.instance_usd += job.attributed_cost.instance_usd;
-    sum.get_requests += job.attributed_cost.get_requests;
-    sum.requests_usd += job.attributed_cost.requests_usd;
-    sum.transfer_out_gb += job.attributed_cost.transfer_out_gb;
-    sum.transfer_usd += job.attributed_cost.transfer_usd;
-    sum.storage_gb += job.attributed_cost.storage_gb;
-    sum.storage_usd += job.attributed_cost.storage_usd;
+    sum += job.attributed_cost;
   }
   const cost::CostReport& p = result.platform_cost;
   if (sum.get_requests != p.get_requests) {

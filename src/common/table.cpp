@@ -55,11 +55,11 @@ std::string AsciiTable::render(const std::string& title) const {
           !cells[c].empty() && (std::isdigit(static_cast<unsigned char>(cells[c][0])) ||
                                 cells[c][0] == '-' || cells[c][0] == '+');
       const std::size_t pad = widths[c] - cells[c].size();
-      if (numeric) {
-        s += " " + std::string(pad, ' ') + cells[c] + " |";
-      } else {
-        s += " " + cells[c] + std::string(pad, ' ') + " |";
-      }
+      s += ' ';
+      if (numeric) s.append(pad, ' ');
+      s += cells[c];
+      if (!numeric) s.append(pad, ' ');
+      s += " |";
     }
     s += "\n";
     return s;

@@ -60,18 +60,12 @@ CostInputs derive_run_inputs(const middleware::RunResult& result,
                              const middleware::RunOptions& options) {
   CostInputs inputs;
   inputs.run_seconds = result.total_time;
-  inputs.cloud_instances =
-      static_cast<std::uint32_t>(result.cloud_instance_starts.size());
-  for (std::size_t i = 0; i < result.cloud_instance_starts.size(); ++i) {
-    const double start = result.cloud_instance_starts[i];
-    // A reclaimed or drained instance stops billing when its rental ended
-    // (cloud_instance_ends; negative = rented to the end of the run).
-    double until = result.total_time;
-    if (i < result.cloud_instance_ends.size() &&
-        result.cloud_instance_ends[i] >= 0.0) {
-      until = std::min(until, result.cloud_instance_ends[i]);
-    }
-    inputs.instance_seconds.push_back(std::max(0.0, until - start));
+  inputs.cloud_instances = static_cast<std::uint32_t>(result.rentals.size());
+  for (const middleware::Rental& rental : result.rentals) {
+    // A reclaimed or drained instance stops billing when its rental ended.
+    const double until = rental.end >= 0.0 ? std::min(result.total_time, rental.end)
+                                           : result.total_time;
+    inputs.instance_seconds.push_back(std::max(0.0, until - rental.start));
   }
 
   // Billable stores: the ones owned by cloud-billed sites. Every chunk fetch
@@ -98,25 +92,20 @@ CostInputs derive_run_inputs(const middleware::RunResult& result,
     const cluster::ClusterId owner = platform.owner_of_store(s);
     for (cluster::ClusterId c = 0; c < platform.cluster_count(); ++c) {
       if (c == owner) continue;
-      if (c < result.bytes_from_store.size() && s < result.bytes_from_store[c].size()) {
-        // Site caches: bytes served locally were charged to the store at
-        // assignment time but never crossed the egress boundary — credit
-        // them back before pricing. (GET savings need no credit: a cache hit
-        // never reaches the store, so stats().requests already excludes it.)
-        std::uint64_t bytes = result.bytes_from_store[c][s];
-        if (c < result.bytes_from_cache.size() &&
-            s < result.bytes_from_cache[c].size()) {
-          bytes -= std::min(bytes, result.bytes_from_cache[c][s]);
-        }
-        inputs.bytes_out_of_cloud +=
-            static_cast<std::uint64_t>(static_cast<double>(bytes) / ratio);
-      }
-      if (c < result.bytes_retried.size() && s < result.bytes_retried[c].size()) {
-        // Retried bytes are already wire bytes (post-compression) and every
-        // one of them crossed the egress boundary — failed partial GETs,
-        // hedge losers, and post-timeout arrivals are billed, not refunded.
-        inputs.bytes_out_of_cloud += result.bytes_retried[c][s];
-      }
+      if (c >= result.clusters.size() || s >= result.clusters[c].stores.size()) continue;
+      const middleware::StoreTraffic& traffic = result.clusters[c].stores[s];
+      // Site caches: bytes served locally were charged to the store at
+      // assignment time but never crossed the egress boundary — credit them
+      // back before pricing. (GET savings need no credit: a cache hit never
+      // reaches the store, so the request counts already exclude it.)
+      const std::uint64_t bytes =
+          traffic.bytes_fetched - std::min(traffic.bytes_fetched, traffic.bytes_from_cache);
+      inputs.bytes_out_of_cloud +=
+          static_cast<std::uint64_t>(static_cast<double>(bytes) / ratio);
+      // Retried bytes are already wire bytes (post-compression) and every one
+      // of them crossed the egress boundary — failed partial GETs, hedge
+      // losers, and post-timeout arrivals are billed, not refunded.
+      inputs.bytes_out_of_cloud += traffic.bytes_retried;
     }
   }
   // Each cloud cluster ships its reduction object to the head across the WAN.

@@ -60,6 +60,19 @@ struct CostReport {
     return instance_usd + requests_usd + transfer_usd + storage_usd;
   }
 
+  /// Field-by-field sum, in declaration order.
+  CostReport& operator+=(const CostReport& o) {
+    instance_hours += o.instance_hours;
+    instance_usd += o.instance_usd;
+    get_requests += o.get_requests;
+    requests_usd += o.requests_usd;
+    transfer_out_gb += o.transfer_out_gb;
+    transfer_usd += o.transfer_usd;
+    storage_gb += o.storage_gb;
+    storage_usd += o.storage_usd;
+    return *this;
+  }
+
   std::string to_string() const;
 };
 

@@ -70,12 +70,9 @@ struct IterativeResult {
 
   /// Hit fraction across every pass's fetches (0 when no cache ran).
   double cache_hit_rate() const {
-    double hits = 0.0, misses = 0.0;
-    for (const auto& pass : passes) {
-      hits += pass.cache_hits();
-      misses += pass.cache_misses();
-    }
-    return hits + misses > 0.0 ? hits / (hits + misses) : 0.0;
+    SiteCounters sum;
+    for (const auto& pass : passes) sum += pass.totals();
+    return sum.cache_hit_rate();
   }
 };
 

@@ -252,8 +252,14 @@ JobExecution::JobExecution(cluster::Platform& platform, const storage::DataLayou
                            std::string trace_tag, SlotArbiter* arbiter,
                            std::function<void()> on_finished)
     : platform_(platform),
-      ctx_{platform,   layout,  options, postman, RunRecorder{}, {}, {}, job_id,
-           std::move(trace_tag), arbiter, std::move(on_finished)} {
+      ctx_{.platform = platform,
+           .layout = layout,
+           .options = options,
+           .postman = postman,
+           .job_id = job_id,
+           .trace_tag = std::move(trace_tag),
+           .arbiter = arbiter,
+           .on_finished = std::move(on_finished)} {
   ctx_.recorder.init(platform.cluster_count(), platform.store_count());
   setup_chunk_offsets();
   resolve_membership();
@@ -349,8 +355,7 @@ void JobExecution::setup_pool() {
   // Instance time bills at the pool's lease windows, shared across every
   // job holding the node — drop the per-job rental entries setup_elastic's
   // non-elastic branch recorded.
-  ctx_.recorder.cloud_instance_starts.clear();
-  ctx_.recorder.cloud_instance_nodes.clear();
+  ctx_.recorder.rentals.clear();
   for (const auto& lease : plan.leases) {
     if (lease.ready_in_seconds <= 0.0) continue;  // warm: starts with the job
     SlaveNode* booting = slave_by_endpoint(lease.node);
@@ -469,7 +474,7 @@ void JobExecution::setup_replication() {
     wire.bytes = static_cast<std::uint64_t>(static_cast<double>(info.bytes) / ratio);
     if (wire.bytes == 0) wire.bytes = 1;
     const cluster::ClusterId dst_site = platform_.owner_of_store(task.dst);
-    ctx_.recorder.bytes_from_store[dst_site][task.src] += info.bytes;
+    ctx_.recorder.sites[dst_site].stores[task.src].bytes_fetched += info.bytes;
     // Repairs are background traffic: they bill to the "system" tenant and
     // queue behind (or alongside) foreground fetches at the source store's
     // arbiter.
@@ -485,7 +490,7 @@ void JobExecution::setup_replication() {
                done = std::move(done)](const storage::FetchResult& r) {
                 if (!r.ok) {
                   // Nothing landed: revert the issue-time egress charge.
-                  ctx_.recorder.bytes_from_store[dst_site][task.src] -=
+                  ctx_.recorder.sites[dst_site].stores[task.src].bytes_fetched -=
                       ctx_.layout.chunk(task.chunk).bytes;
                 }
                 if (done) done(r.ok);
@@ -544,11 +549,11 @@ void JobExecution::build_prefetchers() {
     env.trace = [this, pf_name](trace::EventKind kind, std::uint64_t a,
                                 std::uint64_t b) { ctx_.trace(kind, pf_name, a, b); };
     env.on_issue = [this, site](storage::StoreId s, const storage::ChunkInfo& info) {
-      ++ctx_.recorder.prefetch_issued[site];
-      ctx_.recorder.bytes_from_store[site][s] += info.bytes;
+      ++ctx_.recorder.sites[site].prefetch_issued;
+      ctx_.recorder.sites[site].stores[s].bytes_fetched += info.bytes;
     };
     env.on_abort = [this, site](storage::StoreId s, const storage::ChunkInfo& info) {
-      ctx_.recorder.bytes_from_store[site][s] -= info.bytes;
+      ctx_.recorder.sites[site].stores[s].bytes_fetched -= info.bytes;
     };
     if (replica::ReplicaSet* rs = options.replication) {
       env.resolve = [this, rs, site](storage::ChunkId chunk) {
@@ -982,14 +987,9 @@ void JobExecution::setup_migration() {
                        return dormant_standby_.count(s->endpoint()) > 0;
                      }),
       initial_active_.end());
-  auto& starts = ctx_.recorder.cloud_instance_starts;
-  auto& nodes = ctx_.recorder.cloud_instance_nodes;
-  for (std::size_t i = nodes.size(); i-- > 0;) {
-    if (dormant_standby_.count(nodes[i])) {
-      nodes.erase(nodes.begin() + static_cast<std::ptrdiff_t>(i));
-      starts.erase(starts.begin() + static_cast<std::ptrdiff_t>(i));
-    }
-  }
+  std::erase_if(ctx_.recorder.rentals, [this](const Rental& r) {
+    return dormant_standby_.count(r.node) > 0;
+  });
   ctx_.on_node_lost = [this](cluster::ClusterId site) {
     return lease_replacement(site);
   };
@@ -1016,8 +1016,7 @@ bool JobExecution::lease_replacement(cluster::ClusterId site) {
   const double now_rel = ctx_.now_seconds() - ctx_.job_start_seconds;
   const double boot = ctx_.options.migration.boot_seconds;
   // The replacement bills from the moment it comes up, like an elastic boot.
-  ctx_.recorder.cloud_instance_starts.push_back(now_rel + boot);
-  ctx_.recorder.cloud_instance_nodes.push_back(chosen.slave->endpoint());
+  ctx_.recorder.rentals.push_back({chosen.slave->endpoint(), now_rel + boot});
   ++ctx_.recorder.lifecycle.replacements_leased;
   SlaveNode* booting = chosen.slave;
   const std::string name = chosen.name;
@@ -1054,8 +1053,7 @@ void JobExecution::setup_elastic() {
     for (cluster::ClusterId site = 0; site < platform_.cluster_count(); ++site) {
       if (!platform_.is_cloud(site)) continue;
       for (const auto& node : site_nodes_[site]) {
-        ctx_.recorder.cloud_instance_starts.push_back(0.0);
-        ctx_.recorder.cloud_instance_nodes.push_back(node.endpoint);
+        ctx_.recorder.rentals.push_back({node.endpoint, 0.0});
       }
     }
     return;
@@ -1075,8 +1073,7 @@ void JobExecution::setup_elastic() {
     } else {
       initial_active_.push_back(slave.get());
       if (is_cloud) {
-        ctx_.recorder.cloud_instance_starts.push_back(0.0);
-        ctx_.recorder.cloud_instance_nodes.push_back(slave->endpoint());
+        ctx_.recorder.rentals.push_back({slave->endpoint(), 0.0});
       }
     }
   }
@@ -1107,8 +1104,7 @@ void JobExecution::setup_elastic() {
              k < opts.elastic.activation_step && *next_dormant < dormant_.size(); ++k) {
           SlaveNode* booting = dormant_[(*next_dormant)++];
           const double up_at = elapsed + opts.elastic.boot_seconds;
-          ctx_.recorder.cloud_instance_starts.push_back(up_at);
-          ctx_.recorder.cloud_instance_nodes.push_back(booting->endpoint());
+          ctx_.recorder.rentals.push_back({booting->endpoint(), up_at});
           ++ctx_.recorder.elastic_activations;
           ctx_.sim().schedule(des::from_seconds(opts.elastic.boot_seconds),
                               [this, booting] {
@@ -1133,12 +1129,12 @@ void JobExecution::start() {
   if (repair_) repair_->start();
 }
 
-RunResult JobExecution::collect(bool use_platform_store_stats) {
+RunResult JobExecution::collect() {
   // Prefetches nobody consumed were wasted WAN work; settle them now that
   // every in-flight transfer has drained.
   for (cluster::ClusterId site = 0; site < ctx_.prefetchers.size(); ++site) {
     if (ctx_.prefetchers[site]) {
-      ctx_.recorder.prefetch_wasted[site] +=
+      ctx_.recorder.sites[site].prefetch_wasted +=
           static_cast<std::uint32_t>(ctx_.prefetchers[site]->finish());
     }
   }
@@ -1147,13 +1143,7 @@ RunResult JobExecution::collect(bool use_platform_store_stats) {
   result.total_time = ctx_.recorder.end_time - start_time_;
   result.nodes = ctx_.recorder.nodes;
   result.robj = head_->take_robj();
-  result.cloud_instance_starts = ctx_.recorder.cloud_instance_starts;
-  result.cloud_instance_nodes = ctx_.recorder.cloud_instance_nodes;
-  result.cloud_instance_ends = ctx_.recorder.cloud_instance_ends;
-  if (!result.cloud_instance_ends.empty()) {
-    // Instances rented after the last early end leave the vector short.
-    result.cloud_instance_ends.resize(result.cloud_instance_starts.size(), -1.0);
-  }
+  result.rentals = ctx_.recorder.rentals;
   result.lifecycle = ctx_.recorder.lifecycle;
   result.replica = ctx_.recorder.replica;
   if (ctx_.options.replication && replication_built_here_) {
@@ -1163,32 +1153,23 @@ RunResult JobExecution::collect(bool use_platform_store_stats) {
     result.replica.extra_replica_bytes = ctx_.options.replication->extra_bytes_per_store();
   }
   result.elastic_activations = ctx_.recorder.elastic_activations;
-  result.bytes_from_store = ctx_.recorder.bytes_from_store;
-  result.bytes_from_cache = ctx_.recorder.bytes_from_cache;
-  result.bytes_retried = ctx_.recorder.bytes_retried;
+  result.clusters.resize(platform_.cluster_count());
+  for (cluster::ClusterId site = 0; site < platform_.cluster_count(); ++site) {
+    static_cast<SiteCounters&>(result.clusters[site]) = ctx_.recorder.sites[site];
+    result.clusters[site].name = platform_.site_name(site);
+  }
+  // This job's own request counts: concurrent jobs share the stores, so a
+  // store's global counter mixes every job's GETs.
+  const SiteCounters totals = result.totals();
   result.store_requests.resize(platform_.store_count());
   for (storage::StoreId s = 0; s < platform_.store_count(); ++s) {
-    if (use_platform_store_stats) {
-      result.store_requests[s] = platform_.store(s).stats().requests;
-    } else {
-      // Concurrent jobs share the stores, so the store's global counter mixes
-      // tenants; this job's own per-site attempt counts are the right share.
-      std::uint64_t requests = 0;
-      for (const auto& per_site : ctx_.recorder.store_fetch_requests) {
-        requests += per_site[s];
-      }
-      result.store_requests[s] = requests;
-    }
+    result.store_requests[s] = totals.stores[s].requests;
     const auto& store_spec =
         platform_.spec().sites.at(platform_.owner_of_store(s)).store;
     if (store_spec && store_spec->kind == cluster::StoreSpec::Kind::Object) {
       result.s3_get_requests +=
           result.store_requests[s] * std::max(1u, ctx_.options.retrieval_streams);
     }
-  }
-  result.clusters.resize(platform_.cluster_count());
-  for (cluster::ClusterId site = 0; site < platform_.cluster_count(); ++site) {
-    result.clusters[site].name = platform_.site_name(site);
   }
 
   for (const auto& node : result.nodes) {
@@ -1207,23 +1188,6 @@ RunResult JobExecution::collect(bool use_platform_store_stats) {
       c.retrieval /= c.nodes;
       c.sync /= c.nodes;
     }
-  }
-  for (std::size_t site = 0; site < result.clusters.size(); ++site) {
-    auto& c = result.clusters[site];
-    c.jobs_local = ctx_.recorder.jobs_local[site];
-    c.jobs_stolen = ctx_.recorder.jobs_stolen[site];
-    c.bytes_local = ctx_.recorder.bytes_local[site];
-    c.bytes_stolen = ctx_.recorder.bytes_stolen[site];
-    c.cache_hits = ctx_.recorder.cache_hits[site];
-    c.cache_misses = ctx_.recorder.cache_misses[site];
-    c.prefetch_issued = ctx_.recorder.prefetch_issued[site];
-    c.prefetch_wasted = ctx_.recorder.prefetch_wasted[site];
-    c.qos_throttled = ctx_.recorder.qos_throttled[site];
-    c.qos_wait_seconds = ctx_.recorder.qos_wait_seconds[site];
-    c.store_faults = ctx_.recorder.store_faults[site];
-    c.fetch_retries = ctx_.recorder.fetch_retries[site];
-    c.hedges_issued = ctx_.recorder.hedges_issued[site];
-    c.hedges_won = ctx_.recorder.hedges_won[site];
   }
 
   // Idle time: how long each cluster waited for the other to finish

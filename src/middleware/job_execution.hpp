@@ -76,10 +76,8 @@ class JobExecution {
 
   /// Settle the prefetchers and aggregate the RunResult. Call after the
   /// simulator drained (standalone) or after the whole workload finished, so
-  /// in-flight transfers have landed. `use_platform_store_stats` keeps the
-  /// historical store_requests source (the store's own global counters) for
-  /// solo runs; a workload passes false to use this job's own counts.
-  RunResult collect(bool use_platform_store_stats = true);
+  /// in-flight transfers have landed.
+  RunResult collect();
 
  private:
   void setup_chunk_offsets();

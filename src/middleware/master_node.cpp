@@ -466,27 +466,29 @@ storage::StoreId MasterNode::assigned_store(storage::ChunkId chunk) const {
 
 void MasterNode::account_assignment(storage::ChunkId chunk, storage::StoreId from) {
   const storage::ChunkInfo& info = ctx_.layout.chunk(chunk);
+  SiteCounters& rec = ctx_.recorder.sites[site_];
   if (from == preferred_store_) {
-    ++ctx_.recorder.jobs_local[site_];
-    ctx_.recorder.bytes_local[site_] += info.bytes;
+    ++rec.jobs_local;
+    rec.bytes_local += info.bytes;
   } else {
-    ++ctx_.recorder.jobs_stolen[site_];
-    ctx_.recorder.bytes_stolen[site_] += info.bytes;
+    ++rec.jobs_stolen;
+    rec.bytes_stolen += info.bytes;
   }
-  ctx_.recorder.bytes_from_store[site_][from] += info.bytes;
+  rec.stores[from].bytes_fetched += info.bytes;
 }
 
 void MasterNode::account_return(storage::ChunkId chunk) {
   const storage::ChunkInfo& info = ctx_.layout.chunk(chunk);
   const storage::StoreId from = assigned_store(chunk);
+  SiteCounters& rec = ctx_.recorder.sites[site_];
   if (from == preferred_store_) {
-    --ctx_.recorder.jobs_local[site_];
-    ctx_.recorder.bytes_local[site_] -= info.bytes;
+    --rec.jobs_local;
+    rec.bytes_local -= info.bytes;
   } else {
-    --ctx_.recorder.jobs_stolen[site_];
-    ctx_.recorder.bytes_stolen[site_] -= info.bytes;
+    --rec.jobs_stolen;
+    rec.bytes_stolen -= info.bytes;
   }
-  ctx_.recorder.bytes_from_store[site_][from] -= info.bytes;
+  rec.stores[from].bytes_fetched -= info.bytes;
 }
 
 void MasterNode::merge_slave_robj(const Message& msg) {

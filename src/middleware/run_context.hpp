@@ -249,94 +249,36 @@ struct RunOptions {
 /// Mutable per-run recorder; actors write, the runtime aggregates.
 struct RunRecorder {
   std::vector<NodeTimes> nodes;  ///< one per slave, global index order
-  /// Activation time of each billed cloud instance (0.0 for initial ones).
-  /// Under a workload, times are relative to the job's own start.
-  std::vector<double> cloud_instance_starts;
-  /// Physical node behind each cloud_instance_starts entry (parallel
-  /// vector); lets a workload bill a node shared by several jobs once.
-  std::vector<net::EndpointId> cloud_instance_nodes;
-  /// Billing end per entry (parallel; negative = end of run). Left empty
-  /// until a lifecycle event ends a rental early, so default runs carry no
-  /// extra state.
-  std::vector<double> cloud_instance_ends;
+  /// Every billed cloud instance. Under a workload, times are relative to
+  /// the job's own start.
+  std::vector<Rental> rentals;
   std::uint32_t elastic_activations = 0;
   /// Node-lifecycle accounting (drains, reclaims, checkpoints, migrations).
   LifecycleStats lifecycle;
-  // Per-cluster accounting, indexed by ClusterId; sized by init().
-  std::vector<std::uint32_t> jobs_local;
-  std::vector<std::uint32_t> jobs_stolen;
-  std::vector<std::uint64_t> bytes_local;
-  std::vector<std::uint64_t> bytes_stolen;
-  /// Bytes cluster c fetched from store s: bytes_from_store[c][s].
-  std::vector<std::vector<std::uint64_t>> bytes_from_store;
-  /// Bytes cluster c served from its site cache that bytes_from_store
-  /// already charged to store s at assignment time (the cost model credits
-  /// these back so only physically transferred bytes are billed as egress).
-  std::vector<std::vector<std::uint64_t>> bytes_from_cache;
-  // Cache / prefetch accounting, per cluster.
-  std::vector<std::uint32_t> cache_hits;
-  std::vector<std::uint32_t> cache_misses;
-  std::vector<std::uint32_t> prefetch_issued;
-  std::vector<std::uint32_t> prefetch_wasted;
-  // Store QoS accounting, per cluster (throttled releases and the waits
-  // they paid; zero unless RunOptions::qos is attached).
-  std::vector<std::uint32_t> qos_throttled;
-  std::vector<double> qos_wait_seconds;
-  // Fault / retry accounting, per cluster.
-  std::vector<std::uint32_t> store_faults;    ///< failed or timed-out attempts
-  std::vector<std::uint32_t> fetch_retries;   ///< backoffs taken before re-attempts
-  std::vector<std::uint32_t> hedges_issued;
-  std::vector<std::uint32_t> hedges_won;
-  /// Wire bytes cluster c moved from store s that were NOT the delivered
-  /// copy (failed partial GETs, hedge losers, post-timeout arrivals). They
-  /// crossed the WAN, so the cost model bills them as egress on top of
-  /// bytes_from_store.
-  std::vector<std::vector<std::uint64_t>> bytes_retried;
-  /// Store fetch requests this run issued against store s from cluster c,
-  /// counted at the retry layer: store_fetch_requests[c][s]. Equals the
-  /// store's own stats().requests for a solo run; under a multi-job
-  /// workload it is the per-job share the tenant cost attribution needs
-  /// (the store's global counter aggregates every job).
-  std::vector<std::vector<std::uint64_t>> store_fetch_requests;
+  /// Per-site counters, indexed by ClusterId, each with one StoreTraffic per
+  /// store; sized by init().
+  std::vector<SiteCounters> sites;
   /// Replication accounting (extra_replica_bytes stays empty here; the
   /// runtime snapshots it from the ReplicaSet at collect time).
   ReplicaStats replica;
   double end_time = 0.0;
   bool finished = false;
 
-  /// Size the per-cluster / per-store vectors for a platform.
+  /// Size the per-site counters for a platform.
   void init(std::size_t clusters, std::size_t stores) {
-    jobs_local.assign(clusters, 0);
-    jobs_stolen.assign(clusters, 0);
-    bytes_local.assign(clusters, 0);
-    bytes_stolen.assign(clusters, 0);
-    bytes_from_store.assign(clusters, std::vector<std::uint64_t>(stores, 0));
-    bytes_from_cache.assign(clusters, std::vector<std::uint64_t>(stores, 0));
-    cache_hits.assign(clusters, 0);
-    cache_misses.assign(clusters, 0);
-    prefetch_issued.assign(clusters, 0);
-    prefetch_wasted.assign(clusters, 0);
-    qos_throttled.assign(clusters, 0);
-    qos_wait_seconds.assign(clusters, 0.0);
-    store_faults.assign(clusters, 0);
-    fetch_retries.assign(clusters, 0);
-    hedges_issued.assign(clusters, 0);
-    hedges_won.assign(clusters, 0);
-    bytes_retried.assign(clusters, std::vector<std::uint64_t>(stores, 0));
-    store_fetch_requests.assign(clusters, std::vector<std::uint64_t>(stores, 0));
+    SiteCounters blank;
+    blank.stores.resize(stores);
+    sites.assign(clusters, blank);
   }
 
-  /// Stop billing `node`'s open rental at `at_seconds` (job-relative). Lazily
-  /// sizes cloud_instance_ends; a node rented more than once (standby
-  /// re-lease) closes its most recent open rental. No-op for nodes that were
-  /// never billed (e.g. a drained local node).
+  /// Stop billing `node`'s open rental at `at_seconds` (job-relative). A node
+  /// rented more than once (standby re-lease) closes its most recent open
+  /// rental. No-op for nodes that were never billed (e.g. a drained local
+  /// node).
   void end_cloud_billing(net::EndpointId node, double at_seconds) {
-    if (cloud_instance_ends.size() < cloud_instance_nodes.size()) {
-      cloud_instance_ends.resize(cloud_instance_nodes.size(), -1.0);
-    }
-    for (std::size_t i = cloud_instance_nodes.size(); i-- > 0;) {
-      if (cloud_instance_nodes[i] == node && cloud_instance_ends[i] < 0.0) {
-        cloud_instance_ends[i] = at_seconds;
+    for (auto it = rentals.rbegin(); it != rentals.rend(); ++it) {
+      if (it->node == node && it->end < 0.0) {
+        it->end = at_seconds;
         return;
       }
     }
@@ -348,15 +290,15 @@ struct RunContext {
   const storage::DataLayout& layout;
   const RunOptions& options;
   net::Postman<Message>& postman;
-  RunRecorder recorder;
+  RunRecorder recorder{};
 
   /// Global unit offset of each chunk (prefix sums over chunk ids); only
   /// populated for real-execution runs.
-  std::vector<std::uint64_t> chunk_unit_offset;
+  std::vector<std::uint64_t> chunk_unit_offset{};
 
   /// Per-site prefetchers, indexed by ClusterId; empty (or null entries)
   /// unless the attached cache fleet enables prefetching.
-  std::vector<std::unique_ptr<cache::Prefetcher>> prefetchers;
+  std::vector<std::unique_ptr<cache::Prefetcher>> prefetchers{};
 
   /// Identity of this run within a workload (0 for standalone runs);
   /// stamped on every control message so shared endpoints can demultiplex.
@@ -405,8 +347,8 @@ struct RunContext {
                         [this, site, store, actor, chunk,
                          launch = std::move(launch)](double waited_seconds) {
                           if (waited_seconds > 0.0) {
-                            ++recorder.qos_throttled[site];
-                            recorder.qos_wait_seconds[site] += waited_seconds;
+                            ++recorder.sites[site].qos_throttled;
+                            recorder.sites[site].qos_wait_seconds += waited_seconds;
                             trace(trace::EventKind::QosThrottled, actor, chunk, store);
                           }
                           launch();
@@ -418,13 +360,13 @@ struct RunContext {
   /// was leased — the master then re-pools the lost chunks so the booting
   /// replacement (and idle survivors) pull them, instead of push-assigning
   /// everything to survivors immediately. Null when migration is off.
-  std::function<bool(cluster::ClusterId)> on_node_lost;
+  std::function<bool(cluster::ClusterId)> on_node_lost{};
 
   /// Fired by a slave the moment it vacates (drain settled, final delta-robj
   /// shipped). The workload manager uses it to settle cross-job drains:
   /// once every job sharing the node has vacated it, the node retires from
   /// the directory and leaves the pool. Null outside managed workloads.
-  std::function<void(net::EndpointId)> on_node_vacated;
+  std::function<void(net::EndpointId)> on_node_vacated{};
 
   /// Should reads from `store` go through site `site`'s cache? Object-kind
   /// stores always qualify (they pay request latency and GET pricing even
@@ -481,26 +423,26 @@ struct RunContext {
                                   storage::ChunkId chunk, storage::StoreId store) {
     storage::RetryHooks h;
     h.on_attempt = [this, site, store](unsigned) {
-      ++recorder.store_fetch_requests[site][store];
+      ++recorder.sites[site].stores[store].requests;
     };
     h.on_fault = [this, site, actor, chunk](unsigned attempt, const storage::FetchResult&) {
-      ++recorder.store_faults[site];
+      ++recorder.sites[site].store_faults;
       trace(trace::EventKind::StoreFault, actor, chunk, attempt);
     };
     h.on_backoff = [this, site, actor, chunk](unsigned next_attempt, double) {
-      ++recorder.fetch_retries[site];
+      ++recorder.sites[site].fetch_retries;
       trace(trace::EventKind::RetryBackoff, actor, chunk, next_attempt);
     };
     h.on_hedge = [this, site, actor, chunk](unsigned attempt) {
-      ++recorder.hedges_issued[site];
+      ++recorder.sites[site].hedges_issued;
       trace(trace::EventKind::HedgeIssued, actor, chunk, attempt);
     };
     h.on_hedge_win = [this, site, actor, chunk](unsigned attempt) {
-      ++recorder.hedges_won[site];
+      ++recorder.sites[site].hedges_won;
       trace(trace::EventKind::HedgeWon, actor, chunk, attempt);
     };
     h.on_wasted = [this, site, store](std::uint64_t bytes) {
-      recorder.bytes_retried[site][store] += bytes;
+      recorder.sites[site].stores[store].bytes_retried += bytes;
     };
     return h;
   }

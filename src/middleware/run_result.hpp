@@ -54,14 +54,35 @@ struct NodeTimes {
   std::uint32_t jobs = 0;
 };
 
-struct ClusterResult {
-  std::string name;  ///< site name ("local", "cloud", ...)
+/// Bytes and requests one site moved against one store.
+struct StoreTraffic {
+  /// Bytes charged to the store when a chunk was assigned. The cost model
+  /// derives provider egress from these (data a non-cloud site pulled out of
+  /// a cloud store).
+  std::uint64_t bytes_fetched = 0;
+  /// Bytes of bytes_fetched that the site cache actually served: no WAN
+  /// transfer happened, so the cost model credits them back.
+  std::uint64_t bytes_from_cache = 0;
+  /// Wire bytes that moved but were not the delivered copy (failed partial
+  /// GETs, hedge losers, post-timeout arrivals). They crossed the provider's
+  /// egress boundary, so the cost model bills them on top of bytes_fetched.
+  std::uint64_t bytes_retried = 0;
+  /// Fetch requests issued, counted at the retry layer (one per attempt or
+  /// hedge leg).
+  std::uint64_t requests = 0;
 
-  /// Mean per-node seconds (the stacked bar of Figure 3).
-  double processing = 0.0;
-  double retrieval = 0.0;
-  double sync = 0.0;  ///< barrier wait + reduction transfers + merge
+  StoreTraffic& operator+=(const StoreTraffic& o) {
+    bytes_fetched += o.bytes_fetched;
+    bytes_from_cache += o.bytes_from_cache;
+    bytes_retried += o.bytes_retried;
+    requests += o.requests;
+    return *this;
+  }
+};
 
+/// Every counter one site records during a run. A new counter is one field
+/// here plus one line in operator+=.
+struct SiteCounters {
   std::uint32_t jobs_local = 0;   ///< jobs whose data was on this site's store
   std::uint32_t jobs_stolen = 0;  ///< jobs fetched from a remote store
   std::uint64_t bytes_local = 0;
@@ -83,9 +104,58 @@ struct ClusterResult {
   std::uint32_t hedges_issued = 0;  ///< hedged second GETs launched
   std::uint32_t hedges_won = 0;     ///< hedges that beat the primary
 
+  /// This site's traffic against each store, indexed by StoreId.
+  std::vector<StoreTraffic> stores;
+
+  /// Field-by-field sum; `stores` grows to the longer of the two.
+  SiteCounters& operator+=(const SiteCounters& o) {
+    jobs_local += o.jobs_local;
+    jobs_stolen += o.jobs_stolen;
+    bytes_local += o.bytes_local;
+    bytes_stolen += o.bytes_stolen;
+    cache_hits += o.cache_hits;
+    cache_misses += o.cache_misses;
+    prefetch_issued += o.prefetch_issued;
+    prefetch_wasted += o.prefetch_wasted;
+    qos_throttled += o.qos_throttled;
+    qos_wait_seconds += o.qos_wait_seconds;
+    store_faults += o.store_faults;
+    fetch_retries += o.fetch_retries;
+    hedges_issued += o.hedges_issued;
+    hedges_won += o.hedges_won;
+    if (stores.size() < o.stores.size()) stores.resize(o.stores.size());
+    for (std::size_t s = 0; s < o.stores.size(); ++s) stores[s] += o.stores[s];
+    return *this;
+  }
+
+  /// Fraction of fetches the site cache served; 0 when no cache ran.
+  double cache_hit_rate() const {
+    const double total = static_cast<double>(cache_hits) + cache_misses;
+    return total > 0.0 ? static_cast<double>(cache_hits) / total : 0.0;
+  }
+};
+
+/// One site's counters plus its share of the time split.
+struct ClusterResult : SiteCounters {
+  std::string name;  ///< site name ("local", "cloud", ...)
+
+  /// Mean per-node seconds (the stacked bar of Figure 3).
+  double processing = 0.0;
+  double retrieval = 0.0;
+  double sync = 0.0;  ///< barrier wait + reduction transfers + merge
+
   double proc_end_time = 0.0;  ///< when the cluster's last slave finished processing
   double idle_time = 0.0;      ///< waiting for the other clusters at the end
   std::uint32_t nodes = 0;
+};
+
+/// One billed cloud instance rental. Times are relative to the job's start.
+struct Rental {
+  net::EndpointId node = 0;  ///< physical node, so a workload bills a shared node once
+  double start = 0.0;        ///< 0.0 = rented from the start; later for boots
+  /// Billing end; negative = rented to the end of the run. Reclaimed or
+  /// drained cloud nodes stop billing when they vacate or hit the deadline.
+  double end = -1.0;
 };
 
 struct RunResult {
@@ -94,42 +164,18 @@ struct RunResult {
   std::vector<ClusterResult> clusters; ///< one per platform site
   std::vector<NodeTimes> nodes;
 
-  /// Bytes each cluster fetched from each store: [cluster][store]. The cost
-  /// model derives provider egress from this (data a non-cloud cluster pulled
-  /// out of a cloud store).
-  std::vector<std::vector<std::uint64_t>> bytes_from_store;
-
-  /// Bytes of bytes_from_store that the site cache actually served —
-  /// assignment-time accounting charged them to the store, but no WAN
-  /// transfer happened. The cost model credits these back.
-  std::vector<std::vector<std::uint64_t>> bytes_from_cache;
-
-  /// Wire bytes that moved but were not the delivered copy (failed partial
-  /// GETs, hedge losers, post-timeout arrivals): [cluster][store]. They
-  /// crossed the provider's egress boundary, so the cost model bills them
-  /// *on top of* bytes_from_store — retried bytes are not free.
-  std::vector<std::vector<std::uint64_t>> bytes_retried;
-
-  /// Requests each store served during the run (fetch calls; an object store
-  /// issues retrieval_streams range GETs per request).
+  /// Requests each store served for this run: the sum over sites of
+  /// StoreTraffic::requests (an object store issues retrieval_streams range
+  /// GETs per request).
   std::vector<std::uint64_t> store_requests;
   /// Range GETs against object-kind stores (requests x streams) — the number
   /// the cost model prices and the benches report as "S3 requests".
   std::uint64_t s3_get_requests = 0;
 
-  /// Activation time of each *billed* cloud instance (0.0 = rented from the
-  /// start). For non-elastic runs this is one zero per cloud instance;
-  /// elastic runs append booted instances at their activation times.
-  std::vector<double> cloud_instance_starts;
-  /// Physical node behind each cloud_instance_starts entry (parallel
-  /// vector). A workload uses it to bill a node shared by concurrent jobs
-  /// once instead of once per job.
-  std::vector<net::EndpointId> cloud_instance_nodes;
-  /// Billing end of each cloud_instance_starts entry (parallel vector;
-  /// negative = rented to the end of the run). Reclaimed or drained cloud
-  /// nodes stop billing when they vacate / hit the reclaim deadline. Empty
-  /// when no node lifecycle event ended a rental early.
-  std::vector<double> cloud_instance_ends;
+  /// Every billed cloud instance. For non-elastic runs this is one rental per
+  /// cloud instance from 0.0; elastic runs append booted instances at their
+  /// activation times.
+  std::vector<Rental> rentals;
   std::uint32_t elastic_activations = 0;  ///< instances booted mid-run
 
   /// Node-lifecycle accounting (all zero with no lifecycle events).
@@ -143,75 +189,23 @@ struct RunResult {
 
   const ClusterResult& side(cluster::ClusterId s) const { return clusters.at(s); }
 
-  std::uint32_t total_jobs() const {
-    std::uint32_t n = 0;
-    for (const auto& c : clusters) n += c.jobs_local + c.jobs_stolen;
-    return n;
+  /// Every site's counters summed.
+  SiteCounters totals() const {
+    SiteCounters sum;
+    for (const auto& c : clusters) sum += c;
+    return sum;
   }
 
-  std::uint32_t cache_hits() const {
-    std::uint32_t n = 0;
-    for (const auto& c : clusters) n += c.cache_hits;
-    return n;
-  }
-  std::uint32_t cache_misses() const {
-    std::uint32_t n = 0;
-    for (const auto& c : clusters) n += c.cache_misses;
-    return n;
-  }
-  std::uint32_t prefetch_issued() const {
-    std::uint32_t n = 0;
-    for (const auto& c : clusters) n += c.prefetch_issued;
-    return n;
-  }
-  std::uint32_t prefetch_wasted() const {
-    std::uint32_t n = 0;
-    for (const auto& c : clusters) n += c.prefetch_wasted;
-    return n;
+  std::uint32_t total_jobs() const {
+    const SiteCounters sum = totals();
+    return sum.jobs_local + sum.jobs_stolen;
   }
   /// Fraction of fetches the site caches served; 0 when no cache ran.
-  double cache_hit_rate() const {
-    const double total = static_cast<double>(cache_hits()) + cache_misses();
-    return total > 0.0 ? static_cast<double>(cache_hits()) / total : 0.0;
-  }
-
-  std::uint32_t qos_throttled() const {
-    std::uint32_t n = 0;
-    for (const auto& c : clusters) n += c.qos_throttled;
-    return n;
-  }
-  double qos_wait_seconds() const {
-    double n = 0.0;
-    for (const auto& c : clusters) n += c.qos_wait_seconds;
-    return n;
-  }
-
-  std::uint32_t store_faults() const {
-    std::uint32_t n = 0;
-    for (const auto& c : clusters) n += c.store_faults;
-    return n;
-  }
-  std::uint32_t fetch_retries() const {
-    std::uint32_t n = 0;
-    for (const auto& c : clusters) n += c.fetch_retries;
-    return n;
-  }
-  std::uint32_t hedges_issued() const {
-    std::uint32_t n = 0;
-    for (const auto& c : clusters) n += c.hedges_issued;
-    return n;
-  }
-  std::uint32_t hedges_won() const {
-    std::uint32_t n = 0;
-    for (const auto& c : clusters) n += c.hedges_won;
-    return n;
-  }
-  /// Total wasted wire bytes across all cluster/store pairs.
+  double cache_hit_rate() const { return totals().cache_hit_rate(); }
+  /// Total wasted wire bytes across all site/store pairs.
   std::uint64_t bytes_retried_total() const {
     std::uint64_t n = 0;
-    for (const auto& per_store : bytes_retried) {
-      for (std::uint64_t b : per_store) n += b;
-    }
+    for (const StoreTraffic& t : totals().stores) n += t.bytes_retried;
     return n;
   }
 };

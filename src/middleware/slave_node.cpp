@@ -113,23 +113,23 @@ void SlaveNode::reassign_store(storage::ChunkId chunk, storage::StoreId from,
                                storage::StoreId to) {
   assigned_store_[chunk] = to;
   const storage::ChunkInfo& info = ctx_.layout.chunk(chunk);
-  auto& rec = ctx_.recorder;
-  rec.bytes_from_store[node_.cluster][from] -= info.bytes;
-  rec.bytes_from_store[node_.cluster][to] += info.bytes;
+  SiteCounters& rec = ctx_.recorder.sites[node_.cluster];
+  rec.stores[from].bytes_fetched -= info.bytes;
+  rec.stores[to].bytes_fetched += info.bytes;
   const storage::StoreId preferred = ctx_.platform.store_of_cluster(node_.cluster);
   const bool was_local = from == preferred;
   const bool is_local = to == preferred;
   if (was_local == is_local) return;
   if (is_local) {
-    ++rec.jobs_local[node_.cluster];
-    rec.bytes_local[node_.cluster] += info.bytes;
-    --rec.jobs_stolen[node_.cluster];
-    rec.bytes_stolen[node_.cluster] -= info.bytes;
+    ++rec.jobs_local;
+    rec.bytes_local += info.bytes;
+    --rec.jobs_stolen;
+    rec.bytes_stolen -= info.bytes;
   } else {
-    --rec.jobs_local[node_.cluster];
-    rec.bytes_local[node_.cluster] -= info.bytes;
-    ++rec.jobs_stolen[node_.cluster];
-    rec.bytes_stolen[node_.cluster] += info.bytes;
+    --rec.jobs_local;
+    rec.bytes_local -= info.bytes;
+    ++rec.jobs_stolen;
+    rec.bytes_stolen += info.bytes;
   }
 }
 
@@ -148,8 +148,9 @@ void SlaveNode::begin_fetch(storage::ChunkId chunk) {
       // Hit: the bytes are on the site's scratch disk — pay the local read
       // model, skip the store entirely (no GET, no WAN flow), and credit the
       // egress bytes the master charged at assignment.
-      ++ctx_.recorder.cache_hits[node_.cluster];
-      ctx_.recorder.bytes_from_cache[node_.cluster][store_id] += full_bytes;
+      SiteCounters& rec = ctx_.recorder.sites[node_.cluster];
+      ++rec.cache_hits;
+      rec.stores[store_id].bytes_from_cache += full_bytes;
       ctx_.trace(trace::EventKind::CacheHit, node_.name, chunk, info.bytes);
       if (ctx_.options.qos) ctx_.options.qos->note_cache_hit(ctx_.qos_tenant);
       if (ctx_.options.replication) {
@@ -180,8 +181,9 @@ void SlaveNode::begin_fetch(storage::ChunkId chunk) {
                        begin_fetch(chunk);
                        return;
                      }
-                     ++ctx_.recorder.cache_hits[node_.cluster];
-                     ctx_.recorder.bytes_from_cache[node_.cluster][store_id] += full_bytes;
+                     SiteCounters& rec = ctx_.recorder.sites[node_.cluster];
+                     ++rec.cache_hits;
+                     rec.stores[store_id].bytes_from_cache += full_bytes;
                      ctx_.trace(trace::EventKind::CacheHit, node_.name, chunk, wire_bytes);
                      if (ctx_.options.qos) ctx_.options.qos->note_cache_hit(ctx_.qos_tenant);
                      if (ctx_.options.replication) {
@@ -194,7 +196,7 @@ void SlaveNode::begin_fetch(storage::ChunkId chunk) {
       return;
     }
     // Miss: fetch from the store and admit the chunk on arrival.
-    ++ctx_.recorder.cache_misses[node_.cluster];
+    ++ctx_.recorder.sites[node_.cluster].cache_misses;
     ctx_.trace(trace::EventKind::CacheMiss, node_.name, chunk, store_id);
     if (ctx_.options.qos) ctx_.options.qos->note_cache_miss(ctx_.qos_tenant);
     fetch_from_store(chunk, info, store_id, cache, info.bytes);
@@ -277,7 +279,7 @@ void SlaveNode::on_fetch_failed(storage::ChunkId chunk) {
     delay *= rng.uniform(std::max(0.0, 1.0 - p.jitter_fraction),
                          1.0 + p.jitter_fraction);
   }
-  ++ctx_.recorder.fetch_retries[node_.cluster];
+  ++ctx_.recorder.sites[node_.cluster].fetch_retries;
   ctx_.trace(trace::EventKind::RetryBackoff, node_.name, chunk, p.max_attempts + 1);
   ctx_.sim().schedule(des::from_seconds(delay), [this, chunk] {
     if (alive_) begin_fetch(chunk);

@@ -28,7 +28,7 @@ class ObjectStore final : public StoreService {
     double per_connection_bandwidth = 0.0; ///< bytes/sec cap per stream (0 = uncapped)
     /// Transient-fault model; a default-constructed profile is disabled and
     /// the store draws no random numbers (fault-free runs stay byte-exact).
-    FaultProfile fault;
+    FaultProfile fault{};
   };
 
   ObjectStore(StoreId id, des::Simulator& sim, net::Network& net, net::EndpointId ep,

@@ -451,7 +451,6 @@ WorkloadResult WorkloadManager::run() {
 
 WorkloadResult WorkloadManager::aggregate() {
   WorkloadResult result;
-  const bool solo = jobs_.size() == 1;
 
   // --- per-job results and raw (billed-alone) usage ---------------------------
   std::vector<cost::CostInputs> job_inputs;
@@ -477,10 +476,7 @@ WorkloadResult WorkloadManager::aggregate() {
       ++result.rejected_jobs;
       continue;
     }
-    // Solo workloads keep run_distributed's historical store_requests source
-    // (the stores' own counters); concurrent jobs use their own per-job
-    // counts, since the store counters aggregate every tenant.
-    r.run = job.exec->collect(/*use_platform_store_stats=*/solo);
+    r.run = job.exec->collect();
     job_inputs.push_back(cost::derive_run_inputs(r.run, platform_, job.spec.layout,
                                                  job.effective));
     if (pool_) {
@@ -509,23 +505,17 @@ WorkloadResult WorkloadManager::aggregate() {
   // the workload's makespan, which then dominates every early end.
   std::map<net::EndpointId, double> rented_until;
   for (const JobResult& r : result.jobs) {
-    for (std::size_t i = 0; i < r.run.cloud_instance_nodes.size(); ++i) {
-      const double at =
-          r.start_seconds + (i < r.run.cloud_instance_starts.size()
-                                 ? r.run.cloud_instance_starts[i]
-                                 : 0.0);
-      const double end = i < r.run.cloud_instance_ends.size() &&
-                                 r.run.cloud_instance_ends[i] >= 0.0
-                             ? r.start_seconds + r.run.cloud_instance_ends[i]
-                             : result.makespan;
-      const net::EndpointId node = r.run.cloud_instance_nodes[i];
-      const auto it = rented_from.find(node);
+    for (const middleware::Rental& rental : r.run.rentals) {
+      const double at = r.start_seconds + rental.start;
+      const double end =
+          rental.end >= 0.0 ? r.start_seconds + rental.end : result.makespan;
+      const auto it = rented_from.find(rental.node);
       if (it == rented_from.end()) {
-        rented_from[node] = at;
-        rented_until[node] = end;
+        rented_from[rental.node] = at;
+        rented_until[rental.node] = end;
       } else {
         it->second = std::min(it->second, at);
-        rented_until[node] = std::max(rented_until[node], end);
+        rented_until[rental.node] = std::max(rented_until[rental.node], end);
       }
     }
   }
@@ -601,14 +591,7 @@ WorkloadResult WorkloadManager::aggregate() {
     }
     ++t.jobs;
     if (r.slo_met()) ++t.slo_met;
-    t.attributed_cost.instance_hours += r.attributed_cost.instance_hours;
-    t.attributed_cost.instance_usd += r.attributed_cost.instance_usd;
-    t.attributed_cost.get_requests += r.attributed_cost.get_requests;
-    t.attributed_cost.requests_usd += r.attributed_cost.requests_usd;
-    t.attributed_cost.transfer_out_gb += r.attributed_cost.transfer_out_gb;
-    t.attributed_cost.transfer_usd += r.attributed_cost.transfer_usd;
-    t.attributed_cost.storage_gb += r.attributed_cost.storage_gb;
-    t.attributed_cost.storage_usd += r.attributed_cost.storage_usd;
+    t.attributed_cost += r.attributed_cost;
   }
   for (auto& [name, report] : tenants) {
     if (arbiter_) {

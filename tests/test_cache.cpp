@@ -230,8 +230,8 @@ TEST(CacheIntegration, AttachedButEmptyFleetIsTimeIdentical) {
       });
 
   EXPECT_DOUBLE_EQ(with_fleet.total_time, baseline.total_time);
-  EXPECT_EQ(with_fleet.cache_hits(), 0u);
-  EXPECT_EQ(with_fleet.cache_misses(), with_fleet.total_jobs());
+  EXPECT_EQ(with_fleet.totals().cache_hits, 0u);
+  EXPECT_EQ(with_fleet.totals().cache_misses, with_fleet.total_jobs());
   EXPECT_EQ(with_fleet.s3_get_requests, baseline.s3_get_requests);
   ASSERT_EQ(with_fleet.clusters.size(), baseline.clusters.size());
   for (std::size_t c = 0; c < baseline.clusters.size(); ++c) {
@@ -257,7 +257,7 @@ TEST(CacheIntegration, PrefetchNeverFetchesAChunkTwice) {
   cluster::Platform platform(PlatformSpec::paper_testbed(0, 44));
   const auto result = run_distributed(platform, layout, options);
 
-  EXPECT_GT(result.prefetch_issued(), 0u);
+  EXPECT_GT(result.totals().prefetch_issued, 0u);
   // No chunk is ever prefetched twice...
   std::set<std::uint64_t> issued;
   for (const auto& e : tracer.events()) {
@@ -265,13 +265,13 @@ TEST(CacheIntegration, PrefetchNeverFetchesAChunkTwice) {
       EXPECT_TRUE(issued.insert(e.a).second) << "chunk " << e.a << " prefetched twice";
     }
   }
-  EXPECT_EQ(issued.size(), result.prefetch_issued());
+  EXPECT_EQ(issued.size(), result.totals().prefetch_issued);
   // ...and every physical store request is either a slave miss or a prefetch:
   // joins and hits never reach the store, so nothing is transferred twice.
   std::uint64_t store_requests = 0;
   for (const auto r : result.store_requests) store_requests += r;
-  EXPECT_EQ(store_requests, result.cache_misses() + result.prefetch_issued());
-  EXPECT_EQ(result.cache_hits() + result.cache_misses(),
+  EXPECT_EQ(store_requests, result.totals().cache_misses + result.totals().prefetch_issued);
+  EXPECT_EQ(result.totals().cache_hits + result.totals().cache_misses,
             static_cast<std::uint32_t>(layout.chunks().size()));
 }
 

@@ -276,8 +276,8 @@ TEST(RetryJitter, SeededJitterIsDeterministicAndDefaultsOff) {
     o.retry.jitter_fraction = jitter;
     o.tracer = &tracer;
     const RunResult result = middleware::run_distributed(platform, rig.layout, o);
-    EXPECT_GT(result.store_faults(), 0u);
-    EXPECT_GT(result.fetch_retries(), 0u);
+    EXPECT_GT(result.totals().store_faults, 0u);
+    EXPECT_GT(result.totals().fetch_retries, 0u);
   };
 
   trace::Tracer jittered_a, jittered_b, plain;

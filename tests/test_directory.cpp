@@ -436,7 +436,14 @@ TEST(DirectoryIntegration, AttachedButUnmutatedDirectoryIsByteIdentical) {
     EXPECT_DOUBLE_EQ(a.finish_seconds, b.finish_seconds);
     EXPECT_DOUBLE_EQ(a.run.total_time, b.run.total_time);
     EXPECT_EQ(a.run.store_requests, b.run.store_requests);
-    EXPECT_EQ(a.run.bytes_from_store, b.run.bytes_from_store);
+    ASSERT_EQ(a.run.clusters.size(), b.run.clusters.size());
+    for (std::size_t c = 0; c < b.run.clusters.size(); ++c) {
+      ASSERT_EQ(a.run.clusters[c].stores.size(), b.run.clusters[c].stores.size());
+      for (std::size_t s = 0; s < b.run.clusters[c].stores.size(); ++s) {
+        EXPECT_EQ(a.run.clusters[c].stores[s].bytes_fetched,
+                  b.run.clusters[c].stores[s].bytes_fetched);
+      }
+    }
     ASSERT_EQ(a.run.nodes.size(), b.run.nodes.size());
     for (std::size_t n = 0; n < b.run.nodes.size(); ++n) {
       EXPECT_DOUBLE_EQ(a.run.nodes[n].finish_time, b.run.nodes[n].finish_time);

@@ -56,7 +56,7 @@ TEST(Elastic, LooseDeadlineBootsNothing) {
   const auto result = rig.run(/*deadline=*/1e6);
   // One initial cloud instance must be enough for an infinite deadline.
   EXPECT_EQ(result.elastic_activations, 0u);
-  EXPECT_EQ(result.cloud_instance_starts.size(), 1u);
+  EXPECT_EQ(result.rentals.size(), 1u);
 }
 
 TEST(Elastic, TightDeadlineScalesOut) {
@@ -65,7 +65,7 @@ TEST(Elastic, TightDeadlineScalesOut) {
   const auto tight = rig.run(0.3 * loose.total_time);
   EXPECT_GT(tight.elastic_activations, 0u);
   EXPECT_LT(tight.total_time, loose.total_time);
-  EXPECT_EQ(tight.cloud_instance_starts.size(), 1u + tight.elastic_activations);
+  EXPECT_EQ(tight.rentals.size(), 1u + tight.elastic_activations);
 }
 
 TEST(Elastic, TighterDeadlineBootsMore) {
@@ -82,8 +82,8 @@ TEST(Elastic, ActivationsRespectBootDelay) {
   rig.options.elastic.boot_seconds = 25.0;
   const auto result = rig.run(1.0);  // impossible deadline: scale hard
   EXPECT_GT(result.elastic_activations, 0u);
-  for (std::size_t i = 1; i < result.cloud_instance_starts.size(); ++i) {
-    const double start = result.cloud_instance_starts[i];
+  for (std::size_t i = 1; i < result.rentals.size(); ++i) {
+    const double start = result.rentals[i].start;
     if (start > 0.0) {
       // Booted instances come up no earlier than interval + boot.
       EXPECT_GE(start, rig.options.elastic.check_interval_seconds +
@@ -101,13 +101,13 @@ TEST(Elastic, BillingStartsAtActivation) {
   // under an hour, so billed hours == instance count.
   cost::CostInputs inputs;
   inputs.run_seconds = tight.total_time;
-  inputs.cloud_instances = static_cast<std::uint32_t>(tight.cloud_instance_starts.size());
-  for (double s : tight.cloud_instance_starts) {
-    inputs.instance_seconds.push_back(tight.total_time - s);
+  inputs.cloud_instances = static_cast<std::uint32_t>(tight.rentals.size());
+  for (const Rental& rental : tight.rentals) {
+    inputs.instance_seconds.push_back(tight.total_time - rental.start);
   }
   const auto report = cost::price(inputs, cost::CloudPricing::aws_2011());
   EXPECT_DOUBLE_EQ(report.instance_hours,
-                   static_cast<double>(tight.cloud_instance_starts.size()));
+                   static_cast<double>(tight.rentals.size()));
 }
 
 TEST(Elastic, RealExecutionStaysCorrectUnderScaleOut) {

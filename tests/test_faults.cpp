@@ -362,8 +362,8 @@ TEST(PaperFidelity, DefaultFaultModelKeepsPaperRunsByteIdentical) {
         << apps::to_string(g.app);
     EXPECT_DOUBLE_EQ(result.side(kCloudSite).retrieval, g.side1_retrieval)
         << apps::to_string(g.app);
-    EXPECT_EQ(result.store_faults(), 0u);
-    EXPECT_EQ(result.fetch_retries(), 0u);
+    EXPECT_EQ(result.totals().store_faults, 0u);
+    EXPECT_EQ(result.totals().fetch_retries, 0u);
     EXPECT_EQ(result.bytes_retried_total(), 0u);
     // The node-lifecycle subsystem must stay inert by default: no drains, no
     // reclaims, no early billing ends, not a single event moved.
@@ -372,7 +372,7 @@ TEST(PaperFidelity, DefaultFaultModelKeepsPaperRunsByteIdentical) {
     EXPECT_EQ(result.lifecycle.nodes_reclaimed, 0u);
     EXPECT_EQ(result.lifecycle.nodes_crashed, 0u);
     EXPECT_EQ(result.lifecycle.replacements_leased, 0u);
-    EXPECT_TRUE(result.cloud_instance_ends.empty());
+    for (const auto& rental : result.rentals) EXPECT_LT(rental.end, 0.0);
     // Replication defaults off (RunOptions::replication == nullptr): no
     // copies created, lost, or repaired, and no replica storage billed.
     EXPECT_EQ(result.replica.replicas_created, 0u);
@@ -411,10 +411,10 @@ TEST(FaultAcceptance, FaultyKnnWithRetryCompletesExactlyOnce) {
   }
 
   // Nonzero fault/retry counters, consistent between RunResult and trace.
-  EXPECT_GT(result.store_faults(), 0u);
-  EXPECT_GT(result.fetch_retries(), 0u);
-  EXPECT_EQ(result.store_faults(), trace_faults);
-  EXPECT_EQ(result.fetch_retries(), trace_backoffs);
+  EXPECT_GT(result.totals().store_faults, 0u);
+  EXPECT_GT(result.totals().fetch_retries, 0u);
+  EXPECT_EQ(result.totals().store_faults, trace_faults);
+  EXPECT_EQ(result.totals().fetch_retries, trace_backoffs);
   EXPECT_GT(result.bytes_retried_total(), 0u);  // partial GETs billed
 }
 
@@ -617,7 +617,7 @@ struct CombinedRig {
 
 // No crash: with faults, a throttling window, a prefetching cache, and a
 // retry policy all active, every wire byte is accounted exactly once:
-//   sum(store bytes_served) == sum(bytes_from_store - bytes_from_cache)
+//   sum(store bytes_served) == sum(bytes_fetched - bytes_from_cache)
 //                              + sum(bytes_retried).
 TEST(CombinedAxes, FaultsThrottleCacheRetryConserveBytes) {
   CombinedRig rig;
@@ -640,21 +640,19 @@ TEST(CombinedAxes, FaultsThrottleCacheRetryConserveBytes) {
   const auto out = rig.run(spec, o);
   rig.expect_correct(out.result);
   EXPECT_EQ(out.result.total_jobs(), 48u);  // no crash: no re-execution
-  EXPECT_GT(out.result.cache_hits(), 0u);   // prefetcher actually engaged
+  EXPECT_GT(out.result.totals().cache_hits, 0u);   // prefetcher actually engaged
 
   // The fault machinery actually fired.
-  EXPECT_GT(out.result.store_faults(), 0u);
-  EXPECT_GT(out.result.fetch_retries(), 0u);
+  EXPECT_GT(out.result.totals().store_faults, 0u);
+  EXPECT_GT(out.result.totals().fetch_retries, 0u);
   EXPECT_GT(out.result.bytes_retried_total(), 0u);
 
   std::uint64_t served = 0;
   for (const auto& s : out.store_stats) served += s.bytes_served;
   std::uint64_t charged = 0, credited = 0;
-  for (const auto& per_store : out.result.bytes_from_store) {
-    for (std::uint64_t b : per_store) charged += b;
-  }
-  for (const auto& per_store : out.result.bytes_from_cache) {
-    for (std::uint64_t b : per_store) credited += b;
+  for (const auto& traffic : out.result.totals().stores) {
+    charged += traffic.bytes_fetched;
+    credited += traffic.bytes_from_cache;
   }
   EXPECT_EQ(served, charged - credited + out.result.bytes_retried_total());
 }

@@ -360,8 +360,8 @@ TEST(SpotReclaim, AdequateNoticeDrainsGracefully) {
   EXPECT_EQ(result.lifecycle.nodes_reclaimed, 0u);
   // The vacated cloud instance stopped billing before the run ended.
   bool ended_early = false;
-  for (double end : result.cloud_instance_ends) {
-    if (end >= 0.0 && end < result.total_time) ended_early = true;
+  for (const auto& rental : result.rentals) {
+    if (rental.end >= 0.0 && rental.end < result.total_time) ended_early = true;
   }
   EXPECT_TRUE(ended_early);
 }
@@ -395,10 +395,9 @@ TEST(SpotReclaim, ReclaimStopsBillingAtTheDeadline) {
   o.failure_detection_seconds = 0.2;
   const auto result = rig.run(o, 12);
   rig.expect_correct(result);
-  ASSERT_FALSE(result.cloud_instance_ends.empty());
   double reclaimed_end = -1.0;
-  for (double end : result.cloud_instance_ends) {
-    if (end >= 0.0) reclaimed_end = end;
+  for (const auto& rental : result.rentals) {
+    if (rental.end >= 0.0) reclaimed_end = rental.end;
   }
   // Billing ends at notice + deadline, not at the end of the run.
   EXPECT_NEAR(reclaimed_end, at + 0.001, 1e-9);
@@ -408,20 +407,15 @@ TEST(SpotReclaim, ReclaimStopsBillingAtTheDeadline) {
   // hours drop below what billing-to-the-end would charge.
   cost::CostInputs inputs;
   inputs.run_seconds = result.total_time;
-  inputs.cloud_instances =
-      static_cast<std::uint32_t>(result.cloud_instance_starts.size());
-  for (std::size_t i = 0; i < result.cloud_instance_starts.size(); ++i) {
-    double until = result.total_time;
-    if (i < result.cloud_instance_ends.size() &&
-        result.cloud_instance_ends[i] >= 0.0) {
-      until = result.cloud_instance_ends[i];
-    }
-    inputs.instance_seconds.push_back(until - result.cloud_instance_starts[i]);
+  inputs.cloud_instances = static_cast<std::uint32_t>(result.rentals.size());
+  for (const auto& rental : result.rentals) {
+    const double until = rental.end >= 0.0 ? rental.end : result.total_time;
+    inputs.instance_seconds.push_back(until - rental.start);
   }
   double billed = 0.0;
   for (double s : inputs.instance_seconds) billed += s;
   const double to_end =
-      result.total_time * static_cast<double>(result.cloud_instance_starts.size());
+      result.total_time * static_cast<double>(result.rentals.size());
   EXPECT_LT(billed, to_end);
 }
 
@@ -516,8 +510,8 @@ TEST(Migration, ReplacementLeasedForACrashedCloudNode) {
   EXPECT_EQ(result.lifecycle.replacements_leased, 1u);
   // The replacement bills from its boot, not from the start of the run.
   bool late_start = false;
-  for (double s : result.cloud_instance_starts) {
-    if (s > 0.0) late_start = true;
+  for (const auto& rental : result.rentals) {
+    if (rental.start > 0.0) late_start = true;
   }
   EXPECT_TRUE(late_start);
   bool migrated_event = false;
@@ -584,10 +578,10 @@ TEST(LifecycleInterplay, DrainAndCrashWithPrefetchingCacheStayExact) {
   EXPECT_EQ(result.lifecycle.nodes_crashed, 1u);
   // No prefetch waiter leaked: every issued prefetch either delivered or was
   // counted wasted when the run settled (finish() ran inside collect()).
-  EXPECT_GE(result.prefetch_issued(), result.prefetch_wasted());
+  EXPECT_GE(result.totals().prefetch_issued, result.totals().prefetch_wasted);
   // The drained/crashed nodes' prefetched chunks stay usable: cache-served
   // bytes appear even though their original requesters left the run.
-  EXPECT_GT(result.cache_hits() + result.cache_misses(), 0u);
+  EXPECT_GT(result.totals().cache_hits + result.totals().cache_misses, 0u);
 }
 
 // --- interplay: store fault model (satellite: reclaim vs retry/hedging) ------
@@ -623,12 +617,12 @@ TEST(LifecycleInterplay, ReclaimDuringThrottleWindowWithRetryStaysExact) {
 
   const auto result = run_distributed(platform, layout, o);
   rig.expect_correct(result);
-  EXPECT_GT(result.store_faults(), 0u);  // the profile actually engaged
+  EXPECT_GT(result.totals().store_faults, 0u);  // the profile actually engaged
   // Conservation under teardown: wins never exceed hedges issued, and every
   // retried byte belongs to a counted retry.
-  EXPECT_GE(result.hedges_issued(), result.hedges_won());
+  EXPECT_GE(result.totals().hedges_issued, result.totals().hedges_won);
   if (result.bytes_retried_total() > 0) {
-    EXPECT_GT(result.fetch_retries() + result.store_faults(), 0u);
+    EXPECT_GT(result.totals().fetch_retries + result.totals().store_faults, 0u);
   }
 }
 
@@ -644,7 +638,7 @@ TEST(LifecyclePin, DefaultOptionsMoveNothing) {
   const auto result = rig.run(o);
   EXPECT_DOUBLE_EQ(result.total_time, base.total_time);
   EXPECT_EQ(result.total_jobs(), base.total_jobs());
-  EXPECT_TRUE(result.cloud_instance_ends.empty());
+  for (const auto& rental : result.rentals) EXPECT_LT(rental.end, 0.0);
   EXPECT_EQ(result.lifecycle.drains_requested, 0u);
   EXPECT_EQ(result.lifecycle.checkpoint_flushes, 0u);
 }

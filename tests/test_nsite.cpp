@@ -129,13 +129,13 @@ TEST(NSiteRun, BytesFromStoreMatrixAccountsEveryByte) {
   const DataLayout layout = three_way_layout(platform, MiB(1536), 12, 3);
   const RunResult result = run_distributed(platform, layout, three_site_options());
 
-  ASSERT_EQ(result.bytes_from_store.size(), 3u);
+  ASSERT_EQ(result.clusters.size(), 3u);
   std::uint64_t matrix_total = 0;
   for (StoreId s = 0; s < 3; ++s) {
     std::uint64_t column = 0;
     for (std::size_t c = 0; c < 3; ++c) {
-      ASSERT_EQ(result.bytes_from_store[c].size(), 3u);
-      column += result.bytes_from_store[c][s];
+      ASSERT_EQ(result.clusters[c].stores.size(), 3u);
+      column += result.clusters[c].stores[s].bytes_fetched;
     }
     // Every store's bytes were fetched exactly once, by someone.
     EXPECT_EQ(column, layout.bytes_on(s)) << "store " << s;
@@ -148,9 +148,9 @@ TEST(NSiteRun, BytesFromStoreMatrixAccountsEveryByte) {
     const StoreId own = platform.store_of_cluster(static_cast<cluster::ClusterId>(c));
     std::uint64_t stolen = 0;
     for (StoreId s = 0; s < 3; ++s) {
-      if (s != own) stolen += result.bytes_from_store[c][s];
+      if (s != own) stolen += result.clusters[c].stores[s].bytes_fetched;
     }
-    EXPECT_EQ(result.clusters[c].bytes_local, result.bytes_from_store[c][own]);
+    EXPECT_EQ(result.clusters[c].bytes_local, result.clusters[c].stores[own].bytes_fetched);
     EXPECT_EQ(result.clusters[c].bytes_stolen, stolen);
   }
 }
@@ -219,7 +219,7 @@ TEST(NSiteRun, ComputeOnlySiteReadsItsAffinityStore) {
   // The burst site's "local" jobs are the ones served from its affinity store.
   const auto& burst_result = result.clusters[2];
   EXPECT_GT(burst_result.jobs_local + burst_result.jobs_stolen, 0u);
-  EXPECT_EQ(burst_result.bytes_local, result.bytes_from_store[2][1]);
+  EXPECT_EQ(burst_result.bytes_local, burst_result.stores[1].bytes_fetched);
 }
 
 TEST(NSiteRun, ThreeSiteFailureRecovers) {

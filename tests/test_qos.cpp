@@ -367,8 +367,8 @@ TEST(QosIntegration, UnsetQosKeepsPaperRunsByteIdentical) {
         options.qos = nullptr;
       });
   EXPECT_DOUBLE_EQ(tagged.total_time, baseline.total_time);
-  EXPECT_EQ(tagged.qos_throttled(), 0u);
-  EXPECT_DOUBLE_EQ(tagged.qos_wait_seconds(), 0.0);
+  EXPECT_EQ(tagged.totals().qos_throttled, 0u);
+  EXPECT_DOUBLE_EQ(tagged.totals().qos_wait_seconds, 0.0);
   EXPECT_EQ(tagged.s3_get_requests, baseline.s3_get_requests);
   ASSERT_EQ(tagged.clusters.size(), baseline.clusters.size());
   for (std::size_t c = 0; c < baseline.clusters.size(); ++c) {
@@ -397,8 +397,8 @@ TEST(QosIntegration, SoloRunArbitratesAndAccountsPerTenant) {
   EXPECT_GT(report.bytes, 0u);
   EXPECT_GT(report.achieved_bytes_per_sec, 0.0);
   // Recorder counters and the trace stream agree on throttle events.
-  EXPECT_EQ(result.qos_throttled(), tracer.count(trace::EventKind::QosThrottled));
-  EXPECT_GE(result.qos_wait_seconds(), 0.0);
+  EXPECT_EQ(result.totals().qos_throttled, tracer.count(trace::EventKind::QosThrottled));
+  EXPECT_GE(result.totals().qos_wait_seconds, 0.0);
 }
 
 // Two tenants through one workload with cache + faults + replication + QoS
@@ -476,7 +476,7 @@ TEST(QosIntegration, ComposesWithCacheFaultsAndReplicationInAWorkload) {
 
   // Trace and recorder counters agree across the whole workload.
   std::uint32_t throttled = 0;
-  for (const auto& job : result.jobs) throttled += job.run.qos_throttled();
+  for (const auto& job : result.jobs) throttled += job.run.totals().qos_throttled;
   EXPECT_EQ(throttled, tracer.count(trace::EventKind::QosThrottled));
 }
 

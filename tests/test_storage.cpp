@@ -231,7 +231,7 @@ TEST(LocalStore, BytesServedAccumulate) {
 TEST(ObjectStore, RequestLatencyAppliesOnce) {
   StoreRig rig(1e6);
   ObjectStore store(1, rig.sim, rig.net, rig.store_ep,
-                    ObjectStore::Params{from_seconds(0.25), 0});
+                    ObjectStore::Params{.request_latency = from_seconds(0.25)});
   double done = -1;
   store.fetch(rig.reader, make_chunk(0, 0, 0, 1'000'000), 1,
               [&](const FetchResult&) { done = des::to_seconds(rig.sim.now()); });
@@ -243,7 +243,7 @@ TEST(ObjectStore, MultipleStreamsBeatPerConnectionCap) {
   // 4 MB chunk, 1 MB/s per connection, 10 MB/s aggregate: one stream takes
   // 4s; four streams take 1s.
   StoreRig rig(10e6);
-  ObjectStore store(1, rig.sim, rig.net, rig.store_ep, ObjectStore::Params{0, 1e6});
+  ObjectStore store(1, rig.sim, rig.net, rig.store_ep, ObjectStore::Params{.per_connection_bandwidth = 1e6});
   double done1 = -1;
   store.fetch(rig.reader, make_chunk(0, 0, 0, 4'000'000), 1,
               [&](const FetchResult&) { done1 = des::to_seconds(rig.sim.now()); });
@@ -261,7 +261,7 @@ TEST(ObjectStore, MultipleStreamsBeatPerConnectionCap) {
 TEST(ObjectStore, StreamsShareAggregateCapacity) {
   // 8 streams of 1 MB/s against a 4 MB/s front: aggregate binds at 4 MB/s.
   StoreRig rig(4e6);
-  ObjectStore store(1, rig.sim, rig.net, rig.store_ep, ObjectStore::Params{0, 1e6});
+  ObjectStore store(1, rig.sim, rig.net, rig.store_ep, ObjectStore::Params{.per_connection_bandwidth = 1e6});
   double done = -1;
   store.fetch(rig.reader, make_chunk(0, 0, 0, 8'000'000), 8,
               [&](const FetchResult&) { done = des::to_seconds(rig.sim.now()); });
@@ -271,7 +271,7 @@ TEST(ObjectStore, StreamsShareAggregateCapacity) {
 
 TEST(ObjectStore, UnevenSplitStillCompletes) {
   StoreRig rig(1e9);
-  ObjectStore store(1, rig.sim, rig.net, rig.store_ep, ObjectStore::Params{0, 0});
+  ObjectStore store(1, rig.sim, rig.net, rig.store_ep, ObjectStore::Params{});
   double done = -1;
   // 10 bytes over 3 streams: 4+3+3.
   store.fetch(rig.reader, make_chunk(0, 0, 0, 10), 3,

@@ -230,14 +230,21 @@ TEST(WorkloadManager, SoloFifoJobMatchesRunDistributedExactly) {
   }
   EXPECT_EQ(run.store_requests, baseline.store_requests);
   EXPECT_EQ(run.s3_get_requests, baseline.s3_get_requests);
-  EXPECT_EQ(run.bytes_from_store, baseline.bytes_from_store);
+  ASSERT_EQ(run.clusters.size(), baseline.clusters.size());
+  for (std::size_t c = 0; c < baseline.clusters.size(); ++c) {
+    ASSERT_EQ(run.clusters[c].stores.size(), baseline.clusters[c].stores.size());
+    for (std::size_t s = 0; s < baseline.clusters[c].stores.size(); ++s) {
+      EXPECT_EQ(run.clusters[c].stores[s].bytes_fetched,
+                baseline.clusters[c].stores[s].bytes_fetched);
+    }
+  }
   EXPECT_DOUBLE_EQ(workload.makespan, baseline.total_time);
   EXPECT_EQ(workload.preemptions, 0u);
   // Lifecycle subsystem off: no drains, no early rental ends on either path.
   EXPECT_EQ(run.lifecycle.drains_requested, 0u);
   EXPECT_EQ(run.lifecycle.nodes_crashed, 0u);
-  EXPECT_TRUE(run.cloud_instance_ends.empty());
-  EXPECT_TRUE(baseline.cloud_instance_ends.empty());
+  for (const auto& rental : run.rentals) EXPECT_LT(rental.end, 0.0);
+  for (const auto& rental : baseline.rentals) EXPECT_LT(rental.end, 0.0);
 }
 
 // --- admission policies ------------------------------------------------------
@@ -481,7 +488,7 @@ TEST(WorkloadManager, ConcurrentElasticJobsBillSharedNodesOnce) {
   for (const auto& job : result.jobs) {
     EXPECT_GT(job.run.elastic_activations, 0u);
     per_job += job.run.elastic_activations;
-    instances += job.run.cloud_instance_nodes.size();
+    instances += job.run.rentals.size();
     raw_hours += job.raw_cost.instance_hours;
   }
   EXPECT_EQ(result.elastic_activations, per_job);
