@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 
 #include "apps/datagen.hpp"
 #include "apps/knn.hpp"
 #include "apps/pagerank.hpp"
 #include "apps/experiments.hpp"
 #include "apps/wordcount.hpp"
+#include "chaos/chaos_plan.hpp"
 #include "common/units.hpp"
+#include "directory/platform_directory.hpp"
 #include "engine/gr_engine.hpp"
 #include "middleware/job_execution.hpp"
 #include "middleware/runtime.hpp"
@@ -298,6 +301,80 @@ TEST(Runtime, ValidateRunRejectsStaticAssignmentWithElastic) {
   rig.options.elastic.enabled = true;
   rig.options.elastic.deadline_seconds = 1.0;
   EXPECT_THROW(rig.validate(), std::invalid_argument);
+}
+
+TEST(Runtime, ValidateRunTreeAndStaticModesExcludeWorkTrackingFeatures) {
+  // Each feature below needs the master to track per-slave work: it is
+  // accepted in direct mode, rejected under the reduction tree, and rejected
+  // under static assignment — except checkpointing, which composes with a
+  // static plan.
+  Rig rig;
+  Platform platform(rig.spec);
+  const storage::DataLayout layout = rig.layout(platform);
+  directory::PlatformDirectory dir(platform);
+  chaos::ChaosPlan link_fault;
+  chaos::ChaosEvent fault;
+  fault.kind = chaos::ChaosEvent::Kind::LinkFault;
+  fault.site_a = kLocalSite;
+  fault.site_b = kCloudSite;
+  fault.at_seconds = 1.0;
+  fault.duration_seconds = 1.0;
+  fault.factor = 0.5;
+  link_fault.events.push_back(fault);
+
+  struct Feature {
+    const char* name;
+    std::function<void(RunOptions&)> enable;
+    bool composes_with_static;
+  };
+  const Feature features[] = {
+      {"checkpoint", [](RunOptions& o) { o.checkpoint_interval_seconds = 1.0; }, true},
+      {"elastic",
+       [](RunOptions& o) {
+         o.elastic.enabled = true;
+         o.elastic.deadline_seconds = 1.0;
+       },
+       false},
+      {"pool",
+       [&dir](RunOptions& o) {
+         o.directory = &dir;
+         o.pool_plan.enabled = true;
+       },
+       false},
+      {"node event",
+       [](RunOptions& o) {
+         o.lifecycle.push_back({RunOptions::LifecycleEvent::Kind::Crash, kCloudSite, 0, 1.0});
+       },
+       false},
+      {"spot", [](RunOptions& o) { o.spot.reclaim_rate_per_hour = 1.0; }, false},
+      {"migration", [](RunOptions& o) { o.migration.standby_nodes = 1; }, false},
+      {"chaos", [&link_fault](RunOptions& o) { o.chaos = &link_fault; }, false},
+  };
+  for (const Feature& f : features) {
+    RunOptions direct = rig.options;
+    direct.reduction_tree = false;
+    f.enable(direct);
+    EXPECT_NO_THROW(validate_run(platform, layout, direct)) << f.name;
+
+    RunOptions tree = direct;
+    tree.reduction_tree = true;
+    EXPECT_THROW(validate_run(platform, layout, tree), std::invalid_argument) << f.name;
+
+    RunOptions fixed = direct;
+    fixed.static_assignment = true;
+    if (f.composes_with_static) {
+      EXPECT_NO_THROW(validate_run(platform, layout, fixed)) << f.name;
+    } else {
+      EXPECT_THROW(validate_run(platform, layout, fixed), std::invalid_argument) << f.name;
+    }
+  }
+
+  // An empty chaos plan injects nothing, so the tree may keep it.
+  const chaos::ChaosPlan empty;
+  RunOptions tree = rig.options;
+  tree.reduction_tree = true;
+  tree.chaos = &empty;
+  EXPECT_NO_THROW(validate_run(platform, layout, tree));
 }
 
 TEST(Runtime, StaticAssignmentRealExecutionCorrect) {

@@ -1,6 +1,10 @@
 // Run-record pin: one composed three-site run, one elastic run and one
 // two-job workload, with every counter the recorder keeps folded into a
-// 64-bit FNV-1a digest. The digests are fixed, so any change to what a run
+// 64-bit FNV-1a digest. Two more pins cover the ways a run adds capacity: a
+// migration run (standbys leased after spot reclaims and a crash) and a
+// pooled workload (cold leases that boot, an idle reap, a cross-job drain);
+// they hash what those paths decide — rentals, activations, node-loss
+// counters, per-node work, the makespan and the trace without actor names. The digests are fixed, so any change to what a run
 // records — a counter moved, dropped, double-counted or re-ordered — fails
 // here. Each counter group is also checked non-zero, so the pin is never
 // vacuous. The composed run drives every counter source at once: site caches
@@ -18,10 +22,12 @@
 #include "cache/chunk_cache.hpp"
 #include "common/units.hpp"
 #include "cost/cost_model.hpp"
+#include "directory/platform_directory.hpp"
 #include "middleware/runtime.hpp"
 #include "qos/store_qos.hpp"
 #include "replica/replica_set.hpp"
 #include "storage/data_layout.hpp"
+#include "trace/trace.hpp"
 #include "workload/workload_manager.hpp"
 
 namespace cloudburst {
@@ -132,6 +138,39 @@ void hash_run(Fnv& h, Seen& seen, const RunResult& r) {
   }
   h.add(std::uint64_t{r.elastic_activations});
   seen.activations += r.elastic_activations;
+}
+
+/// What the capacity paths decide for one run: the makespan, every rental,
+/// the activation and node-loss counters, and each node's chunk count.
+void hash_capacity(Fnv& h, const RunResult& r) {
+  h.add(r.total_time);
+  for (const middleware::Rental& rental : r.rentals) {
+    h.add(std::uint64_t{rental.node});
+    h.add(rental.start);
+    h.add(rental.end);
+  }
+  h.add(std::uint64_t{r.elastic_activations});
+  const middleware::LifecycleStats& l = r.lifecycle;
+  for (const std::uint64_t v :
+       {std::uint64_t{l.drains_requested}, std::uint64_t{l.nodes_vacated},
+        std::uint64_t{l.nodes_reclaimed}, std::uint64_t{l.nodes_crashed},
+        std::uint64_t{l.replacements_leased}, std::uint64_t{l.chunks_returned},
+        std::uint64_t{l.chunks_reexecuted}, l.bytes_reexecuted,
+        std::uint64_t{l.checkpoint_flushes}, l.checkpoint_bytes}) {
+    h.add(v);
+  }
+  for (const middleware::NodeTimes& node : r.nodes) h.add(std::uint64_t{node.jobs});
+}
+
+/// Every traced event as (t, kind, a, b). Actor names are left out: they are
+/// labels, not decisions.
+void hash_trace(Fnv& h, const trace::Tracer& tracer) {
+  for (const trace::Event& e : tracer.events()) {
+    h.add(e.t);
+    h.add(static_cast<std::uint64_t>(e.kind));
+    h.add(e.a);
+    h.add(e.b);
+  }
 }
 
 void hash_cost(Fnv& h, Seen& seen, const cost::CostReport& c) {
@@ -424,6 +463,88 @@ TEST(RunRecordPin, TwoJobWorkload) {
   hash_cost(h, seen, result.platform_cost);
   expect_counters_nonzero(seen);
   EXPECT_EQ(h.hex(), "bb3b01707a7b2d35");
+}
+
+TEST(RunRecordPin, MigrationRun) {
+  // Two standby cloud slaves, spot reclaims drawn at a high rate, and a
+  // scripted crash: lost nodes lease standbys that bill from their boot.
+  Platform platform(PlatformSpec::paper_testbed(8, 12));
+  storage::DataLayout layout = spread_layout(platform, 2, MiB(768));
+  trace::Tracer tracer;
+  RunOptions o = faulty_options();
+  o.tracer = &tracer;
+  o.failure_detection_seconds = 0.5;
+  o.migration.standby_nodes = 2;
+  o.migration.boot_seconds = 2.0;
+  o.spot.reclaim_rate_per_hour = 200.0;
+  o.spot.notice_seconds = 1.0;
+  o.spot.seed = 7;
+  o.lifecycle.push_back({Kind::Crash, cluster::kCloudSite, 0, 4.0});
+  const RunResult result = middleware::run_distributed(platform, layout, o);
+  EXPECT_GE(result.total_jobs(), 48u);
+  EXPECT_EQ(result.lifecycle.nodes_crashed, 1u);
+  EXPECT_GT(result.lifecycle.nodes_reclaimed + result.lifecycle.nodes_vacated, 0u);
+  EXPECT_GT(result.lifecycle.replacements_leased, 0u);
+  EXPECT_GT(tracer.count(trace::EventKind::JobMigrated), 0u);
+
+  Fnv h;
+  hash_capacity(h, result);
+  hash_trace(h, tracer);
+  EXPECT_EQ(h.hex(), "4b5a49f153baee82");
+}
+
+TEST(RunRecordPin, PooledWorkload) {
+  // A shared node pool: the first wave cold-boots its leases, a cross-job
+  // drain retires a node both jobs compute on, the idle pool reaps, and a
+  // late job cold-boots again.
+  Platform platform(PlatformSpec::paper_testbed(4, 8));
+  directory::PlatformDirectory dir(platform);
+  dir.bootstrap();
+  trace::Tracer tracer;
+  workload::WorkloadOptions wopts;
+  wopts.policy = workload::SchedulingPolicy::FairShare;
+  wopts.tracer = &tracer;
+  wopts.directory = &dir;
+  wopts.pool.enabled = true;
+  wopts.pool.boot_seconds = 5.0;
+  wopts.pool.idle_reap_seconds = 10.0;
+  workload::WorkloadManager manager(platform, wopts);
+  const storage::DataLayout layout = spread_layout(platform, 2, MiB(96));
+  const double arrivals[] = {0.0, 0.0, 150.0};
+  for (int i = 0; i < 3; ++i) {
+    workload::JobSpec spec;
+    spec.name = "p" + std::to_string(i);
+    spec.tenant = i % 2 == 0 ? "batch" : "interactive";
+    spec.layout = layout;
+    spec.options = faulty_options();
+    spec.options.profile.bytes_per_second_per_core = KiB(512);
+    manager.submit(std::move(spec), arrivals[i]);
+  }
+  platform.sim().schedule(des::from_seconds(15.0), [&dir] {
+    dir.begin_node_retirement(cluster::kCloudSite, 0);
+  });
+  const auto result = manager.run();
+  ASSERT_EQ(result.jobs.size(), 3u);
+  EXPECT_GT(result.pool.cold_boots, 0u);
+  EXPECT_GT(result.pool.reaps, 0u);
+  EXPECT_GT(result.pool.boot_wait_seconds, 0.0);
+  EXPECT_GT(tracer.count(trace::EventKind::InstanceActivated), 0u);
+
+  Fnv h;
+  std::uint32_t vacated = 0;
+  for (const auto& job : result.jobs) {
+    EXPECT_EQ(job.run.total_jobs(), 48u) << job.name;
+    hash_capacity(h, job.run);
+    vacated += job.run.lifecycle.nodes_vacated;
+  }
+  EXPECT_GT(vacated, 0u);
+  h.add(result.makespan);
+  h.add(std::uint64_t{result.pool.cold_boots});
+  h.add(std::uint64_t{result.pool.warm_leases});
+  h.add(std::uint64_t{result.pool.reaps});
+  h.add(result.pool.boot_wait_seconds);
+  hash_trace(h, tracer);
+  EXPECT_EQ(h.hex(), "487f72377753b9e4");
 }
 
 }  // namespace
