@@ -68,15 +68,29 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
         "run_distributed: CheapestReplica remote selection requires "
         "RunOptions::replication");
   }
-  if (options.checkpoint_interval_seconds > 0.0 && options.reduction_tree) {
+
+  // --- features that need the master to track per-slave work ----------------
+  // Scripted node events (lifecycle entries and chaos plan node events
+  // alike), stochastic spot reclamation and migration all lose nodes.
+  const std::vector<NodeEvent> events = node_events(options);
+  const bool loses_nodes = !events.empty() || options.spot.reclaim_rate_per_hour > 0.0 ||
+                           options.migration.standby_nodes > 0;
+  const bool chaos = options.chaos && !options.chaos->events.empty();
+  const bool adds_capacity = options.elastic.enabled || options.pool_plan.enabled;
+  if (options.reduction_tree &&
+      (options.checkpoint_interval_seconds > 0.0 || adds_capacity || loses_nodes || chaos)) {
     throw std::invalid_argument(
-        "run_distributed: periodic checkpointing requires reduction_tree = false");
+        "run_distributed: checkpointing, elastic bursting, pool leases, node events "
+        "and chaos plans require reduction_tree = false (the master must track "
+        "per-slave work)");
   }
+  if (options.static_assignment && (adds_capacity || loses_nodes || chaos)) {
+    throw std::invalid_argument(
+        "run_distributed: static assignment excludes elastic bursting, pool leases, "
+        "node events and chaos plans");
+  }
+
   if (options.elastic.enabled) {
-    if (options.reduction_tree) {
-      throw std::invalid_argument(
-          "run_distributed: elastic bursting requires reduction_tree = false");
-    }
     const auto cloud_nodes = platform.cloud_node_count();
     if (cloud_nodes > 0 && options.elastic.initial_cloud_nodes == 0) {
       throw std::invalid_argument(
@@ -85,10 +99,6 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
     if (options.elastic.check_interval_seconds <= 0.0) {
       throw std::invalid_argument("run_distributed: elastic check interval must be > 0");
     }
-  }
-  if (options.elastic.enabled && options.static_assignment) {
-    throw std::invalid_argument(
-        "run_distributed: static assignment excludes elastic bursting");
   }
 
   // --- dynamic control plane (directory / elastic node pool) -----------------
@@ -104,11 +114,6 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
     }
   }
   if (options.pool_plan.enabled) {
-    if (options.reduction_tree) {
-      throw std::invalid_argument(
-          "run_distributed: pool leases require reduction_tree = false "
-          "(the master must track per-slave work for cross-job drain)");
-    }
     if (!options.directory) {
       throw std::invalid_argument(
           "run_distributed: pool leases require RunOptions::directory");
@@ -118,10 +123,6 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
       throw std::invalid_argument(
           "run_distributed: the elastic node pool owns cloud-node lifetime — "
           "per-job elastic/migration/spot machinery is excluded");
-    }
-    if (options.static_assignment) {
-      throw std::invalid_argument(
-          "run_distributed: static assignment excludes pool leases");
     }
   }
 
@@ -134,24 +135,11 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
     options.qos->validate_against(platform);
   }
 
-  // --- node loss: scripted node events (lifecycle entries and chaos plan
-  // node events alike), stochastic spot reclamation, migration -------------
-  const std::vector<NodeEvent> events = node_events(options);
-  const bool loses_nodes = !events.empty() || options.spot.reclaim_rate_per_hour > 0.0 ||
-                           options.migration.standby_nodes > 0;
-  if (loses_nodes && options.reduction_tree) {
-    throw std::invalid_argument(
-        "run_distributed: node events require reduction_tree = false "
-        "(the master must track per-slave work)");
-  }
+  // --- node loss -------------------------------------------------------------
   if (loses_nodes && options.elastic.enabled) {
     throw std::invalid_argument(
         "run_distributed: node events are mutually exclusive with elastic "
-        "bursting (one controller owns the dormant pool)");
-  }
-  if (loses_nodes && options.static_assignment) {
-    throw std::invalid_argument(
-        "run_distributed: static assignment excludes node events");
+        "bursting (one policy decides when held cloud slaves activate)");
   }
   if (options.spot.reclaim_rate_per_hour < 0.0) {
     throw std::invalid_argument("run_distributed: spot reclaim rate must be >= 0");
@@ -193,16 +181,7 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
   }
 
   // --- scripted chaos --------------------------------------------------------
-  if (options.chaos && !options.chaos->events.empty()) {
-    if (options.reduction_tree) {
-      throw std::invalid_argument(
-          "run_distributed: a chaos plan requires reduction_tree = false "
-          "(the master must track per-slave work to survive faults)");
-    }
-    if (options.static_assignment) {
-      throw std::invalid_argument(
-          "run_distributed: static assignment excludes chaos plans");
-    }
+  if (chaos) {
     using ChaosKind = chaos::ChaosEvent::Kind;
     for (const auto& ev : options.chaos->events) {
       if (ev.at_seconds < 0.0) {
@@ -272,6 +251,7 @@ JobExecution::JobExecution(cluster::Platform& platform, const storage::DataLayou
   setup_migration();
   schedule_lifecycle();
   setup_pool();
+  rent_initial_cloud();
   setup_directory();
   setup_chaos();
 }
@@ -343,7 +323,11 @@ bool JobExecution::drain_node(net::EndpointId ep) {
   if (ctx_.recorder.finished) return false;
   SlaveNode* victim = slave_by_endpoint(ep);
   if (!victim || !victim->alive() || victim->draining()) return false;
-  if (dormant_standby_.count(ep)) return false;
+  if (held_.count(ep)) {
+    // Never started or rented: retiring it only takes it out of the reserve.
+    std::erase(reserve_, victim);
+    return false;
+  }
   ctx_.trace(trace::EventKind::NodeDrainRequested, victim->name(), 0, 0);
   victim->begin_drain();
   return true;
@@ -352,28 +336,54 @@ bool JobExecution::drain_node(net::EndpointId ep) {
 void JobExecution::setup_pool() {
   const RunOptions::PoolPlan& plan = ctx_.options.pool_plan;
   if (!plan.enabled) return;
-  // Instance time bills at the pool's lease windows, shared across every
-  // job holding the node — drop the per-job rental entries setup_elastic's
-  // non-elastic branch recorded.
-  ctx_.recorder.rentals.clear();
+  // A lease still booting is held and activated at once: it counts as
+  // capacity that will pull, and starts when warm.
   for (const auto& lease : plan.leases) {
     if (lease.ready_in_seconds <= 0.0) continue;  // warm: starts with the job
     SlaveNode* booting = slave_by_endpoint(lease.node);
     if (!booting) continue;  // lease on a site this job has no master for
-    MasterNode* master = master_of(booting->site());
-    if (!master) continue;
-    // Booting: no push target yet, but counted as capacity that will pull.
-    master->mark_leased(lease.node);
-    initial_active_.erase(
-        std::remove(initial_active_.begin(), initial_active_.end(), booting),
-        initial_active_.end());
-    platform_.sim().schedule(
-        des::from_seconds(lease.ready_in_seconds), [this, booting, master] {
-          master->mark_booted(booting->endpoint());
-          if (ctx_.recorder.finished || !booting->alive()) return;
-          ctx_.trace(trace::EventKind::InstanceActivated, booting->name());
-          booting->start();
-        });
+    hold(booting);
+    activate(booting, lease.ready_in_seconds, trace::EventKind::InstanceActivated);
+  }
+}
+
+void JobExecution::hold(SlaveNode* slave) {
+  held_.insert(slave->endpoint());
+  reserve_.push_back(slave);
+  std::erase(initial_active_, slave);
+  master_of(slave->site())->mark_dormant(slave->endpoint());
+  ctx_.on_node_lost = [this](cluster::ClusterId site) { return lease_replacement(site); };
+}
+
+void JobExecution::activate(SlaveNode* slave, double boot_seconds,
+                            trace::EventKind kind) {
+  std::erase(reserve_, slave);
+  held_.erase(slave->endpoint());
+  MasterNode* master = master_of(slave->site());
+  // Booting: no push target yet, but counted as capacity that will pull.
+  master->mark_leased(slave->endpoint());
+  if (!ctx_.options.pool_plan.enabled) {
+    // Bills from the moment it comes up; a pooled job's instance time bills
+    // at the pool's lease windows instead.
+    ctx_.recorder.rentals.push_back(
+        {slave->endpoint(), ctx_.now_seconds() - ctx_.job_start_seconds + boot_seconds});
+  }
+  platform_.sim().schedule(des::from_seconds(boot_seconds), [this, slave, master, kind] {
+    master->mark_booted(slave->endpoint());
+    if (ctx_.recorder.finished || !slave->alive()) return;
+    // A migration names the lost node's site; the replacement shares it.
+    ctx_.trace(kind, slave->name(),
+               kind == trace::EventKind::JobMigrated ? slave->site() : 0, 0);
+    slave->start();
+  });
+}
+
+void JobExecution::rent_initial_cloud() {
+  if (ctx_.options.pool_plan.enabled) return;  // the pool's lease windows bill
+  for (SlaveNode* slave : initial_active_) {
+    if (platform_.is_cloud(slave->site())) {
+      ctx_.recorder.rentals.push_back({slave->endpoint(), 0.0});
+    }
   }
 }
 
@@ -629,6 +639,10 @@ void JobExecution::build_actors(const MailboxRegistrar& register_mailbox) {
       s->handle(from, std::move(msg));
     });
   }
+  // Filled in one pass after the mailboxes: growing it between their
+  // allocations fragmented the heap and raised perfbench fleet_burst's
+  // peak RSS.
+  for (auto& slave : slaves_) initial_active_.push_back(slave.get());
 }
 
 void JobExecution::apply_static_assignment() {
@@ -662,9 +676,9 @@ void JobExecution::schedule_lifecycle() {
   for (const auto& ev : options.lifecycle) schedule_node_event(ev);
 
   if (options.spot.reclaim_rate_per_hour > 0.0) {
-    // One exponential reclaim draw per rented cloud node, each from its own
-    // deterministic substream (never-leased standbys are not rented yet;
-    // they redraw at lease time).
+    // One exponential reclaim draw per cloud node, each from its own
+    // deterministic substream; a held node's draw is discarded (it is not
+    // rented yet, and draws afresh if a lost node's replacement activates it).
     const std::uint64_t seed =
         options.spot.seed ? options.spot.seed : options.random_seed;
     const double rate_per_second = options.spot.reclaim_rate_per_hour / 3600.0;
@@ -673,7 +687,7 @@ void JobExecution::schedule_lifecycle() {
       for (const auto& node : site_nodes_[site]) {
         Rng rng = Rng::substream(seed, spot_streams_used_++);
         const double at = rng.exponential(rate_per_second);
-        if (dormant_standby_.count(node.endpoint)) continue;
+        if (held_.count(node.endpoint)) continue;
         if (at > kSpotHorizonSeconds) continue;
         schedule_drain(slave_by_endpoint(node.endpoint), master_of(site), at,
                        std::max(0.0, options.spot.notice_seconds));
@@ -694,11 +708,11 @@ void JobExecution::schedule_node_event(const RunOptions::LifecycleEvent& ev) {
     case Kind::Crash:
       // The node goes silent; its master notices one heartbeat timeout later
       // and re-executes the un-checkpointed work. A node that already
-      // vacated (or a never-leased standby) cannot crash.
+      // vacated (or is still held) cannot crash.
       platform_.sim().schedule(des::from_seconds(ev.at_seconds), [this, victim] {
         if (ctx_.recorder.finished || !victim->alive()) return;
-        if (dormant_standby_.count(victim->endpoint())) return;
-        ctx_.trace(trace::EventKind::SlaveFailed, "node", 0, 0);
+        if (held_.count(victim->endpoint())) return;
+        ctx_.trace(trace::EventKind::SlaveFailed, victim->name(), 0, 0);
         ++ctx_.recorder.lifecycle.nodes_crashed;
         victim->kill();
       });
@@ -706,7 +720,7 @@ void JobExecution::schedule_node_event(const RunOptions::LifecycleEvent& ev) {
           des::from_seconds(ev.at_seconds + ctx_.options.failure_detection_seconds),
           [this, master, victim_ep] {
             if (ctx_.recorder.finished) return;
-            if (dormant_standby_.count(victim_ep)) return;
+            if (held_.count(victim_ep)) return;
             master->on_slave_failed(victim_ep);
           });
       break;
@@ -725,7 +739,7 @@ void JobExecution::schedule_drain(SlaveNode* victim, MasterNode* master,
   platform_.sim().schedule(
       des::from_seconds(at_seconds), [this, victim, notice_seconds, hard] {
         if (ctx_.recorder.finished || !victim->alive() || victim->draining()) return;
-        if (dormant_standby_.count(victim->endpoint())) return;
+        if (held_.count(victim->endpoint())) return;
         ctx_.trace(trace::EventKind::NodeDrainRequested, victim->name(),
                    hard ? static_cast<std::uint64_t>(notice_seconds) : 0,
                    hard ? 1 : 0);
@@ -734,11 +748,11 @@ void JobExecution::schedule_drain(SlaveNode* victim, MasterNode* master,
   if (!hard) return;
   platform_.sim().schedule(
       des::from_seconds(at_seconds + notice_seconds), [this, victim, master] {
-        // Already vacated (or never drained because it was dead/dormant at
+        // Already vacated (or never drained because it was dead/held at
         // notice time): nothing to reclaim.
         if (ctx_.recorder.finished || !victim->alive()) return;
         const net::EndpointId victim_ep = victim->endpoint();
-        if (dormant_standby_.count(victim_ep)) return;
+        if (held_.count(victim_ep)) return;
         ctx_.trace(trace::EventKind::NodeReclaimed, victim->name(), 0, 0);
         ++ctx_.recorder.lifecycle.nodes_reclaimed;
         // Spot billing stops the instant the provider takes the node back.
@@ -963,79 +977,41 @@ void JobExecution::recover_site(cluster::ClusterId site) {
 }
 
 void JobExecution::setup_migration() {
-  const RunOptions& options = ctx_.options;
-  if (options.migration.standby_nodes == 0) return;
-  // Hold back the *last* standby_nodes cloud slaves in build order: they were
-  // just billed by setup_elastic's non-elastic branch, so un-bill them and
-  // keep them dormant (and lifecycle-immune) until leased.
-  std::vector<Standby> cloud;
-  for (cluster::ClusterId site = 0; site < platform_.cluster_count(); ++site) {
-    if (!platform_.is_cloud(site)) continue;
-    for (const auto& node : site_nodes_[site]) {
-      cloud.push_back(Standby{slave_by_endpoint(node.endpoint), site, node.name});
-    }
+  const std::uint32_t standbys = ctx_.options.migration.standby_nodes;
+  if (standbys == 0) return;
+  // Hold back the *last* `standbys` cloud slaves in build order; a lost node
+  // activates one (lease_replacement).
+  std::vector<SlaveNode*> cloud;
+  for (auto& slave : slaves_) {
+    if (platform_.is_cloud(slave->site())) cloud.push_back(slave.get());
   }
-  for (std::size_t i = cloud.size() - options.migration.standby_nodes;
-       i < cloud.size(); ++i) {
-    standby_.push_back(cloud[i]);
-    dormant_standby_.insert(cloud[i].slave->endpoint());
-    master_of(cloud[i].site)->mark_dormant(cloud[i].slave->endpoint());
-  }
-  initial_active_.erase(
-      std::remove_if(initial_active_.begin(), initial_active_.end(),
-                     [this](SlaveNode* s) {
-                       return dormant_standby_.count(s->endpoint()) > 0;
-                     }),
-      initial_active_.end());
-  std::erase_if(ctx_.recorder.rentals, [this](const Rental& r) {
-    return dormant_standby_.count(r.node) > 0;
-  });
-  ctx_.on_node_lost = [this](cluster::ClusterId site) {
-    return lease_replacement(site);
-  };
+  for (std::size_t i = cloud.size() - standbys; i < cloud.size(); ++i) hold(cloud[i]);
 }
 
 bool JobExecution::lease_replacement(cluster::ClusterId site) {
   // Same-site only: a replacement pulls the lost node's re-pooled chunks from
-  // its own master, so a standby in another cluster cannot take over the
-  // work. Lease order is fixed (tail of cloud build order) for determinism.
-  std::size_t pick = standby_.size();
-  for (std::size_t i = next_standby_; i < standby_.size(); ++i) {
-    if (standby_[i].site != site) continue;
-    if (!dormant_standby_.count(standby_[i].slave->endpoint())) continue;
-    if (!standby_[i].slave->alive()) continue;
-    pick = i;
-    break;
-  }
-  if (pick == standby_.size()) return false;
-  const Standby chosen = standby_[pick];
-  if (pick == next_standby_) ++next_standby_;
-  dormant_standby_.erase(chosen.slave->endpoint());
-  master_of(site)->mark_leased(chosen.slave->endpoint());
-
-  const double now_rel = ctx_.now_seconds() - ctx_.job_start_seconds;
-  const double boot = ctx_.options.migration.boot_seconds;
-  // The replacement bills from the moment it comes up, like an elastic boot.
-  ctx_.recorder.rentals.push_back({chosen.slave->endpoint(), now_rel + boot});
-  ++ctx_.recorder.lifecycle.replacements_leased;
-  SlaveNode* booting = chosen.slave;
-  const std::string name = chosen.name;
-  platform_.sim().schedule(des::from_seconds(boot), [this, booting, name, site] {
-    master_of(site)->mark_booted(booting->endpoint());
-    if (ctx_.recorder.finished || !booting->alive()) return;
-    ctx_.trace(trace::EventKind::JobMigrated, name, site, 0);
-    booting->start();
+  // its own master, so a held slave in another cluster cannot take over the
+  // work. The reserve's order fixes which one, for determinism.
+  const auto it = std::find_if(reserve_.begin(), reserve_.end(), [site](SlaveNode* s) {
+    return s->site() == site && s->alive();
   });
+  if (it == reserve_.end()) return false;
+  SlaveNode* replacement = *it;
+  const RunOptions& options = ctx_.options;
+  activate(replacement,
+           options.elastic.enabled ? options.elastic.boot_seconds
+                                   : options.migration.boot_seconds,
+           trace::EventKind::JobMigrated);
+  ++ctx_.recorder.lifecycle.replacements_leased;
   // A leased replacement is itself a spot instance: give it its own reclaim
   // draw, measured from the lease.
-  const RunOptions& options = ctx_.options;
   if (options.spot.reclaim_rate_per_hour > 0.0) {
     const std::uint64_t seed =
         options.spot.seed ? options.spot.seed : options.random_seed;
     Rng rng = Rng::substream(seed, spot_streams_used_++);
     const double at = rng.exponential(options.spot.reclaim_rate_per_hour / 3600.0);
     if (at <= kSpotHorizonSeconds) {
-      schedule_drain(chosen.slave, master_of(site), at,
+      schedule_drain(replacement, master_of(site), at,
                      std::max(0.0, options.spot.notice_seconds));
     }
   }
@@ -1043,45 +1019,21 @@ bool JobExecution::lease_replacement(cluster::ClusterId site) {
 }
 
 void JobExecution::setup_elastic() {
-  // Cloud slaves beyond the initial allocation start dormant; the controller
-  // watches progress and boots them when the deadline is at risk.
+  // Cloud slaves beyond the initial allocation are held; the controller
+  // watches progress and activates them when the deadline is at risk.
   const RunOptions& options = ctx_.options;
-  for (auto& slave : slaves_) initial_active_.push_back(slave.get());
-  if (!options.elastic.enabled) {
-    // Bill the cloud nodes this job was actually built with (== every cloud
-    // node unless a directory or pool plan filtered the membership).
-    for (cluster::ClusterId site = 0; site < platform_.cluster_count(); ++site) {
-      if (!platform_.is_cloud(site)) continue;
-      for (const auto& node : site_nodes_[site]) {
-        ctx_.recorder.rentals.push_back({node.endpoint, 0.0});
-      }
-    }
-    return;
-  }
-
-  initial_active_.clear();
-  std::set<net::EndpointId> cloud_eps;
-  for (cluster::ClusterId site = 0; site < platform_.cluster_count(); ++site) {
-    if (!platform_.is_cloud(site)) continue;
-    for (const auto& node : site_nodes_[site]) cloud_eps.insert(node.endpoint);
-  }
+  if (!options.elastic.enabled) return;
   std::uint32_t cloud_seen = 0;
   for (auto& slave : slaves_) {
-    const bool is_cloud = cloud_eps.count(slave->endpoint()) > 0;
-    if (is_cloud && cloud_seen++ >= options.elastic.initial_cloud_nodes) {
-      dormant_.push_back(slave.get());
-    } else {
-      initial_active_.push_back(slave.get());
-      if (is_cloud) {
-        ctx_.recorder.rentals.push_back({slave->endpoint(), 0.0});
-      }
+    if (platform_.is_cloud(slave->site()) &&
+        cloud_seen++ >= options.elastic.initial_cloud_nodes) {
+      hold(slave.get());
     }
   }
 
   const auto total_chunks = ctx_.layout.chunks().size();
-  auto next_dormant = std::make_shared<std::size_t>(0);
   auto controller = std::make_shared<std::function<void()>>();
-  *controller = [this, next_dormant, controller, total_chunks] {
+  *controller = [this, controller, total_chunks] {
     const RunOptions& opts = ctx_.options;
     if (ctx_.recorder.finished) return;  // run over: stop rescheduling
     const double now = ctx_.now_seconds();
@@ -1090,7 +1042,7 @@ void JobExecution::setup_elastic() {
     const double elapsed = now - start_time_;
     std::size_t done = 0;
     for (const auto& n : ctx_.recorder.nodes) done += n.jobs;
-    if (done < total_chunks && *next_dormant < dormant_.size()) {
+    if (done < total_chunks && !reserve_.empty()) {
       // Projected completion at the current throughput. Before the first
       // job lands the projection is unknown: scale only once the deadline
       // itself has already slipped.
@@ -1100,17 +1052,11 @@ void JobExecution::setup_elastic() {
           rate > 0.0 ? elapsed + remaining / rate > opts.elastic.deadline_seconds
                      : elapsed > opts.elastic.deadline_seconds;
       if (misses_deadline) {
-        for (std::uint32_t k = 0;
-             k < opts.elastic.activation_step && *next_dormant < dormant_.size(); ++k) {
-          SlaveNode* booting = dormant_[(*next_dormant)++];
-          const double up_at = elapsed + opts.elastic.boot_seconds;
-          ctx_.recorder.rentals.push_back({booting->endpoint(), up_at});
+        for (std::uint32_t k = 0; k < opts.elastic.activation_step && !reserve_.empty();
+             ++k) {
           ++ctx_.recorder.elastic_activations;
-          ctx_.sim().schedule(des::from_seconds(opts.elastic.boot_seconds),
-                              [this, booting] {
-                                ctx_.trace(trace::EventKind::InstanceActivated, "node");
-                                booting->start();
-                              });
+          activate(reserve_.front(), opts.elastic.boot_seconds,
+                   trace::EventKind::InstanceActivated);
         }
       }
     }

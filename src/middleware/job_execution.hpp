@@ -43,9 +43,9 @@ class JobExecution {
       std::function<void(net::EndpointId, std::function<void(net::EndpointId, Message)>)>;
 
   /// Builds the full actor tree and schedules the job's self-driving events
-  /// (node events, elastic controller ticks) — everything short of
-  /// the first master/slave action, which start() triggers. The referenced
-  /// platform/layout/options/postman must outlive this object.
+  /// (node events, elastic controller ticks, pool lease boots) — everything
+  /// short of the first master/slave action, which start() triggers. The
+  /// referenced platform/layout/options/postman must outlive this object.
   JobExecution(cluster::Platform& platform, const storage::DataLayout& layout,
                const RunOptions& options, net::Postman<Message>& postman,
                const MailboxRegistrar& register_mailbox, std::uint32_t job_id = 0,
@@ -89,9 +89,22 @@ class JobExecution {
   /// Subscribe to the directory's change feed (store retirement marks the
   /// store's replicas lost so the repair actor re-replicates).
   void setup_directory();
-  /// Elastic-pool leases: booting nodes start once warm; per-job instance
-  /// billing is dropped (the pool's lease windows are the billing record).
+  /// Elastic-pool leases: a booting lease is held and activated at once, so
+  /// it starts once warm (the pool's lease windows are its billing record).
   void setup_pool();
+  /// The reserve of held-back cloud slaves, shared by the elastic, migration
+  /// and pool policies, which only decide which slaves to hold and when to
+  /// activate them. hold(): the master sees the slave dormant, start() skips
+  /// it, nothing is rented, node events pass it by, and a node lost with
+  /// work remaining activates a same-site held slave (lease_replacement).
+  void hold(SlaveNode* slave);
+  /// Take `slave` out of the reserve and boot it: it rents from now + boot
+  /// (unless the pool bills this job), and `boot_seconds` later it traces
+  /// `kind` and starts — unless the run finished or the node died meanwhile.
+  void activate(SlaveNode* slave, double boot_seconds, trace::EventKind kind);
+  /// Rent every initially active cloud slave from the job's start (a pooled
+  /// job rents nothing).
+  void rent_initial_cloud();
   /// Attach the StoreQos (if any): bind store capacities, resolve this run's
   /// tenant id, and apply per-tenant cache shares to the fleet.
   void setup_qos();
@@ -102,9 +115,11 @@ class JobExecution {
   void build_prefetchers();
   void build_actors(const MailboxRegistrar& register_mailbox);
   void apply_static_assignment();
+  /// Deadline-driven bursting: hold the cloud slaves beyond the initial
+  /// allocation; a periodic controller activates them from the front of the
+  /// reserve while the projected completion misses the deadline.
   void setup_elastic();
-  /// Checkpointed migration: hold back standby cloud slaves and install the
-  /// on_node_lost hook that leases them.
+  /// Checkpointed migration: hold back the last standby_nodes cloud slaves.
   void setup_migration();
   /// Schedule RunOptions::lifecycle events plus the stochastic spot-reclaim
   /// draws (one exponential per active cloud node).
@@ -130,7 +145,8 @@ class JobExecution {
   /// adds a spot-reclaim hard-kill deadline that far after the notice.
   void schedule_drain(SlaveNode* victim, MasterNode* master, double at_seconds,
                       double notice_seconds);
-  /// Lease the next same-site standby for a lost node; false when none left.
+  /// Activate the next live same-site held slave for a lost node; false
+  /// when none is left.
   bool lease_replacement(cluster::ClusterId site);
   SlaveNode* slave_by_endpoint(net::EndpointId ep);
   MasterNode* master_of(cluster::ClusterId site);
@@ -153,24 +169,16 @@ class JobExecution {
   /// True when this execution's attach() built the set — that job (and only
   /// that job, under a shared workload set) bills the replica storage.
   bool replication_built_here_ = false;
-  /// Elastic mode: cloud slaves beyond the initial allocation, boot order.
-  std::vector<SlaveNode*> dormant_;
-  /// Slaves start() launches (everyone, minus dormant ones).
+  /// Slaves start() launches (everyone not held).
   std::vector<SlaveNode*> initial_active_;
-
-  // --- checkpointed migration ----------------------------------------------
-  struct Standby {
-    SlaveNode* slave;
-    cluster::ClusterId site;
-    std::string name;
-  };
-  std::vector<Standby> standby_;   ///< lease order (tail of cloud build order)
-  std::size_t next_standby_ = 0;
-  /// Endpoints of standbys not yet leased: unbilled, immune to lifecycle
+  /// Endpoints of held slaves never activated: unbilled, immune to node
   /// events (an instance that was never rented cannot crash or be reclaimed).
-  std::set<net::EndpointId> dormant_standby_;
-  /// Next Rng substream id for stochastic spot draws (initial nodes first,
-  /// then one fresh draw per leased replacement).
+  /// A held slave the directory retires stays here but leaves the reserve.
+  std::set<net::EndpointId> held_;
+  /// Held slaves still available for activation, in activation order.
+  std::vector<SlaveNode*> reserve_;
+  /// Next Rng substream id for stochastic spot draws (every cloud node
+  /// first, held ones included, then one fresh draw per replacement).
   std::uint64_t spot_streams_used_ = 0;
 };
 

@@ -262,7 +262,7 @@ std::vector<net::EndpointId> MasterNode::push_targets() const {
   }
   if (targets.empty()) {
     // Every survivor is draining: bounce work at them anyway — each bounce
-    // re-pools the chunk, which either reaches a migration replacement or
+    // re-pools the chunk, which either reaches a held replacement or
     // surfaces the wipe-out as a hard error once the last node vacates.
     for (net::EndpointId s : slaves_) {
       if (!dead_.count(s) && !dormant_.count(s) && !booting_.count(s)) {
@@ -363,8 +363,8 @@ void MasterNode::on_node_vacated(net::EndpointId slave, const Message& msg) {
                             : false;
   if (work_remains && !migrated) {
     // Without a replacement, stranded work needs a node that is (or will
-    // again be) pulling: dormant standbys never start on their own and this
-    // vacate already failed to lease one, so a fully-emptied cluster is a
+    // again be) pulling: held slaves never start on their own and this
+    // vacate already failed to activate one, so a fully-emptied cluster is a
     // hard error, not a silent hang.
     bool recoverable = false;
     for (net::EndpointId s : slaves_) {

@@ -58,11 +58,12 @@ class MasterNode {
 
   std::uint32_t vacated_slaves() const { return vacated_slaves_; }
 
-  /// Migration standbys are wired into the cluster but stay dormant (unbilled,
-  /// never started) until leased: the master must not push work at them or
-  /// count them as live capacity. A leased standby is "booting" until its
-  /// boot delay elapses — still no push target, but it counts as capacity
-  /// that will pull re-pooled work, so the cluster is not written off.
+  /// Held slaves (elastic reserve, migration standbys, booting pool leases)
+  /// are wired into the cluster but stay dormant (unbilled, never started)
+  /// until activated: the master must not push work at them or count them
+  /// as live capacity. An activated slave is "booting" until its boot delay
+  /// elapses — still no push target, but it counts as capacity that will
+  /// pull re-pooled work, so the cluster is not written off.
   void mark_dormant(net::EndpointId slave) { dormant_.insert(slave); }
   void mark_leased(net::EndpointId slave) {
     dormant_.erase(slave);
@@ -94,10 +95,10 @@ class MasterNode {
   void on_chunk_returned(net::EndpointId slave, storage::ChunkId chunk);
   /// A draining slave flushed its final delta robj and went silent.
   void on_node_vacated(net::EndpointId slave, const Message& msg);
-  /// Shared node-loss tail: settle the prefetcher, lease a replacement if a
-  /// migration policy is armed and work remains, then replay the lost chunks
-  /// (re-pooled for pull when a replacement was leased, push-assigned to the
-  /// survivors otherwise).
+  /// Shared node-loss tail: settle the prefetcher, activate a held
+  /// replacement if the job has one and work remains, then replay the lost
+  /// chunks (re-pooled for pull when a replacement activated, push-assigned
+  /// to the survivors otherwise).
   void reclaim_lost_work(net::EndpointId slave, std::vector<storage::ChunkId> lost);
   /// Commit round bookkeeping: a counted slave can die mid-commit; its
   /// expected robj is withdrawn and the round completes without it.
@@ -138,7 +139,7 @@ class MasterNode {
   /// Slaves known to be draining (they bounced a chunk or vacated): excluded
   /// from push-assignment so returned work converges on running nodes.
   std::set<net::EndpointId> draining_slaves_;
-  /// Dormant migration standbys: present in slaves_ but not running.
+  /// Held slaves not yet activated: present in slaves_ but not running.
   std::set<net::EndpointId> dormant_;
   /// Leased replacements waiting out their boot delay.
   std::set<net::EndpointId> booting_;

@@ -148,13 +148,13 @@ struct RunOptions {
   SpotPolicy spot;
 
   /// Checkpointed migration: hold back the last `standby_nodes` cloud slaves
-  /// as unbilled standbys; when a node is lost (crash, drain, reclaim) with
-  /// work remaining, lease one as a replacement — it boots for
-  /// `boot_seconds`, bills from the lease, and pulls the lost node's
-  /// re-pooled chunks (the checkpointed robj state already lives at the
-  /// master, so nothing else moves). Requires reduction_tree = false;
-  /// mutually exclusive with elastic bursting (one controller owns the
-  /// dormant pool).
+  /// in the job's reserve as unbilled standbys; when a node is lost (crash,
+  /// drain, reclaim) with work remaining, a same-site one activates as a
+  /// replacement — it boots for `boot_seconds`, bills from its boot, and
+  /// pulls the lost node's re-pooled chunks (the checkpointed robj state
+  /// already lives at the master, so nothing else moves). Requires
+  /// reduction_tree = false; mutually exclusive with elastic bursting (one
+  /// policy decides when held slaves activate).
   struct MigrationPolicy {
     std::uint32_t standby_nodes = 0;  ///< 0 = no migration
     double boot_seconds = 60.0;
@@ -164,10 +164,11 @@ struct RunOptions {
   /// Elastic bursting (Elastic Site-style, from the paper's related work):
   /// start with `initial_cloud_nodes` cloud instances; a controller checks
   /// progress every `check_interval_seconds` and, when the projected
-  /// completion misses `deadline_seconds`, boots `activation_step` more
-  /// dormant instances (each taking `boot_seconds` to come up). Requires
-  /// reduction_tree = false (dormant instances answer the commit with
-  /// identity robjs) and initial_cloud_nodes >= 1.
+  /// completion misses `deadline_seconds`, activates `activation_step` more
+  /// held instances (each taking `boot_seconds` to come up). A node lost
+  /// with work remaining (a directory drain) activates a same-site held
+  /// instance at once. Requires reduction_tree = false (held instances
+  /// answer the commit with identity robjs) and initial_cloud_nodes >= 1.
   struct ElasticPolicy {
     bool enabled = false;
     double deadline_seconds = 0.0;
@@ -219,8 +220,9 @@ struct RunOptions {
 
   /// Elastic node pool lease plan (workload-manager internal). When enabled,
   /// the job's cloud-side membership is exactly these leased nodes: a lease
-  /// still booting (ready_in_seconds > 0) starts processing once warm, and
-  /// instance billing moves from the job to the pool's lease windows.
+  /// still booting (ready_in_seconds > 0) is held and activated at once, so
+  /// it starts processing once warm, and instance billing moves from the
+  /// job to the pool's lease windows.
   /// Requires reduction_tree = false; mutually exclusive with per-job
   /// elastic / migration / spot machinery (the pool owns node lifetime).
   struct PoolLease {
@@ -356,10 +358,11 @@ struct RunContext {
   }
 
   /// Fired by a master when a node is lost (crashed, reclaimed, or vacated)
-  /// while the cluster still has work. Returns true if a replacement node
-  /// was leased — the master then re-pools the lost chunks so the booting
-  /// replacement (and idle survivors) pull them, instead of push-assigning
-  /// everything to survivors immediately. Null when migration is off.
+  /// while the cluster still has work. Returns true if a held slave was
+  /// activated as a replacement — the master then re-pools the lost chunks
+  /// so the booting replacement (and idle survivors) pull them, instead of
+  /// push-assigning everything to survivors immediately. Null when the job
+  /// never held a slave back.
   std::function<bool(cluster::ClusterId)> on_node_lost{};
 
   /// Fired by a slave the moment it vacates (drain settled, final delta-robj

@@ -23,7 +23,7 @@ struct LifecycleStats {
   std::uint32_t nodes_vacated = 0;      ///< drains that completed gracefully
   std::uint32_t nodes_reclaimed = 0;    ///< hard-killed at the reclaim deadline
   std::uint32_t nodes_crashed = 0;      ///< lifecycle Crash events fired
-  std::uint32_t replacements_leased = 0;  ///< standby nodes booted to migrate work
+  std::uint32_t replacements_leased = 0;  ///< held nodes activated for lost ones
   std::uint32_t chunks_returned = 0;    ///< assigned chunks handed back unstarted
   std::uint32_t chunks_reexecuted = 0;  ///< completed-but-lost chunks re-run
   std::uint64_t bytes_reexecuted = 0;   ///< wasted work: bytes of those chunks

@@ -1,13 +1,17 @@
 // Tests for elastic bursting: deadline-driven activation of dormant cloud
-// instances, boot latency, billing from activation, and correctness of real
-// execution with mid-run scale-out.
+// instances, boot latency, billing from activation, correctness of real
+// execution with mid-run scale-out, and an elastic job whose cloud nodes the
+// service directory retires mid-run.
 #include <gtest/gtest.h>
 
 #include "apps/datagen.hpp"
 #include "apps/wordcount.hpp"
 #include "common/units.hpp"
 #include "cost/cost_model.hpp"
+#include "directory/platform_directory.hpp"
 #include "middleware/runtime.hpp"
+#include "trace/trace.hpp"
+#include "workload/workload_manager.hpp"
 
 namespace cloudburst::middleware {
 namespace {
@@ -166,6 +170,71 @@ TEST(Elastic, RejectsInvalidConfigs) {
   ElasticRig rig3;
   rig3.options.elastic.check_interval_seconds = 0.0;
   EXPECT_THROW(rig3.run(100.0), std::invalid_argument);
+}
+
+// --- directory retirement under an elastic job ------------------------------
+
+/// One elastic job run as a workload over a service directory (no pool) on
+/// one local node and four cloud nodes; cloud node `node` is retired through
+/// the directory at `retire_at` seconds (a negative time retires nothing).
+struct RetiredElasticRun {
+  Platform platform{PlatformSpec::paper_testbed(2, 8)};
+  trace::Tracer tracer;
+  workload::JobResult job;
+
+  RetiredElasticRun(double deadline, std::uint32_t node, double retire_at) {
+    directory::PlatformDirectory dir(platform);
+    dir.bootstrap();
+    workload::WorkloadOptions wopts;
+    wopts.directory = &dir;
+    wopts.tracer = &tracer;
+    workload::WorkloadManager manager(platform, wopts);
+    ElasticRig rig;
+    rig.options.elastic.deadline_seconds = deadline;
+    workload::JobSpec spec;
+    spec.name = "elastic";
+    spec.layout = rig.layout;
+    spec.options = rig.options;
+    manager.submit(std::move(spec), 0.0);
+    if (retire_at >= 0.0) {
+      platform.sim().schedule(des::from_seconds(retire_at), [&dir, node] {
+        dir.begin_node_retirement(kCloudSite, node);
+      });
+    }
+    job = std::move(manager.run().jobs.at(0));
+  }
+
+  net::EndpointId cloud_endpoint(std::uint32_t node) const {
+    return platform.nodes(kCloudSite).at(node).endpoint;
+  }
+};
+
+TEST(ElasticRetirement, RetiredHeldNodeIsNeverActivatedOrBilled) {
+  // Node 3 is held back (one initial cloud node) when the directory retires
+  // it at 1 s; the 30 s deadline later activates the remaining held nodes.
+  RetiredElasticRun run(/*deadline=*/30.0, /*node=*/3, /*retire_at=*/1.0);
+  const net::EndpointId retired = run.cloud_endpoint(3);
+  const std::string retired_name = run.platform.nodes(kCloudSite)[3].name;
+  EXPECT_EQ(run.job.run.total_jobs(), 24u);
+  EXPECT_GT(run.job.run.elastic_activations, 0u);
+  EXPECT_LE(run.job.run.elastic_activations, 2u);  // only nodes 1 and 2 remain
+  for (const Rental& rental : run.job.run.rentals) {
+    EXPECT_NE(rental.node, retired) << "retired node billed from " << rental.start;
+  }
+  for (const trace::Event& e : run.tracer.events()) {
+    if (e.kind != trace::EventKind::InstanceActivated) continue;
+    EXPECT_EQ(e.actor.find(retired_name), std::string::npos) << e.actor;
+  }
+}
+
+TEST(ElasticRetirement, DrainedLastCloudNodeIsReplacedFromTheReserve) {
+  // A loose deadline never scales out, so when the directory retires the
+  // only running cloud node the site's remaining chunks need a held node.
+  const RetiredElasticRun undisturbed(/*deadline=*/1e6, 0, /*retire_at=*/-1.0);
+  const RetiredElasticRun drained(/*deadline=*/1e6, /*node=*/0, /*retire_at=*/20.0);
+  EXPECT_EQ(drained.job.run.total_jobs(), 24u);
+  EXPECT_EQ(drained.job.run.lifecycle.nodes_vacated, 1u);
+  EXPECT_LT(drained.job.finish_seconds, 3.0 * undisturbed.job.finish_seconds);
 }
 
 }  // namespace

@@ -247,5 +247,44 @@ TEST(TracedRun, ActivationEventsAppear) {
   EXPECT_GT(tracer.count(EventKind::InstanceActivated), 0u);
 }
 
+TEST(TracedRun, CrashAndActivationNameTheSlave) {
+  // SlaveFailed and InstanceActivated carry actor = slave, like every other
+  // per-node event.
+  const cluster::Platform names(cluster::PlatformSpec::paper_testbed(16, 16));
+  const auto& cloud = names.nodes(cluster::kCloudSite);
+
+  Tracer crash_trace;
+  middleware::RunOptions crash = traced_knn_options(crash_trace);
+  crash.lifecycle.push_back({middleware::RunOptions::LifecycleEvent::Kind::Crash,
+                             cluster::kCloudSite, 2, 5.0});
+  run_knn_testbed(crash);
+  for (const auto& e : crash_trace.events()) {
+    if (e.kind == EventKind::SlaveFailed) {
+      EXPECT_EQ(e.actor, cloud[2].name);
+    }
+  }
+
+  Tracer elastic_trace;
+  middleware::RunOptions elastic = traced_knn_options(elastic_trace);
+  elastic.elastic.enabled = true;
+  elastic.elastic.deadline_seconds = 1.0;
+  elastic.elastic.initial_cloud_nodes = 4;
+  elastic.elastic.check_interval_seconds = 1.0;
+  elastic.elastic.boot_seconds = 2.0;
+  run_knn_testbed(elastic);
+  std::set<std::string> activated;
+  for (const auto& e : elastic_trace.events()) {
+    if (e.kind == EventKind::InstanceActivated) activated.insert(e.actor);
+  }
+  ASSERT_FALSE(activated.empty());
+  for (const std::string& actor : activated) {
+    bool held_cloud_node = false;
+    for (std::size_t i = 4; i < cloud.size(); ++i) {
+      if (cloud[i].name == actor) held_cloud_node = true;
+    }
+    EXPECT_TRUE(held_cloud_node) << actor;
+  }
+}
+
 }  // namespace
 }  // namespace cloudburst::trace
