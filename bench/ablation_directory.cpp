@@ -109,7 +109,8 @@ BurstOutcome run_burst(bool pooled, bool quick, std::uint64_t seed) {
   const std::vector<double> arrivals = burst_arrivals(quick);
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     workload::JobSpec job;
-    job.name = "j" + std::to_string(i + 1);
+    job.name = "j";
+    job.name += std::to_string(i + 1);
     job.tenant = i % 2 == 0 ? "analytics" : "reports";
     job.layout = layout;
     job.options = burst_job_options(seed + i);
@@ -194,7 +195,8 @@ DynamicOutcome run_dynamic(bool quick, std::uint64_t seed) {
   const double second_wave = 120.0;
   for (std::size_t i = 0; i < 4; ++i) {
     workload::JobSpec job;
-    job.name = "d" + std::to_string(i + 1);
+    job.name = "d";
+    job.name += std::to_string(i + 1);
     job.tenant = i % 2 == 0 ? "analytics" : "reports";
     job.layout = layout;
     job.options = burst_job_options(seed + 100 + i);

@@ -27,8 +27,11 @@ int main() {
       bool first = true;
       for (const auto& c : result.clusters) {
         if (c.nodes == 0) continue;
-        const std::string label =
-            "(" + std::to_string(cores) + "," + std::to_string(cores) + ")";
+        std::string label = "(";
+        label += std::to_string(cores);
+        label += ",";
+        label += std::to_string(cores);
+        label += ")";
         table.add_row({first ? label : "", c.name,
                        AsciiTable::num(c.processing, 1), AsciiTable::num(c.retrieval, 1),
                        AsciiTable::num(c.sync, 1),

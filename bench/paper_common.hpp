@@ -81,8 +81,11 @@ inline void print_fig3(PaperApp app, const EnvSweep& sweep, const char* figure_l
   for (std::size_t i = 0; i < sweep.results.size(); ++i) {
     const auto& config = sweep.configs[i];
     const auto& result = sweep.results[i];
-    const std::string cores =
-        "(" + std::to_string(config.local_cores) + "," + std::to_string(config.cloud_cores) + ")";
+    std::string cores = "(";
+    cores += std::to_string(config.local_cores);
+    cores += ",";
+    cores += std::to_string(config.cloud_cores);
+    cores += ")";
     bool first_row = true;
     for (const auto& c : result.clusters) {
       if (c.nodes == 0) continue;

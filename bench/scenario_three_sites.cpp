@@ -64,6 +64,13 @@ std::string split_label(const std::vector<double>& weights) {
   return s;
 }
 
+// "$12.34". Built with += because g++ 12 at -O3 reports a false -Wrestrict
+// for "literal" + std::string.
+std::string usd(double dollars) {
+  std::string text = "$";
+  text += AsciiTable::num(dollars, 2);
+  return text;
+}
 }  // namespace
 
 int main() {
@@ -91,7 +98,7 @@ int main() {
              std::to_string(c.jobs_local) + "+" + std::to_string(c.jobs_stolen),
              first_row ? std::to_string(run.result.s3_get_requests) : "",
              first_row ? "-" : "",  // no site cache attached in the base sweep
-             first_row ? "$" + AsciiTable::num(run.cost.total_usd(), 2) : ""});
+             first_row ? usd(run.cost.total_usd()) : ""});
         first_row = false;
       }
       table.add_separator();
@@ -117,11 +124,11 @@ int main() {
                         AsciiTable::num(cold.result.total_time, 1),
                         std::to_string(cold.result.s3_get_requests),
                         AsciiTable::pct(cold.result.cache_hit_rate(), 0),
-                        "$" + AsciiTable::num(cold.cost.total_usd(), 2)});
+                        usd(cold.cost.total_usd())});
     warm_table.add_row({"", "warm", AsciiTable::num(warm.result.total_time, 1),
                         std::to_string(warm.result.s3_get_requests),
                         AsciiTable::pct(warm.result.cache_hit_rate(), 0),
-                        "$" + AsciiTable::num(warm.cost.total_usd(), 2)});
+                        usd(warm.cost.total_usd())});
     warm_table.add_separator();
   }
   std::printf("%s\n", warm_table

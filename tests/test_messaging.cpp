@@ -110,8 +110,12 @@ TEST_P(FlowConservationSweep, AllBytesArriveExactlyOnce) {
   const LinkId trunk = net.add_link("trunk", 5e6, from_seconds(0.001));
   std::vector<EndpointId> senders, receivers;
   for (int i = 0; i < 4; ++i) {
-    senders.push_back(net.add_endpoint("s" + std::to_string(i), left));
-    receivers.push_back(net.add_endpoint("r" + std::to_string(i), right));
+    std::string sender = "s";
+    std::string receiver = "r";
+    sender += std::to_string(i);
+    receiver += std::to_string(i);
+    senders.push_back(net.add_endpoint(sender, left));
+    receivers.push_back(net.add_endpoint(receiver, right));
   }
   net.set_route_symmetric(left, right, {trunk});
 
