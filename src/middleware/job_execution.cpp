@@ -906,7 +906,8 @@ void JobExecution::begin_site_outage(cluster::ClusterId site) {
   }
 
   // 4. Kill this job's slaves on the site; a cloud site's meters stop at the
-  //    blackout (nobody pays for a rack that is gone).
+  //    blackout (nobody pays for a rack that is gone). Held slaves die too
+  //    and leave the reserve, so no controller activates (and bills) them.
   for (auto& s : slaves_) {
     if (s->site() != site || !s->alive()) continue;
     ctx_.trace(trace::EventKind::SlaveFailed, s->name(), 0, 0);
@@ -915,6 +916,7 @@ void JobExecution::begin_site_outage(cluster::ClusterId site) {
       ctx_.recorder.end_cloud_billing(s->endpoint(), now - ctx_.job_start_seconds);
     }
     s->kill();
+    std::erase(reserve_, s.get());
   }
 
   // 5. Flows to or from the dead endpoints must settle, not sit in the

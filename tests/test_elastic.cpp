@@ -1,10 +1,11 @@
 // Tests for elastic bursting: deadline-driven activation of dormant cloud
 // instances, boot latency, billing from activation, correctness of real
-// execution with mid-run scale-out, and an elastic job whose cloud nodes the
-// service directory retires mid-run.
+// execution with mid-run scale-out, an elastic job whose cloud nodes the
+// service directory retires mid-run, and one whose cloud site blacks out.
 #include <gtest/gtest.h>
 
 #include "apps/datagen.hpp"
+#include "chaos/chaos_plan.hpp"
 #include "apps/wordcount.hpp"
 #include "common/units.hpp"
 #include "cost/cost_model.hpp"
@@ -112,6 +113,34 @@ TEST(Elastic, BillingStartsAtActivation) {
   const auto report = cost::price(inputs, cost::CloudPricing::aws_2011());
   EXPECT_DOUBLE_EQ(report.instance_hours,
                    static_cast<double>(tight.rentals.size()));
+}
+
+TEST(Elastic, CloudSiteOutageLeavesNoHeldNodeToActivate) {
+  // An impossible deadline keeps the controller activating held nodes every
+  // check. The blackout at 5 s kills the cloud site's held nodes along with
+  // the running ones; none of them may be activated (and billed) afterwards.
+  constexpr double kOutageAt = 5.0;
+  chaos::ChaosPlan plan;
+  chaos::ChaosEvent outage;
+  outage.kind = chaos::ChaosEvent::Kind::SiteOutage;
+  outage.site_a = kCloudSite;
+  outage.at_seconds = kOutageAt;
+  outage.duration_seconds = 20.0;
+  plan.events.push_back(outage);
+
+  ElasticRig rig;
+  rig.options.elastic.activation_step = 1;
+  rig.options.chaos = &plan;
+  const auto result = rig.run(/*deadline=*/1.0);
+  // Every chunk ran; one may have run twice (granted to the dead site).
+  EXPECT_GE(result.total_jobs(), 24u);
+  EXPECT_GT(result.elastic_activations, 0u);
+  EXPECT_EQ(result.rentals.size(), 1u + result.elastic_activations);
+  for (const Rental& rental : result.rentals) {
+    // A rental starts when its instance is up: activation time plus boot.
+    EXPECT_LT(rental.start - rig.options.elastic.boot_seconds, kOutageAt)
+        << "node " << rental.node << " rented from " << rental.start;
+  }
 }
 
 TEST(Elastic, RealExecutionStaysCorrectUnderScaleOut) {
