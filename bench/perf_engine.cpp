@@ -11,9 +11,14 @@
 //
 // The run itself is fully deterministic (same seed => same simulated
 // makespan and event count); only the wall-clock side varies with the host.
-// Results are emitted to BENCH_engine.json for the CI regression gate
+// It also reports the flow solver's deterministic work counters
+// (net::Network::stats(): solves, flows and flow classes per solve,
+// water-filling rounds, re-rated flows, replayed settle steps). Results are
+// emitted to BENCH_engine.json for the CI regression gate
 // (tools/check_bench_regression.py compares events/sec against the
-// committed baseline in bench/baselines/).
+// committed baseline in bench/baselines/); CI also diffs the event and
+// solver-counter rows of the quick run against
+// bench/golden/perf_engine_counts_quick.txt.
 //
 // Flags: --seed=N, --quick (40-node smoke fleet for CI; same code paths).
 #include "paper_common.hpp"
@@ -190,6 +195,12 @@ int main(int argc, char** argv) {
   const std::uint64_t rss = peak_rss_bytes();
   const std::uint64_t total_chunks = cfg.chunks_per_job() * cfg.jobs();
   const std::size_t nodes = platform.total_nodes();
+  const net::Network::Stats& solver = platform.network().stats();
+  const auto per_solve = [&solver](std::uint64_t total) {
+    return solver.solves > 0
+               ? static_cast<double>(total) / static_cast<double>(solver.solves)
+               : 0.0;
+  };
 
   std::uint32_t reclaimed = 0, vacated = 0, checkpoints = 0;
   for (const auto& job : result.jobs) {
@@ -212,6 +223,13 @@ int main(int argc, char** argv) {
   table.add_row({"scheduled / cancelled events",
                  std::to_string(scheduled) + " / " + std::to_string(cancelled)});
   table.add_row({"schedules per event", AsciiTable::num(schedules_per_event, 3)});
+  table.add_row({"net solves", std::to_string(solver.solves)});
+  table.add_row({"net flows / classes per solve",
+                 AsciiTable::num(per_solve(solver.component_flows), 2) + " / " +
+                     AsciiTable::num(per_solve(solver.component_classes), 2)});
+  table.add_row({"net filling rounds", std::to_string(solver.filling_rounds)});
+  table.add_row({"net re-rated flows", std::to_string(solver.rerated_flows)});
+  table.add_row({"net replayed settle steps", std::to_string(solver.replayed_steps)});
   table.add_row({"wall clock", AsciiTable::num(wall_seconds, 2) + " s"});
   table.add_row({"events/sec", AsciiTable::num(events_per_sec, 0)});
   table.add_row({"peak RSS", units::format_bytes(rss)});
@@ -234,13 +252,21 @@ int main(int argc, char** argv) {
                  "  \"scheduled_events\": %" PRIu64 ",\n"
                  "  \"cancelled_events\": %" PRIu64 ",\n"
                  "  \"schedules_per_event\": %.6f,\n"
+                 "  \"net_solves\": %" PRIu64 ",\n"
+                 "  \"net_component_flows\": %" PRIu64 ",\n"
+                 "  \"net_component_classes\": %" PRIu64 ",\n"
+                 "  \"net_filling_rounds\": %" PRIu64 ",\n"
+                 "  \"net_rerated_flows\": %" PRIu64 ",\n"
+                 "  \"net_replayed_steps\": %" PRIu64 ",\n"
                  "  \"wall_seconds\": %.6f,\n"
                  "  \"events_per_sec\": %.1f,\n"
                  "  \"peak_rss_bytes\": %" PRIu64 "\n"
                  "}\n",
                  cfg.quick ? "quick" : "full", cfg.seed, nodes, cfg.jobs(),
                  total_chunks, result.makespan, events, scheduled, cancelled,
-                 schedules_per_event, wall_seconds,
+                 schedules_per_event, solver.solves, solver.component_flows,
+                 solver.component_classes, solver.filling_rounds, solver.rerated_flows,
+                 solver.replayed_steps, wall_seconds,
                  events_per_sec, rss);
     std::fclose(out);
     std::printf("wrote %s\n", out_path);
