@@ -4,7 +4,9 @@
 // migration run (standbys leased after spot reclaims and a crash) and a
 // pooled workload (cold leases that boot, an idle reap, a cross-job drain);
 // they hash what those paths decide — rentals, activations, node-loss
-// counters, per-node work, the makespan and the trace without actor names. The digests are fixed, so any change to what a run
+// counters, per-node work, the makespan and the trace without actor names.
+// A real-execution pin runs an apps kernel with payload-sized robjs, so it
+// also hashes the final reduction object's bytes. The digests are fixed, so any change to what a run
 // records — a counter moved, dropped, double-counted or re-ordered — fails
 // here. Each counter group is also checked non-zero, so the pin is never
 // vacuous. The composed run drives every counter source at once: site caches
@@ -19,7 +21,11 @@
 #include <cstdio>
 #include <string>
 
+#include "api/combiners.hpp"
+#include "apps/datagen.hpp"
+#include "apps/wordcount.hpp"
 #include "cache/chunk_cache.hpp"
+#include "common/serialize.hpp"
 #include "common/units.hpp"
 #include "cost/cost_model.hpp"
 #include "directory/platform_directory.hpp"
@@ -545,6 +551,53 @@ TEST(RunRecordPin, PooledWorkload) {
   h.add(result.pool.boot_wait_seconds);
   hash_trace(h, tracer);
   EXPECT_EQ(h.hex(), "487f72377753b9e4");
+}
+
+TEST(RunRecordPin, RealExecutionDirectRun) {
+  // A real wordcount kernel under the two-phase commit with periodic
+  // checkpoints, one drain and one crash: robj_bytes = 0, so every robj's
+  // wire size, merge cost and checkpoint bytes come from its real payload.
+  apps::WordGenSpec wspec;
+  wspec.count = 48000;
+  wspec.vocabulary = 3000;
+  wspec.seed = 11;
+  const auto data = apps::generate_words(wspec);
+  apps::WordCountTask task;
+  Platform platform(PlatformSpec::paper_testbed(24, 24));
+  storage::DataLayout layout =
+      storage::build_layout_for_units(data.units(), data.unit_bytes(), 6, 4);
+  storage::assign_stores_by_fraction(layout, 0.5, platform.local_store_id(),
+                                     platform.cloud_store_id());
+  trace::Tracer tracer;
+  RunOptions o;
+  o.profile.name = "pin-real";
+  o.profile.unit_bytes = data.unit_bytes();
+  o.profile.bytes_per_second_per_core = KiB(1);
+  o.profile.robj_bytes = 0;
+  o.profile.merge_bytes_per_second = MBps(1);
+  o.reduction_tree = false;
+  o.checkpoint_interval_seconds = 1.0;
+  o.failure_detection_seconds = 0.5;
+  o.task = &task;
+  o.dataset = &data;
+  o.tracer = &tracer;
+  o.lifecycle.push_back({Kind::Drain, cluster::kCloudSite, 1, 2.0});
+  o.lifecycle.push_back({Kind::Crash, cluster::kLocalSite, 0, 3.0});
+  const RunResult result = middleware::run_distributed(platform, layout, o);
+  ASSERT_NE(result.robj, nullptr);
+  EXPECT_EQ(result.total_jobs() - result.lifecycle.chunks_reexecuted, 24u);
+  EXPECT_EQ(result.lifecycle.nodes_vacated, 1u);
+  EXPECT_EQ(result.lifecycle.nodes_crashed, 1u);
+  EXPECT_GT(result.lifecycle.chunks_reexecuted, 0u);
+  EXPECT_GT(result.lifecycle.checkpoint_flushes, 1u);
+
+  Fnv h;
+  hash_capacity(h, result);
+  BufferWriter writer;
+  result.robj->serialize(writer);
+  for (const std::uint8_t byte : writer.take()) h.add(std::uint64_t{byte});
+  hash_trace(h, tracer);
+  EXPECT_EQ(h.hex(), "1887108acfeed747");
 }
 
 }  // namespace
