@@ -15,11 +15,11 @@
 //  * admit_max_fraction — size-aware admission filter: a chunk larger than
 //    this fraction of the capacity is never admitted (one scan-sized object
 //    must not flush the whole working set);
-//  * hit_latency_seconds / hit_bandwidth — the local read model a hit pays;
-//  * cache_local_reads — by default reads from the site's own *disk* store
-//    are not cached (the cache would be no faster than the disk it mirrors);
-//    object-store reads are always cacheable, even from the store the site
-//    treats as local, because they pay request latency and GET pricing.
+//  * hit_latency_seconds / hit_bandwidth — the local read model a hit pays.
+// Reads from the site's own *disk* store are never cached (the cache would
+// be no faster than the disk it mirrors); object-store reads are always
+// cacheable, even from the store the site treats as local, because they pay
+// request latency and GET pricing.
 //
 // The cache is default-off (RunOptions::cache == nullptr): paper-fidelity
 // runs are byte-identical to the seed reproduction.
@@ -41,10 +41,9 @@ const char* to_string(EvictionPolicy policy);
 /// Knobs of the prefetcher that rides on the cache (see prefetcher.hpp).
 struct PrefetchConfig {
   bool enabled = false;
-  /// Max prefetch fetches in flight per site.
+  /// Max prefetch fetches in flight per site. Each GET uses the run's
+  /// retrieval_streams connections (at least one).
   unsigned depth = 2;
-  /// Connections per prefetch GET; 0 = the run's retrieval_streams.
-  unsigned streams = 0;
 };
 
 struct CacheConfig {
@@ -55,10 +54,6 @@ struct CacheConfig {
   /// Local read model a hit pays (site scratch disk; no network contention).
   double hit_latency_seconds = 0.002;
   double hit_bandwidth = 800e6;  ///< bytes/sec
-
-  /// Also cache reads served by the site's own disk-backed store (off by
-  /// default: the cache medium is no faster than the disk it would mirror).
-  bool cache_local_reads = false;
 
   PrefetchConfig prefetch;
 };

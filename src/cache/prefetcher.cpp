@@ -80,9 +80,7 @@ void Prefetcher::pump() {
 
     const storage::ChunkInfo& info = layout_->chunk(chunk);
     storage::ChunkInfo wire = info;
-    wire.bytes = static_cast<std::uint64_t>(
-        static_cast<double>(info.bytes) / env_.compression_ratio);
-    if (wire.bytes == 0) wire.bytes = 1;
+    if (env_.wire_bytes) wire.bytes = env_.wire_bytes(info.bytes);
 
     const storage::StoreId store = resolve_store(chunk);
     issued_.insert(chunk);

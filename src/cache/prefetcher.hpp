@@ -47,9 +47,10 @@ class Prefetcher {
   /// Narrow per-run wiring (kept free of middleware types so cb_cache stays
   /// a leaf library under cb_middleware).
   struct Env {
-    /// Stored chunks move compressed (>= 1.0; the slave fetch path divides
-    /// by the same ratio).
-    double compression_ratio = 1.0;
+    /// Bytes a stored chunk of `bytes` moves and occupies in the cache (the
+    /// run's compression rule, shared with the slave fetch path); null keeps
+    /// the stored size.
+    std::function<std::uint64_t(std::uint64_t bytes)> wire_bytes;
     /// Issue one (possibly retrying) GET of `wire` from store `s`; `done`
     /// fires with the transfer's final outcome. The runtime wires this to
     /// the store fetch wrapped in the run's RetryPolicy.

@@ -81,7 +81,7 @@ class BufferReader {
     const std::uint64_t n = read_u64();
     check(n * sizeof(T));
     std::vector<T> v(n);
-    std::memcpy(v.data(), data_ + pos_, n * sizeof(T));
+    if (n > 0) std::memcpy(v.data(), data_ + pos_, n * sizeof(T));  // data() may be null
     pos_ += n * sizeof(T);
     return v;
   }

@@ -9,6 +9,7 @@
 // reported ratios (see DESIGN.md).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -40,6 +41,27 @@ struct AppProfile {
   /// decompression at this rate per core before processing. 1.0 = off.
   double compression_ratio = 1.0;
   double decompress_bytes_per_second_per_core = 400e6;
+
+  /// Bytes a robj costs on the wire: the profile's fixed size, or (0) the
+  /// real serialized payload, never below 64 bytes.
+  std::uint64_t robj_wire_bytes(std::size_t payload_bytes) const {
+    return robj_bytes ? robj_bytes : std::max<std::uint64_t>(payload_bytes, 64);
+  }
+
+  /// Seconds folding a robj of `bytes` into another takes.
+  double merge_seconds(std::uint64_t bytes) const {
+    return merge_bytes_per_second > 0.0
+               ? static_cast<double>(bytes) / merge_bytes_per_second
+               : 0.0;
+  }
+
+  /// Bytes a stored chunk of `bytes` moves (and occupies in a cache):
+  /// shrunk by the compression ratio, never below one byte.
+  std::uint64_t chunk_wire_bytes(std::uint64_t bytes) const {
+    const double ratio = std::max(1.0, compression_ratio);
+    return std::max<std::uint64_t>(
+        static_cast<std::uint64_t>(static_cast<double>(bytes) / ratio), 1);
+  }
 };
 
 }  // namespace cloudburst::middleware

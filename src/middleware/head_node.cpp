@@ -7,9 +7,9 @@
 namespace cloudburst::middleware {
 
 HeadNode::HeadNode(RunContext& ctx, net::EndpointId self, JobPool pool,
-                   std::vector<MasterInfo> masters, const api::GRTask* task)
+                   std::vector<MasterInfo> masters)
     : ctx_(ctx), self_(self), pool_(std::move(pool)), masters_(std::move(masters)),
-      task_(task), robjs_expected_(static_cast<std::uint32_t>(masters_.size())) {}
+      robjs_expected_(static_cast<std::uint32_t>(masters_.size())) {}
 
 void HeadNode::handle(net::EndpointId from, Message msg) {
   switch (msg.type) {
@@ -101,31 +101,17 @@ void HeadNode::on_master_failed(net::EndpointId master) {
 }
 
 void HeadNode::merge_robj(Message msg) {
-  // Merges serialize on the head node and cost robj_bytes / merge rate.
+  // Merges serialize on the head node and cost robj wire bytes / merge rate.
   const AppProfile& profile = ctx_.options.profile;
-  const std::uint64_t robj_bytes =
-      profile.robj_bytes ? profile.robj_bytes
-                         : std::max<std::uint64_t>(msg.robj_payload.size(), 64);
   const double merge_seconds =
-      profile.merge_bytes_per_second > 0.0
-          ? static_cast<double>(robj_bytes) / profile.merge_bytes_per_second
-          : 0.0;
+      profile.merge_seconds(profile.robj_wire_bytes(msg.robj_payload.size()));
   const double now = ctx_.now_seconds();
   merge_free_at_ = std::max(merge_free_at_, now) + merge_seconds;
   const double done_at = merge_free_at_;
 
   auto payload = std::make_shared<std::vector<std::uint8_t>>(std::move(msg.robj_payload));
   ctx_.sim().schedule(des::from_seconds(done_at - now), [this, payload] {
-    if (!payload->empty() && task_) {
-      BufferReader reader(*payload);
-      api::RobjPtr incoming = task_->create_robj();
-      incoming->deserialize(reader);
-      if (!robj_) {
-        robj_ = std::move(incoming);
-      } else {
-        robj_->merge_from(*incoming);
-      }
-    }
+    ctx_.merge_robj(robj_, *payload);
     ctx_.trace(trace::EventKind::RobjMerged, "head");
     ++robjs_merged_;
     if (robjs_merged_ == robjs_expected_) finish_run();
@@ -133,7 +119,7 @@ void HeadNode::merge_robj(Message msg) {
 }
 
 void HeadNode::finish_run() {
-  if (robj_ && task_) task_->finalize(*robj_);
+  if (robj_) ctx_.options.task->finalize(*robj_);
   ctx_.recorder.end_time = ctx_.now_seconds();
   ctx_.recorder.finished = true;
   ctx_.trace(trace::EventKind::RunEnd, "head");

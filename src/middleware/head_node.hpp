@@ -25,7 +25,7 @@ class HeadNode {
   };
 
   HeadNode(RunContext& ctx, net::EndpointId self, JobPool pool,
-           std::vector<MasterInfo> masters, const api::GRTask* task);
+           std::vector<MasterInfo> masters);
 
   void handle(net::EndpointId from, Message msg);
 
@@ -57,7 +57,6 @@ class HeadNode {
   net::EndpointId self_;
   JobPool pool_;
   std::vector<MasterInfo> masters_;
-  const api::GRTask* task_;
 
   std::uint32_t robjs_expected_;
   std::uint32_t robjs_merged_ = 0;

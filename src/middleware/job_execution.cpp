@@ -478,34 +478,23 @@ void JobExecution::setup_replication() {
   // therefore the same recorder counters) as any slave fetch.
   env.transfer = [this](const replica::ReplicaSet::RepairTask& task,
                         std::function<void(bool ok)> done) {
-    const storage::ChunkInfo& info = ctx_.layout.chunk(task.chunk);
-    storage::ChunkInfo wire = info;
-    const double ratio = std::max(1.0, ctx_.options.profile.compression_ratio);
-    wire.bytes = static_cast<std::uint64_t>(static_cast<double>(info.bytes) / ratio);
-    if (wire.bytes == 0) wire.bytes = 1;
     const cluster::ClusterId dst_site = platform_.owner_of_store(task.dst);
-    ctx_.recorder.sites[dst_site].stores[task.src].bytes_fetched += info.bytes;
+    const std::uint64_t bytes = ctx_.layout.chunk(task.chunk).bytes;
+    ctx_.recorder.sites[dst_site].stores[task.src].bytes_fetched += bytes;
     // Repairs are background traffic: they bill to the "system" tenant and
     // queue behind (or alongside) foreground fetches at the source store's
     // arbiter.
-    ctx_.qos_gate(
-        dst_site, task.src, wire.bytes, "repair", task.chunk, qos::kSystemTenant,
-        [this, task, wire, dst_site, done = std::move(done)]() mutable {
-          storage::fetch_with_retry(
-              platform_.sim(), platform_.store(task.src),
-              platform_.store(task.dst).endpoint(), wire,
-              ctx_.options.retrieval_streams, ctx_.options.retry,
-              ctx_.retry_hooks(dst_site, "repair", task.chunk, task.src),
-              [this, task, dst_site,
-               done = std::move(done)](const storage::FetchResult& r) {
-                if (!r.ok) {
-                  // Nothing landed: revert the issue-time egress charge.
-                  ctx_.recorder.sites[dst_site].stores[task.src].bytes_fetched -=
-                      ctx_.layout.chunk(task.chunk).bytes;
-                }
-                if (done) done(r.ok);
-              });
-        });
+    ctx_.read_chunk(dst_site, task.src, task.chunk, platform_.store(task.dst).endpoint(),
+                    ctx_.options.retrieval_streams, "repair", qos::kSystemTenant, {},
+                    [this, task, dst_site, bytes,
+                     done = std::move(done)](const storage::FetchResult& r) {
+                      if (!r.ok) {
+                        // Nothing landed: revert the issue-time egress charge.
+                        ctx_.recorder.sites[dst_site].stores[task.src].bytes_fetched -=
+                            bytes;
+                      }
+                      if (done) done(r.ok);
+                    });
   };
   env.on_repaired = [this](const replica::ReplicaSet::RepairTask& task) {
     ++ctx_.recorder.replica.replicas_repaired;
@@ -519,42 +508,35 @@ void JobExecution::build_prefetchers() {
   // The Env hooks close over this, which outlives the prefetchers.
   const RunOptions& options = ctx_.options;
   if (!options.cache || !options.cache->config().prefetch.enabled) return;
-  const cache::CacheConfig& cfg = options.cache->config();
   ctx_.prefetchers.resize(platform_.cluster_count());
   for (cluster::ClusterId site = 0; site < platform_.cluster_count(); ++site) {
     if (site_nodes_[site].empty()) continue;
     cache::Prefetcher::Env env;
-    env.compression_ratio = std::max(1.0, options.profile.compression_ratio);
+    env.wire_bytes = [this](std::uint64_t bytes) {
+      return ctx_.options.profile.chunk_wire_bytes(bytes);
+    };
     env.cacheable = [this, site](storage::StoreId s) {
       return ctx_.store_cacheable(site, s);
     };
     const std::string pf_name = "prefetch-" + platform_.site_name(site);
     const net::EndpointId master_ep = platform_.master_endpoint(site);
-    const unsigned streams = cfg.prefetch.streams
-                                 ? cfg.prefetch.streams
-                                 : std::max(1u, options.retrieval_streams);
-    // Prefetch GETs ride the same retry machinery as slave fetches — and the
-    // same QoS admission, billed to this run's tenant; a permanently failed
-    // GET settles done(false) and the prefetcher aborts.
+    const unsigned streams = std::max(1u, options.retrieval_streams);
+    // Prefetch GETs are the same store read as slave fetches — retries, and
+    // QoS admission billed to this run's tenant; a permanently failed GET
+    // settles done(false) and the prefetcher aborts.
     env.fetch = [this, site, pf_name, master_ep, streams](
                     storage::StoreId s, const storage::ChunkInfo& wire,
                     std::function<void(bool ok)> done) {
-      ctx_.qos_gate(
-          site, s, wire.bytes, pf_name, wire.id, ctx_.qos_tenant,
-          [this, site, pf_name, master_ep, streams, s, wire,
-           done = std::move(done)]() mutable {
-            storage::fetch_with_retry(
-                platform_.sim(), platform_.store(s), master_ep, wire, streams,
-                ctx_.options.retry, ctx_.retry_hooks(site, pf_name, wire.id, s),
-                [this, s, wire, done = std::move(done)](const storage::FetchResult& r) {
-                  // Clear the route-load charge resolve() booked for this GET
-                  // without touching replica health.
-                  if (ctx_.options.replication) {
-                    ctx_.options.replication->settle_route(wire.id, s);
-                  }
-                  if (done) done(r.ok);
-                });
-          });
+      const storage::ChunkId chunk = wire.id;
+      ctx_.read_chunk(site, s, chunk, master_ep, streams, pf_name, ctx_.qos_tenant, {},
+                      [this, s, chunk, done = std::move(done)](const storage::FetchResult& r) {
+                        // Clear the route-load charge resolve() booked for
+                        // this GET without touching replica health.
+                        if (ctx_.options.replication) {
+                          ctx_.options.replication->settle_route(chunk, s);
+                        }
+                        if (done) done(r.ok);
+                      });
     };
     env.trace = [this, pf_name](trace::EventKind kind, std::uint64_t a,
                                 std::uint64_t b) { ctx_.trace(kind, pf_name, a, b); };
@@ -572,7 +554,7 @@ void JobExecution::build_prefetchers() {
     }
     env.cache_owner = ctx_.cache_owner();
     ctx_.prefetchers[site] = std::make_unique<cache::Prefetcher>(
-        options.cache->site(site), cfg.prefetch, std::move(env));
+        options.cache->site(site), options.cache->config().prefetch, std::move(env));
   }
 }
 
@@ -586,8 +568,7 @@ void JobExecution::build_actors(const MailboxRegistrar& register_mailbox) {
     auto peers = std::make_shared<std::vector<net::EndpointId>>();
     for (const auto& node : nodes) peers->push_back(node.endpoint);
     masters_.push_back(std::make_unique<MasterNode>(
-        ctx_, site, master_ep, platform_.head_endpoint(), *peers,
-        platform_.store_of_cluster(site)));
+        ctx_, site, master_ep, platform_.head_endpoint(), *peers));
     std::uint32_t rank = 0;
     for (const auto& node : nodes) {
       const std::size_t stat_index = ctx_.recorder.nodes.size();
@@ -620,7 +601,7 @@ void JobExecution::build_actors(const MailboxRegistrar& register_mailbox) {
   }
   head_ = std::make_unique<HeadNode>(ctx_, platform_.head_endpoint(),
                                      JobPool(ctx_.layout, policy, std::move(view)),
-                                     master_infos_, ctx_.options.task);
+                                     master_infos_);
 
   // --- wire mailboxes --------------------------------------------------------
   HeadNode* head = head_.get();
@@ -773,76 +754,49 @@ void JobExecution::setup_chaos() {
   if (!plan) return;
   using ChaosKind = chaos::ChaosEvent::Kind;
   for (const auto& ev : plan->events) {
+    const auto at = des::from_seconds(ev.at_seconds);
+    const auto until = des::from_seconds(ev.at_seconds + ev.duration_seconds);
+    const bool ends = ev.duration_seconds > 0.0;
     switch (ev.kind) {
       case ChaosKind::LinkFault: {
-        const net::LinkId link = platform_.wan_link(ev.site_a, ev.site_b);
+        const std::vector<net::LinkId> links{platform_.wan_link(ev.site_a, ev.site_b)};
         const double factor = ev.factor;
         const cluster::ClusterId a = ev.site_a;
         const cluster::ClusterId b = ev.site_b;
-        platform_.sim().schedule(
-            des::from_seconds(ev.at_seconds), [this, link, factor, a, b] {
-              ctx_.trace(trace::EventKind::LinkDown, "chaos", link,
-                         static_cast<std::uint64_t>(factor * 1000.0));
-              platform_.network().set_link_capacity_factor(link, factor);
-              // Feed the route oracle: readers should prefer replicas off
-              // the degraded path until the suspect window lapses.
-              if (replica::ReplicaSet* rs = ctx_.options.replication) {
-                rs->mark_site_suspect(a, ctx_.now_seconds());
-                rs->mark_site_suspect(b, ctx_.now_seconds());
-              }
-            });
-        if (ev.duration_seconds > 0.0) {
-          platform_.sim().schedule(
-              des::from_seconds(ev.at_seconds + ev.duration_seconds), [this, link] {
-                platform_.network().set_link_capacity_factor(link, 1.0);
-                ctx_.trace(trace::EventKind::LinkRestored, "chaos", link, 0);
-              });
-        }
+        platform_.sim().schedule(at, [this, links, factor, a, b] {
+          fault_links(links, factor);
+          // Feed the route oracle: readers should prefer replicas off the
+          // degraded path until the suspect window lapses.
+          if (replica::ReplicaSet* rs = ctx_.options.replication) {
+            rs->mark_site_suspect(a, ctx_.now_seconds());
+            rs->mark_site_suspect(b, ctx_.now_seconds());
+          }
+        });
+        if (ends) platform_.sim().schedule(until, [this, links] { restore_links(links); });
         break;
       }
       case ChaosKind::SitePartition: {
-        std::vector<net::LinkId> links;
-        for (cluster::ClusterId s = 0; s < platform_.cluster_count(); ++s) {
-          if (s != ev.site_a) links.push_back(platform_.wan_link(ev.site_a, s));
-        }
+        const std::vector<net::LinkId> links = wan_links_of(ev.site_a);
         const cluster::ClusterId site = ev.site_a;
-        platform_.sim().schedule(des::from_seconds(ev.at_seconds), [this, links, site] {
-          for (const net::LinkId link : links) {
-            ctx_.trace(trace::EventKind::LinkDown, "chaos", link, 0);
-            platform_.network().set_link_capacity_factor(link, 0.0);
-          }
+        platform_.sim().schedule(at, [this, links, site] {
+          fault_links(links, 0.0);
           if (replica::ReplicaSet* rs = ctx_.options.replication) {
             rs->mark_site_suspect(site, ctx_.now_seconds());
           }
         });
-        if (ev.duration_seconds > 0.0) {
-          platform_.sim().schedule(
-              des::from_seconds(ev.at_seconds + ev.duration_seconds), [this, links] {
-                for (const net::LinkId link : links) {
-                  platform_.network().set_link_capacity_factor(link, 1.0);
-                  ctx_.trace(trace::EventKind::LinkRestored, "chaos", link, 0);
-                }
-              });
-        }
+        if (ends) platform_.sim().schedule(until, [this, links] { restore_links(links); });
         break;
       }
       case ChaosKind::StoreOutage: {
         const storage::StoreId store = platform_.store_of_cluster(ev.site_a);
         if (store == storage::kInvalidStore) break;
-        platform_.sim().schedule(des::from_seconds(ev.at_seconds), [this, store] {
-          ctx_.trace(trace::EventKind::StoreOffline, "chaos", store, 0);
-          platform_.store(store).set_offline(true);
+        platform_.sim().schedule(at, [this, store] {
+          store_offline(store);
           if (replica::ReplicaSet* rs = ctx_.options.replication) {
             rs->mark_store_suspect(store, ctx_.now_seconds());
           }
         });
-        if (ev.duration_seconds > 0.0) {
-          platform_.sim().schedule(
-              des::from_seconds(ev.at_seconds + ev.duration_seconds), [this, store] {
-                platform_.store(store).set_offline(false);
-                ctx_.trace(trace::EventKind::StoreOnline, "chaos", store, 0);
-              });
-        }
+        if (ends) platform_.sim().schedule(until, [this, store] { store_online(store); });
         break;
       }
       case ChaosKind::NodeCrash:
@@ -852,17 +806,45 @@ void JobExecution::setup_chaos() {
         break;
       case ChaosKind::SiteOutage: {
         const cluster::ClusterId site = ev.site_a;
-        platform_.sim().schedule(des::from_seconds(ev.at_seconds),
-                                 [this, site] { begin_site_outage(site); });
-        if (ev.duration_seconds > 0.0) {
-          platform_.sim().schedule(
-              des::from_seconds(ev.at_seconds + ev.duration_seconds),
-              [this, site] { recover_site(site); });
-        }
+        platform_.sim().schedule(at, [this, site] { begin_site_outage(site); });
+        if (ends) platform_.sim().schedule(until, [this, site] { recover_site(site); });
         break;
       }
     }
   }
+}
+
+std::vector<net::LinkId> JobExecution::wan_links_of(cluster::ClusterId site) const {
+  std::vector<net::LinkId> links;
+  for (cluster::ClusterId s = 0; s < platform_.cluster_count(); ++s) {
+    if (s != site) links.push_back(platform_.wan_link(site, s));
+  }
+  return links;
+}
+
+void JobExecution::fault_links(const std::vector<net::LinkId>& links, double factor) {
+  for (const net::LinkId link : links) {
+    ctx_.trace(trace::EventKind::LinkDown, "chaos", link,
+               static_cast<std::uint64_t>(factor * 1000.0));
+    platform_.network().set_link_capacity_factor(link, factor);
+  }
+}
+
+void JobExecution::restore_links(const std::vector<net::LinkId>& links) {
+  for (const net::LinkId link : links) {
+    platform_.network().set_link_capacity_factor(link, 1.0);
+    ctx_.trace(trace::EventKind::LinkRestored, "chaos", link, 0);
+  }
+}
+
+void JobExecution::store_offline(storage::StoreId store) {
+  ctx_.trace(trace::EventKind::StoreOffline, "chaos", store, 0);
+  platform_.store(store).set_offline(true);
+}
+
+void JobExecution::store_online(storage::StoreId store) {
+  platform_.store(store).set_offline(false);
+  ctx_.trace(trace::EventKind::StoreOnline, "chaos", store, 0);
 }
 
 void JobExecution::begin_site_outage(cluster::ClusterId site) {
@@ -871,20 +853,14 @@ void JobExecution::begin_site_outage(cluster::ClusterId site) {
 
   // 1. Cut every WAN path touching the site: in-flight flows stall at rate 0
   //    until cancelled below (victims) or until recovery (bystanders).
-  for (cluster::ClusterId s = 0; s < platform_.cluster_count(); ++s) {
-    if (s == site) continue;
-    const net::LinkId link = platform_.wan_link(site, s);
-    ctx_.trace(trace::EventKind::LinkDown, "chaos", link, 0);
-    platform_.network().set_link_capacity_factor(link, 0.0);
-  }
+  fault_links(wan_links_of(site), 0.0);
 
   // 2. The site's store goes dark *before* the nodes: its abort path fails
   //    every in-flight GET immediately, so remote readers re-enter their
   //    retry cycle and the route oracle steers them to surviving replicas.
   const storage::StoreId store = platform_.store_of_cluster(site);
   if (store != storage::kInvalidStore && !platform_.store(store).offline()) {
-    ctx_.trace(trace::EventKind::StoreOffline, "chaos", store, 0);
-    platform_.store(store).set_offline(true);
+    store_offline(store);
   }
   if (replica::ReplicaSet* rs = ctx_.options.replication) {
     rs->mark_site_suspect(site, now);
@@ -951,16 +927,10 @@ void JobExecution::begin_site_outage(cluster::ClusterId site) {
 
 void JobExecution::recover_site(cluster::ClusterId site) {
   // Fabric back first: links at nominal capacity, store serving again.
-  for (cluster::ClusterId s = 0; s < platform_.cluster_count(); ++s) {
-    if (s == site) continue;
-    const net::LinkId link = platform_.wan_link(site, s);
-    platform_.network().set_link_capacity_factor(link, 1.0);
-    ctx_.trace(trace::EventKind::LinkRestored, "chaos", link, 0);
-  }
+  restore_links(wan_links_of(site));
   const storage::StoreId store = platform_.store_of_cluster(site);
   if (store != storage::kInvalidStore && platform_.store(store).offline()) {
-    platform_.store(store).set_offline(false);
-    ctx_.trace(trace::EventKind::StoreOnline, "chaos", store, 0);
+    store_online(store);
   }
   // Directory re-registration (generation bump): the recovered capacity is
   // placeable for *future* work — this job's dead slaves stay dead, and the
@@ -1033,40 +1003,38 @@ void JobExecution::setup_elastic() {
     }
   }
 
-  const auto total_chunks = ctx_.layout.chunks().size();
-  auto controller = std::make_shared<std::function<void()>>();
-  *controller = [this, controller, total_chunks] {
-    const RunOptions& opts = ctx_.options;
-    if (ctx_.recorder.finished) return;  // run over: stop rescheduling
-    const double now = ctx_.now_seconds();
-    // Progress is measured over the job's own lifetime, not absolute sim
-    // time — a workload job submitted late would otherwise look slow.
-    const double elapsed = now - start_time_;
-    std::size_t done = 0;
-    for (const auto& n : ctx_.recorder.nodes) done += n.jobs;
-    if (done < total_chunks && !reserve_.empty()) {
-      // Projected completion at the current throughput. Before the first
-      // job lands the projection is unknown: scale only once the deadline
-      // itself has already slipped.
-      const double rate = elapsed > 0.0 ? static_cast<double>(done) / elapsed : 0.0;
-      const double remaining = static_cast<double>(total_chunks - done);
-      const bool misses_deadline =
-          rate > 0.0 ? elapsed + remaining / rate > opts.elastic.deadline_seconds
-                     : elapsed > opts.elastic.deadline_seconds;
-      if (misses_deadline) {
-        for (std::uint32_t k = 0; k < opts.elastic.activation_step && !reserve_.empty();
-             ++k) {
-          ++ctx_.recorder.elastic_activations;
-          activate(reserve_.front(), opts.elastic.boot_seconds,
-                   trace::EventKind::InstanceActivated);
-        }
+  platform_.sim().schedule(des::from_seconds(options.elastic.check_interval_seconds),
+                           [this] { elastic_tick(); });
+}
+
+void JobExecution::elastic_tick() {
+  const RunOptions::ElasticPolicy& elastic = ctx_.options.elastic;
+  if (ctx_.recorder.finished) return;  // run over: stop rescheduling
+  const double now = ctx_.now_seconds();
+  // Progress is measured over the job's own lifetime, not absolute sim
+  // time — a workload job submitted late would otherwise look slow.
+  const double elapsed = now - start_time_;
+  const std::size_t total_chunks = ctx_.layout.chunks().size();
+  std::size_t done = 0;
+  for (const auto& n : ctx_.recorder.nodes) done += n.jobs;
+  if (done < total_chunks && !reserve_.empty()) {
+    // Projected completion at the current throughput. Before the first job
+    // lands the projection is unknown: scale only once the deadline itself
+    // has already slipped.
+    const double rate = elapsed > 0.0 ? static_cast<double>(done) / elapsed : 0.0;
+    const double remaining = static_cast<double>(total_chunks - done);
+    const bool misses_deadline = rate > 0.0
+                                     ? elapsed + remaining / rate > elastic.deadline_seconds
+                                     : elapsed > elastic.deadline_seconds;
+    if (misses_deadline) {
+      for (std::uint32_t k = 0; k < elastic.activation_step && !reserve_.empty(); ++k) {
+        ++ctx_.recorder.elastic_activations;
+        activate(reserve_.front(), elastic.boot_seconds, trace::EventKind::InstanceActivated);
       }
     }
-    ctx_.sim().schedule(des::from_seconds(opts.elastic.check_interval_seconds),
-                        [controller] { (*controller)(); });
-  };
-  platform_.sim().schedule(des::from_seconds(options.elastic.check_interval_seconds),
-                           [controller] { (*controller)(); });
+  }
+  ctx_.sim().schedule(des::from_seconds(elastic.check_interval_seconds),
+                      [this] { elastic_tick(); });
 }
 
 void JobExecution::start() {

@@ -116,9 +116,12 @@ class JobExecution {
   void build_actors(const MailboxRegistrar& register_mailbox);
   void apply_static_assignment();
   /// Deadline-driven bursting: hold the cloud slaves beyond the initial
-  /// allocation; a periodic controller activates them from the front of the
-  /// reserve while the projected completion misses the deadline.
+  /// allocation; a periodic controller (elastic_tick) activates them from
+  /// the front of the reserve while the projected completion misses the
+  /// deadline.
   void setup_elastic();
+  /// One controller check; reschedules itself until the run finishes.
+  void elastic_tick();
   /// Checkpointed migration: hold back the last standby_nodes cloud slaves.
   void setup_migration();
   /// Schedule RunOptions::lifecycle events plus the stochastic spot-reclaim
@@ -141,6 +144,16 @@ class JobExecution {
   /// services re-registered (fresh generation) for future placement. Nodes
   /// killed by the outage stay dead for this job.
   void recover_site(cluster::ClusterId site);
+  /// Every WAN link between `site` and another site, in site order.
+  std::vector<net::LinkId> wan_links_of(cluster::ClusterId site) const;
+  /// The fault-window switches every chaos window uses: degrade links to
+  /// `factor` (0 cuts them; traced before the change) and restore them
+  /// (traced after); take a store offline (traced before) or back online
+  /// (traced after).
+  void fault_links(const std::vector<net::LinkId>& links, double factor);
+  void restore_links(const std::vector<net::LinkId>& links);
+  void store_offline(storage::StoreId store);
+  void store_online(storage::StoreId store);
   /// Drain notice at `at_seconds` (relative to now); `notice_seconds >= 0`
   /// adds a spot-reclaim hard-kill deadline that far after the notice.
   void schedule_drain(SlaveNode* victim, MasterNode* master, double at_seconds,

@@ -2,7 +2,7 @@
 //
 // "The master monitors the cluster's job pool, and when it senses that it is
 // depleted, it will request a new group of jobs from the head" — the pool is
-// refilled from the head at a low watermark; slaves pull jobs one at a time,
+// refilled from the head once it runs dry; slaves pull jobs one at a time,
 // which is the on-demand pooling that load-balances heterogeneous nodes.
 // Assignment is file-affine: a slave preferentially continues the file it
 // last read so the storage node sees sequential access.
@@ -30,8 +30,7 @@ namespace cloudburst::middleware {
 class MasterNode {
  public:
   MasterNode(RunContext& ctx, cluster::ClusterId site, net::EndpointId self,
-             net::EndpointId head, std::vector<net::EndpointId> slaves,
-             storage::StoreId preferred_store);
+             net::EndpointId head, std::vector<net::EndpointId> slaves);
 
   void handle(net::EndpointId from, Message msg);
 
@@ -80,31 +79,36 @@ class MasterNode {
   void serve_waiting();
   void assign_to(net::EndpointId slave);
   void push_assign(storage::ChunkId chunk, net::EndpointId slave);
-  void account_assignment(storage::ChunkId chunk, storage::StoreId from);
-  /// Reverse account_assignment for a chunk a draining slave handed back
-  /// before fetching anything (its re-assignment will account it again).
-  void account_return(storage::ChunkId chunk);
   /// Store this master charged the chunk's assignment to: the replica the
   /// ReplicaSet resolved at assignment time, or the layout primary.
   storage::StoreId assigned_store(storage::ChunkId chunk) const;
-  void merge_slave_robj(const Message& msg);
   void maybe_commit();
   void checkpoint_tick();
+  /// `slave`'s robj in `msg` checkpointed its done work: count and trace
+  /// the flush.
+  void note_flush(net::EndpointId slave, const Message& msg);
   void send_cluster_robj();
   /// A draining slave handed an assigned chunk back unstarted.
   void on_chunk_returned(net::EndpointId slave, storage::ChunkId chunk);
   /// A draining slave flushed its final delta robj and went silent.
   void on_node_vacated(net::EndpointId slave, const Message& msg);
-  /// Shared node-loss tail: settle the prefetcher, activate a held
-  /// replacement if the job has one and work remains, then replay the lost
-  /// chunks (re-pooled for pull when a replacement activated, push-assigned
-  /// to the survivors otherwise).
-  void reclaim_lost_work(net::EndpointId slave, std::vector<storage::ChunkId> lost);
+  /// The steps every node loss (crash or drain) shares: mark `slave` dead
+  /// and its site suspect, drop it from the waiters and the commit round,
+  /// take back its un-checkpointed and in-flight chunks, and settle the
+  /// prefetcher (drop its joins, reopen those chunks). Returns the chunks;
+  /// the caller re-executes (crash) or re-pools (drain) them, then asks
+  /// RunContext::on_node_lost for a held replacement if work remains.
+  std::vector<storage::ChunkId> lose_slave(net::EndpointId slave);
+  /// Pool, in-flight or head work still to come.
+  bool work_remains() const;
   /// Commit round bookkeeping: a counted slave can die mid-commit; its
   /// expected robj is withdrawn and the round completes without it.
   void drop_from_commit(net::EndpointId slave);
   void finish_commit_if_complete();
-  /// Live, non-draining push targets (falls back to any live slave).
+  /// Slaves that are alive, activated and booted; draining ones only when
+  /// `with_draining`.
+  std::vector<net::EndpointId> running_slaves(bool with_draining) const;
+  /// Running, non-draining push targets (falls back to draining ones).
   std::vector<net::EndpointId> push_targets() const;
   /// Endgame: no_more_ was already announced, so idle survivors will never
   /// pull again — push whatever sits in the pool at them directly.
@@ -116,7 +120,6 @@ class MasterNode {
   net::EndpointId self_;
   net::EndpointId head_;
   std::vector<net::EndpointId> slaves_;
-  storage::StoreId preferred_store_;
 
   std::deque<storage::ChunkId> pool_;
   std::deque<net::EndpointId> waiting_slaves_;
@@ -130,7 +133,7 @@ class MasterNode {
   std::map<net::EndpointId, std::pair<storage::FileId, std::uint32_t>> last_read_;
 
   /// Replication only: replica store each chunk's latest assignment resolved
-  /// to (account_return must reverse the same store the assignment charged).
+  /// to (a returned chunk must reverse the same store the assignment charged).
   /// Empty without a ReplicaSet attached.
   std::map<storage::ChunkId, storage::StoreId> assigned_store_;
 

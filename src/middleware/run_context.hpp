@@ -87,9 +87,6 @@ struct RunOptions {
   /// Chunks stay on their own side's cluster; no stealing can happen.
   bool static_assignment = false;
 
-  /// Master refills its pool when it drops to this many jobs.
-  std::uint32_t refill_watermark = 0;
-
   /// Optional *real* execution: when both are set, slaves actually run the
   /// task kernel over the dataset's unit ranges while the clock is simulated,
   /// and RunResult::robj carries the finalized global reduction object. The
@@ -374,14 +371,14 @@ struct RunContext {
   /// Should reads from `store` go through site `site`'s cache? Object-kind
   /// stores always qualify (they pay request latency and GET pricing even
   /// from their own site); any store other than the site's affinity store
-  /// qualifies (WAN path); the site's own disk only if cache_local_reads.
+  /// qualifies (WAN path); the site's own disk never does (the cache medium
+  /// is no faster than the disk it would mirror).
   bool store_cacheable(cluster::ClusterId site, storage::StoreId store) const {
     if (!options.cache) return false;
     const cluster::ClusterId owner = platform.owner_of_store(store);
     const auto& store_spec = platform.spec().sites.at(owner).store;
     if (store_spec && store_spec->kind == cluster::StoreSpec::Kind::Object) return true;
-    if (store != platform.store_of_cluster(site)) return true;
-    return options.cache->config().cache_local_reads;
+    return store != platform.store_of_cluster(site);
   }
 
   /// Site `site`'s cache, iff a fleet is attached and `store` is cacheable.
@@ -418,10 +415,83 @@ struct RunContext {
     postman.send(src, dst, bytes, std::move(msg));
   }
 
+  /// The robj codec's pack half: serialize `robj` into `msg` (a null robj,
+  /// as in a timing-only run, leaves the payload empty) and return the
+  /// message's wire bytes.
+  std::uint64_t pack_robj(const api::RobjPtr& robj, Message& msg) const {
+    if (robj) {
+      BufferWriter writer;
+      robj->serialize(writer);
+      msg.robj_payload = writer.take();
+    }
+    return options.profile.robj_wire_bytes(msg.robj_payload.size());
+  }
+
+  /// The robj codec's merge half: deserialize `payload` with the run's task
+  /// and fold it into `into`, which adopts it when still null. A no-op for a
+  /// timing-only run or an empty payload.
+  void merge_robj(api::RobjPtr& into, const std::vector<std::uint8_t>& payload) const {
+    if (payload.empty() || !options.task) return;
+    BufferReader reader(payload);
+    api::RobjPtr incoming = options.task->create_robj();
+    incoming->deserialize(reader);
+    if (!into) {
+      into = std::move(incoming);
+    } else {
+      into->merge_from(*incoming);
+    }
+  }
+
+  /// The local/stolen ledger: book (`sign` = +1) or reverse (-1) site
+  /// `site`'s read of `chunk` from `store`. A read from the site's own store
+  /// is local, any other is stolen; either way the store's egress counts it.
+  void book_read(cluster::ClusterId site, storage::ChunkId chunk, storage::StoreId store,
+                 int sign) {
+    // Unsigned wrap-around: times (uint64)-1 subtracts exactly.
+    const std::uint64_t bytes = layout.chunk(chunk).bytes * static_cast<std::uint64_t>(sign);
+    SiteCounters& rec = recorder.sites[site];
+    if (store == platform.store_of_cluster(site)) {
+      rec.jobs_local += static_cast<std::uint32_t>(sign);
+      rec.bytes_local += bytes;
+    } else {
+      rec.jobs_stolen += static_cast<std::uint32_t>(sign);
+      rec.bytes_stolen += bytes;
+    }
+    rec.stores[store].bytes_fetched += bytes;
+  }
+
+  /// `chunk` as it moves over the wire: its bytes compressed per the profile.
+  storage::ChunkInfo wire_chunk(storage::ChunkId chunk) const {
+    storage::ChunkInfo wire = layout.chunk(chunk);
+    wire.bytes = options.profile.chunk_wire_bytes(wire.bytes);
+    return wire;
+  }
+
+  /// The one store read of a chunk (slave fetches, prefetches, repairs):
+  /// admit its wire bytes through qos_gate under `tenant`, then GET them
+  /// from `store` to `reader` over `streams` connections under the run's
+  /// RetryPolicy with the standard retry_hooks of `site` and `actor`.
+  /// `abandoned`, if set, is asked once admission releases: true (the
+  /// reader died while queued) drops the read before any GET is issued.
+  void read_chunk(cluster::ClusterId site, storage::StoreId store, storage::ChunkId chunk,
+                  net::EndpointId reader, unsigned streams, const std::string& actor,
+                  qos::TenantId tenant, std::function<bool()> abandoned,
+                  storage::FetchCallback done) {
+    const storage::ChunkInfo wire = wire_chunk(chunk);
+    qos_gate(site, store, wire.bytes, actor, chunk, tenant,
+             [this, site, store, wire, reader, streams, actor,
+              abandoned = std::move(abandoned), done = std::move(done)]() mutable {
+               if (abandoned && abandoned()) return;
+               storage::fetch_with_retry(sim(), platform.store(store), reader, wire, streams,
+                                         options.retry,
+                                         retry_hooks(site, actor, wire.id, store),
+                                         std::move(done));
+             });
+  }
+
   /// Standard retry observer wiring for one fetch: fault/retry/hedge
   /// counters and wasted-byte egress accounting into the recorder, trace
-  /// events under `actor`. Shared by the slave fetch paths and the
-  /// prefetcher's GETs.
+  /// events under `actor`. Every read_chunk uses it.
   storage::RetryHooks retry_hooks(cluster::ClusterId site, std::string actor,
                                   storage::ChunkId chunk, storage::StoreId store) {
     storage::RetryHooks h;

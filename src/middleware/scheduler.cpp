@@ -96,22 +96,6 @@ storage::FileId JobPool::pick_remote_file(const std::vector<storage::FileId>& ca
   return candidates.front();
 }
 
-std::vector<storage::ChunkId> JobPool::take_batch(storage::StoreId preferred,
-                                                  std::uint32_t want, bool reserve_remote) {
-  // Legacy two-sided form: reserving "the remote store" means reserving
-  // every non-preferred store that still holds data.
-  std::vector<storage::StoreId> reserved;
-  if (reserve_remote) {
-    for (const auto& file : layout_.files()) {
-      if (file.store == preferred) continue;
-      if (std::find(reserved.begin(), reserved.end(), file.store) == reserved.end()) {
-        reserved.push_back(file.store);
-      }
-    }
-  }
-  return take_batch(preferred, want, reserved);
-}
-
 std::vector<storage::ChunkId> JobPool::take_batch(
     storage::StoreId preferred, std::uint32_t want,
     const std::vector<storage::StoreId>& reserved_stores) {
@@ -153,54 +137,38 @@ std::vector<storage::ChunkId> JobPool::take_batch(
         local = view_.on_store(files_[f].chunks.front(), preferred);
       }
       if (local != on_preferred) continue;
-      if (!on_preferred && policy_.prefer_locality && stealable_from(s) == 0) continue;
+      if (!on_preferred && stealable_from(s) == 0) continue;
       ids.push_back(static_cast<storage::FileId>(f));
     }
     return ids;
   };
 
   // Phase 1: locality — serve from the requester's own store first.
-  if (policy_.prefer_locality) {
-    while (out.size() < want) {
-      const auto local_files = files_with_jobs(true);
-      if (local_files.empty()) break;
-      // Continue the file with the fewest readers among local files too; for
-      // a single requesting cluster this degenerates to sequential files.
-      const storage::FileId file = pick_remote_file(local_files, preferred);
-      const auto remaining_want = static_cast<std::uint32_t>(want - out.size());
-      take_from_file(file, policy_.consecutive_batches ? remaining_want : 1, out);
-    }
-  } else {
-    // Locality off (ablation): treat all files uniformly in phase 2.
+  while (out.size() < want) {
+    const auto local_files = files_with_jobs(true);
+    if (local_files.empty()) break;
+    // Continue the file with the fewest readers among local files too; for
+    // a single requesting cluster this degenerates to sequential files.
+    const storage::FileId file = pick_remote_file(local_files, preferred);
+    const auto remaining_want = static_cast<std::uint32_t>(want - out.size());
+    take_from_file(file, policy_.consecutive_batches ? remaining_want : 1, out);
   }
 
-  // Phase 2: stealing — jobs from other stores, capped per request.
-  if (out.size() < want && (policy_.allow_stealing || !policy_.prefer_locality)) {
-    std::size_t budget = want - out.size();
-    if (policy_.prefer_locality) {
-      budget = std::min<std::size_t>(budget, policy_.steal_batch_size);
-    }
-    const std::size_t target = out.size() + budget;
+  // Phase 2: stealing — jobs from other stores, capped per request and by
+  // each store's steal allowance.
+  if (out.size() < want && policy_.allow_stealing) {
+    const std::size_t target =
+        out.size() + std::min<std::size_t>(want - out.size(), policy_.steal_batch_size);
     while (out.size() < target) {
-      auto candidates = files_with_jobs(false);
-      if (!policy_.prefer_locality) {
-        const auto also_local = files_with_jobs(true);
-        candidates.insert(candidates.end(), also_local.begin(), also_local.end());
-        std::sort(candidates.begin(), candidates.end());
-      }
+      const auto candidates = files_with_jobs(false);
       if (candidates.empty()) break;
       const storage::FileId file = pick_remote_file(candidates, preferred);
       const storage::StoreId store = layout_.file(file).store;
-      auto remaining_want = static_cast<std::uint32_t>(target - out.size());
-      if (policy_.prefer_locality && store != preferred) {
-        remaining_want = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(remaining_want, stealable_from(store)));
-      }
+      const auto remaining_want = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(target - out.size(), stealable_from(store)));
       const std::size_t before = out.size();
       take_from_file(file, policy_.consecutive_batches ? remaining_want : 1, out);
-      if (policy_.prefer_locality && store != preferred) {
-        allowance[store] -= out.size() - before;
-      }
+      allowance[store] -= out.size() - before;
       if (out.size() == before) break;  // defensive: no forward progress
     }
   }

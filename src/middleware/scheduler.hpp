@@ -1,6 +1,6 @@
 // The head node's global job pool and assignment policies (paper §III-B).
 //
-// Policies implemented, each individually switchable for the ablation
+// Policies implemented, each but locality switchable for the ablation
 // benches:
 //  * locality preference — a cluster is served jobs from "its" store while
 //    any remain (local store for the local cluster, S3 for the cloud);
@@ -47,7 +47,6 @@ struct SchedulerPolicy {
   /// final seconds becomes a straggler (WAN fetch) while the data-local side
   /// idles.
   std::uint32_t steal_reserve = 4;
-  bool prefer_locality = true;
   bool consecutive_batches = true;
   bool allow_stealing = true;
   RemoteSelection remote_selection = RemoteSelection::MinContention;
@@ -75,18 +74,12 @@ class JobPool {
 
   /// Select and remove up to `want` jobs for a requester whose preferred
   /// store is `preferred`. Jobs from non-preferred stores are only returned
-  /// when the preferred store is drained and stealing is enabled; when
-  /// `reserve_remote` is set (a remote store's owner cluster is still
-  /// active) the last `steal_reserve` jobs of every non-preferred store are
-  /// withheld.
+  /// when the preferred store is drained and stealing is enabled. Each store
+  /// in `reserved_stores` (the preferred stores of the *other*
+  /// still-registered clusters) keeps its last `steal_reserve` jobs off
+  /// limits; unreserved non-preferred stores are fully stealable.
   std::vector<storage::ChunkId> take_batch(storage::StoreId preferred, std::uint32_t want,
-                                           bool reserve_remote = false);
-
-  /// N-store form: each store in `reserved_stores` (the preferred stores of
-  /// the *other* still-registered clusters) keeps its last `steal_reserve`
-  /// jobs off limits; unreserved non-preferred stores are fully stealable.
-  std::vector<storage::ChunkId> take_batch(storage::StoreId preferred, std::uint32_t want,
-                                           const std::vector<storage::StoreId>& reserved_stores);
+                                           const std::vector<storage::StoreId>& reserved_stores = {});
 
   bool empty() const { return remaining_ == 0; }
   std::uint64_t remaining() const { return remaining_; }

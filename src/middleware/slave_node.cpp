@@ -112,57 +112,23 @@ storage::StoreId SlaveNode::fetch_store(storage::ChunkId chunk) const {
 void SlaveNode::reassign_store(storage::ChunkId chunk, storage::StoreId from,
                                storage::StoreId to) {
   assigned_store_[chunk] = to;
-  const storage::ChunkInfo& info = ctx_.layout.chunk(chunk);
-  SiteCounters& rec = ctx_.recorder.sites[node_.cluster];
-  rec.stores[from].bytes_fetched -= info.bytes;
-  rec.stores[to].bytes_fetched += info.bytes;
-  const storage::StoreId preferred = ctx_.platform.store_of_cluster(node_.cluster);
-  const bool was_local = from == preferred;
-  const bool is_local = to == preferred;
-  if (was_local == is_local) return;
-  if (is_local) {
-    ++rec.jobs_local;
-    rec.bytes_local += info.bytes;
-    --rec.jobs_stolen;
-    rec.bytes_stolen -= info.bytes;
-  } else {
-    --rec.jobs_local;
-    rec.bytes_local -= info.bytes;
-    ++rec.jobs_stolen;
-    rec.bytes_stolen += info.bytes;
-  }
+  ctx_.book_read(node_.cluster, chunk, from, -1);
+  ctx_.book_read(node_.cluster, chunk, to, +1);
 }
 
 void SlaveNode::begin_fetch(storage::ChunkId chunk) {
-  storage::ChunkInfo info = ctx_.layout.chunk(chunk);
-  const std::uint64_t full_bytes = info.bytes;
-  // Compressed storage: fewer bytes move; decompression is charged to the
-  // processing phase.
-  const double ratio = std::max(1.0, ctx_.options.profile.compression_ratio);
-  info.bytes = static_cast<std::uint64_t>(static_cast<double>(info.bytes) / ratio);
   const storage::StoreId store_id = fetch_store(chunk);
 
   if (cache::ChunkCache* cache = ctx_.site_cache(node_.cluster, store_id)) {
     cache::Prefetcher* pf = ctx_.prefetcher(node_.cluster);
     if (cache->hit(chunk)) {
-      // Hit: the bytes are on the site's scratch disk — pay the local read
-      // model, skip the store entirely (no GET, no WAN flow), and credit the
-      // egress bytes the master charged at assignment.
-      SiteCounters& rec = ctx_.recorder.sites[node_.cluster];
-      ++rec.cache_hits;
-      rec.stores[store_id].bytes_from_cache += full_bytes;
-      ctx_.trace(trace::EventKind::CacheHit, node_.name, chunk, info.bytes);
-      if (ctx_.options.qos) ctx_.options.qos->note_cache_hit(ctx_.qos_tenant);
-      if (ctx_.options.replication) {
-        ctx_.options.replication->record_hit(chunk);
-        // No store fetch will happen: clear the route-load charge the
-        // assignment-time resolve() booked against store_id.
-        ctx_.options.replication->settle_route(chunk, store_id);
-      }
-      if (pf) pf->mark_consumed(chunk);
+      // Hit: the (compressed) bytes are on the site's scratch disk — pay the
+      // local read model, skip the store entirely (no GET, no WAN flow).
+      credit_cache_hit(chunk, store_id);
       const cache::CacheConfig& cfg = ctx_.options.cache->config();
-      const double delay = cfg.hit_latency_seconds +
-                           static_cast<double>(info.bytes) / cfg.hit_bandwidth;
+      const double delay =
+          cfg.hit_latency_seconds +
+          static_cast<double>(ctx_.wire_chunk(chunk).bytes) / cfg.hit_bandwidth;
       ctx_.sim().schedule(des::from_seconds(delay), [this, chunk] {
         if (alive_) on_fetched(chunk);
       });
@@ -173,76 +139,73 @@ void SlaveNode::begin_fetch(storage::ChunkId chunk) {
       // instead of fetching the same bytes twice. The hit is credited only
       // when the transfer actually delivers — a permanently failed prefetch
       // falls back to this slave's own (retrying) fetch.
-      const std::uint64_t wire_bytes = info.bytes;
-      pf->wait_for(chunk, node_.endpoint,
-                   [this, chunk, store_id, full_bytes, wire_bytes, pf](bool ok) {
-                     if (!alive_) return;
-                     if (!ok) {
-                       begin_fetch(chunk);
-                       return;
-                     }
-                     SiteCounters& rec = ctx_.recorder.sites[node_.cluster];
-                     ++rec.cache_hits;
-                     rec.stores[store_id].bytes_from_cache += full_bytes;
-                     ctx_.trace(trace::EventKind::CacheHit, node_.name, chunk, wire_bytes);
-                     if (ctx_.options.qos) ctx_.options.qos->note_cache_hit(ctx_.qos_tenant);
-                     if (ctx_.options.replication) {
-                       ctx_.options.replication->record_hit(chunk);
-                       ctx_.options.replication->settle_route(chunk, store_id);
-                     }
-                     pf->mark_consumed(chunk);
-                     on_fetched(chunk);
-                   });
+      pf->wait_for(chunk, node_.endpoint, [this, chunk, store_id](bool ok) {
+        if (!alive_) return;
+        if (!ok) {
+          begin_fetch(chunk);
+          return;
+        }
+        credit_cache_hit(chunk, store_id);
+        on_fetched(chunk);
+      });
       return;
     }
     // Miss: fetch from the store and admit the chunk on arrival.
     ++ctx_.recorder.sites[node_.cluster].cache_misses;
     ctx_.trace(trace::EventKind::CacheMiss, node_.name, chunk, store_id);
     if (ctx_.options.qos) ctx_.options.qos->note_cache_miss(ctx_.qos_tenant);
-    fetch_from_store(chunk, info, store_id, cache, info.bytes);
+    fetch_from_store(chunk, store_id, cache);
     return;
   }
 
-  fetch_from_store(chunk, info, store_id, nullptr, 0);
+  fetch_from_store(chunk, store_id, nullptr);
 }
 
-void SlaveNode::fetch_from_store(storage::ChunkId chunk, const storage::ChunkInfo& wire,
-                                 storage::StoreId store_id, cache::ChunkCache* cache,
-                                 std::uint64_t resident) {
+void SlaveNode::credit_cache_hit(storage::ChunkId chunk, storage::StoreId store_id) {
+  SiteCounters& rec = ctx_.recorder.sites[node_.cluster];
+  ++rec.cache_hits;
+  // The store never serves these bytes: credit the egress the master
+  // charged at assignment.
+  rec.stores[store_id].bytes_from_cache += ctx_.layout.chunk(chunk).bytes;
+  ctx_.trace(trace::EventKind::CacheHit, node_.name, chunk, ctx_.wire_chunk(chunk).bytes);
+  if (ctx_.options.qos) ctx_.options.qos->note_cache_hit(ctx_.qos_tenant);
+  if (ctx_.options.replication) {
+    ctx_.options.replication->record_hit(chunk);
+    // No store fetch will happen: clear the route-load charge the
+    // assignment-time resolve() booked against store_id.
+    ctx_.options.replication->settle_route(chunk, store_id);
+  }
+  if (cache::Prefetcher* pf = ctx_.prefetcher(node_.cluster)) pf->mark_consumed(chunk);
+}
+
+void SlaveNode::fetch_from_store(storage::ChunkId chunk, storage::StoreId store_id,
+                                 cache::ChunkCache* cache) {
   if (ctx_.options.replication) {
     // Demand-fetch heat for HotChunk promotion when no cache feeds hits.
     ctx_.options.replication->record_fetch(chunk);
   }
-  ctx_.qos_gate(
-      node_.cluster, store_id, wire.bytes, node_.name, chunk, ctx_.qos_tenant,
-      [this, chunk, wire, store_id, cache, resident] {
+  ctx_.read_chunk(
+      node_.cluster, store_id, chunk, node_.endpoint, ctx_.options.retrieval_streams,
+      node_.name, ctx_.qos_tenant, [this] { return !alive_; },
+      [this, chunk, store_id, cache](const storage::FetchResult& r) {
         if (!alive_) return;
-        storage::StoreService& store = ctx_.platform.store(store_id);
-        storage::fetch_with_retry(
-            ctx_.sim(), store, node_.endpoint, wire, ctx_.options.retrieval_streams,
-            ctx_.options.retry,
-            ctx_.retry_hooks(node_.cluster, node_.name, chunk, store_id),
-            [this, chunk, store_id, cache, resident](const storage::FetchResult& r) {
-              if (!alive_) return;
-              if (!r.ok) {
-                on_fetch_failed(chunk);
-                return;
-              }
-              if (ctx_.options.replication) {
-                // The copy demonstrably exists — revive it if a previous
-                // failure had marked it lost.
-                ctx_.options.replication->note_fetch_ok(chunk, store_id);
-              }
-              if (cache) {
-                const auto result = cache->insert(chunk, resident,
-                                                  /*prefetched=*/false,
-                                                  ctx_.cache_owner());
-                for (const auto& [evictee, bytes] : result.evicted) {
-                  ctx_.trace(trace::EventKind::CacheEvict, node_.name, evictee, bytes);
-                }
-              }
-              on_fetched(chunk);
-            });
+        if (!r.ok) {
+          on_fetch_failed(chunk);
+          return;
+        }
+        if (ctx_.options.replication) {
+          // The copy demonstrably exists — revive it if a previous failure
+          // had marked it lost.
+          ctx_.options.replication->note_fetch_ok(chunk, store_id);
+        }
+        if (cache) {
+          const auto result = cache->insert(chunk, ctx_.wire_chunk(chunk).bytes,
+                                            /*prefetched=*/false, ctx_.cache_owner());
+          for (const auto& [evictee, bytes] : result.evicted) {
+            ctx_.trace(trace::EventKind::CacheEvict, node_.name, evictee, bytes);
+          }
+        }
+        on_fetched(chunk);
       });
 }
 
@@ -399,14 +362,7 @@ void SlaveNode::maybe_vacate() {
   // with adequate notice loses zero completed work.
   Message msg;
   msg.type = MsgType::NodeVacated;
-  if (robj_) {
-    BufferWriter writer;
-    robj_->serialize(writer);
-    msg.robj_payload = writer.take();
-  }
-  const std::uint64_t bytes = ctx_.options.profile.robj_bytes
-                                  ? ctx_.options.profile.robj_bytes
-                                  : std::max<std::uint64_t>(msg.robj_payload.size(), 64);
+  const std::uint64_t bytes = ctx_.pack_robj(robj_, msg);
   ctx_.trace(trace::EventKind::NodeVacated, node_.name, stats().jobs, bytes);
   ctx_.send(node_.endpoint, master_, bytes, std::move(msg));
   // Rented capacity is handed back the instant the node vacates (no-op for
@@ -422,22 +378,12 @@ void SlaveNode::maybe_vacate() {
 void SlaveNode::on_child_robj(Message msg) {
   // Charge the local-merge compute before counting the child.
   const AppProfile& profile = ctx_.options.profile;
-  const std::uint64_t robj_bytes = profile.robj_bytes
-                                       ? profile.robj_bytes
-                                       : std::max<std::uint64_t>(msg.robj_payload.size(), 64);
   const double merge_seconds =
-      profile.merge_bytes_per_second > 0.0
-          ? static_cast<double>(robj_bytes) / profile.merge_bytes_per_second
-          : 0.0;
+      profile.merge_seconds(profile.robj_wire_bytes(msg.robj_payload.size()));
   auto boxed = std::make_shared<Message>(std::move(msg));
   ctx_.sim().schedule(des::from_seconds(merge_seconds), [this, boxed] {
     if (!alive_) return;
-    if (!boxed->robj_payload.empty() && robj_) {
-      BufferReader reader(boxed->robj_payload);
-      api::RobjPtr incoming = ctx_.options.task->create_robj();
-      incoming->deserialize(reader);
-      robj_->merge_from(*incoming);
-    }
+    ctx_.merge_robj(robj_, boxed->robj_payload);
     ++children_received_;
     maybe_finish_tree();
   });
@@ -456,14 +402,7 @@ void SlaveNode::send_robj(net::EndpointId dst, std::uint32_t round) {
   Message msg;
   msg.type = MsgType::SlaveRobj;
   msg.want = round;
-  if (robj_) {
-    BufferWriter writer;
-    robj_->serialize(writer);
-    msg.robj_payload = writer.take();
-  }
-  const std::uint64_t bytes = ctx_.options.profile.robj_bytes
-                                  ? ctx_.options.profile.robj_bytes
-                                  : std::max<std::uint64_t>(msg.robj_payload.size(), 64);
+  const std::uint64_t bytes = ctx_.pack_robj(robj_, msg);
   ctx_.trace(trace::EventKind::RobjSent, node_.name, bytes);
   ctx_.send(node_.endpoint, dst, bytes, std::move(msg));
 }

@@ -78,11 +78,14 @@ class SlaveNode {
   /// (possibly retrying) store fetch. Re-entered when a joined prefetch or a
   /// whole retry cycle permanently fails — an assigned chunk must complete.
   void begin_fetch(storage::ChunkId chunk);
-  /// Issue the store fetch under the run's RetryPolicy; `cache` non-null
-  /// admits the chunk (at `resident` bytes) on arrival.
-  void fetch_from_store(storage::ChunkId chunk, const storage::ChunkInfo& wire,
-                        storage::StoreId store_id, cache::ChunkCache* cache,
-                        std::uint64_t resident);
+  /// The chunk came from the site cache (a hit, or a joined prefetch that
+  /// delivered): count it, credit the store's egress back, note it with
+  /// QoS and the replica set, and mark the prefetch consumed.
+  void credit_cache_hit(storage::ChunkId chunk, storage::StoreId store_id);
+  /// Issue the store read (RunContext::read_chunk); `cache` non-null admits
+  /// the chunk (at its wire bytes) on arrival.
+  void fetch_from_store(storage::ChunkId chunk, storage::StoreId store_id,
+                        cache::ChunkCache* cache);
   /// Every attempt of a retry cycle failed: back off once more, then re-open
   /// a fresh cycle (the simulation cannot drop assigned work).
   void on_fetch_failed(storage::ChunkId chunk);

@@ -115,11 +115,11 @@ TEST(JobPool, EndgameReservationWithholdsLastRemoteJobs) {
   policy.steal_reserve = 4;
   policy.steal_batch_size = 8;
   JobPool pool(layout, policy);
-  // Requester prefers store 0 (empty): with reservation active it can steal
-  // only while more than steal_reserve jobs remain.
-  auto batch = pool.take_batch(0, 8, /*reserve_remote=*/true);
+  // Requester prefers store 0 (empty): with store 1 reserved for its owner
+  // it can steal only while more than steal_reserve jobs remain.
+  auto batch = pool.take_batch(0, 8, /*reserved_stores=*/{1});
   EXPECT_EQ(batch.size(), 8u - 4u);
-  EXPECT_TRUE(pool.take_batch(0, 8, true).empty());
+  EXPECT_TRUE(pool.take_batch(0, 8, {1}).empty());
   // The owner drains the reserved tail.
   EXPECT_EQ(pool.take_batch(1, 8).size(), 4u);
 }
@@ -134,12 +134,12 @@ TEST(JobPool, ReserveExceedingRemainingStrandsNothing) {
   policy.steal_reserve = 4;  // reserve == remaining
   policy.steal_batch_size = 8;
   JobPool pool(layout, policy);
-  EXPECT_TRUE(pool.take_batch(0, 8, /*reserve_remote=*/true).empty());
+  EXPECT_TRUE(pool.take_batch(0, 8, /*reserved_stores=*/{1}).empty());
   EXPECT_EQ(pool.remaining(), 4u);
 
   policy.steal_reserve = 64;  // reserve > remaining
   JobPool pool64(layout, policy);
-  EXPECT_TRUE(pool64.take_batch(0, 8, true).empty());
+  EXPECT_TRUE(pool64.take_batch(0, 8, {1}).empty());
 
   // The owner drains the fully reserved tail; pool ends empty.
   std::set<ChunkId> seen;
@@ -153,18 +153,18 @@ TEST(JobPool, ReserveExceedingRemainingStrandsNothing) {
 
 TEST(JobPool, ReservationReleasesOnceOwnerWithdraws) {
   // The owner computes part of its tail, then deactivates (finishes): the
-  // moment reserve_remote turns false mid-drain, the thief may take the
+  // moment its store leaves the reserved list mid-drain, the thief may take the
   // rest — jobs reserved earlier are not permanently off limits.
   const auto layout = make_layout(2, 2, 0);  // 4 jobs on store 1
   SchedulerPolicy policy;
   policy.steal_reserve = 4;
   policy.steal_batch_size = 8;
   JobPool pool(layout, policy);
-  EXPECT_TRUE(pool.take_batch(0, 8, true).empty());  // all 4 reserved
-  EXPECT_EQ(pool.take_batch(1, 1).size(), 1u);       // owner takes one...
-  EXPECT_TRUE(pool.take_batch(0, 8, true).empty());  // ...rest still reserved
+  EXPECT_TRUE(pool.take_batch(0, 8, {1}).empty());  // all 4 reserved
+  EXPECT_EQ(pool.take_batch(1, 1).size(), 1u);      // owner takes one...
+  EXPECT_TRUE(pool.take_batch(0, 8, {1}).empty());  // ...rest still reserved
   // Owner withdraws: the thief drains the remaining 3 without it.
-  EXPECT_EQ(pool.take_batch(0, 8, false).size(), 3u);
+  EXPECT_EQ(pool.take_batch(0, 8, {}).size(), 3u);
   EXPECT_TRUE(pool.empty());
 }
 
@@ -174,10 +174,10 @@ TEST(JobPool, ReservationIgnoredWhenOwnerAbsent) {
   policy.steal_reserve = 4;
   policy.steal_batch_size = 8;
   JobPool pool(layout, policy);
-  // reserve_remote=false (no active owner): everything is stealable.
+  // Nothing reserved (no active owner): everything is stealable.
   std::size_t total = 0;
   while (true) {
-    const auto batch = pool.take_batch(0, 8, false);
+    const auto batch = pool.take_batch(0, 8, {});
     if (batch.empty()) break;
     total += batch.size();
   }
