@@ -127,7 +127,6 @@ int main(int argc, char** argv) {
     middleware::RunOptions o = base_options(args.seed);
     o.spot.reclaim_rate_per_hour = rate;
     o.spot.notice_seconds = 5.0;
-    o.spot.seed = args.seed;
     o.migration.standby_nodes = 2;
     o.migration.boot_seconds = 1.0;
     o.failure_detection_seconds = 1.0;

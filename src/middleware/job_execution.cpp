@@ -240,6 +240,7 @@ JobExecution::JobExecution(cluster::Platform& platform, const storage::DataLayou
            .arbiter = arbiter,
            .on_finished = std::move(on_finished)} {
   ctx_.recorder.init(platform.cluster_count(), platform.store_count());
+  ctx_.on_node_lost = [this](cluster::ClusterId site) { return lease_replacement(site); };
   setup_chunk_offsets();
   resolve_membership();
   setup_qos();
@@ -320,17 +321,12 @@ void JobExecution::setup_directory() {
 
 bool JobExecution::drain_node(net::EndpointId ep) {
   if (ctx_.options.reduction_tree) return false;  // no per-slave work tracking
-  if (ctx_.recorder.finished) return false;
   SlaveNode* victim = slave_by_endpoint(ep);
-  if (!victim || !victim->alive() || victim->draining()) return false;
-  if (held_.count(ep)) {
-    // Never started or rented: retiring it only takes it out of the reserve.
-    std::erase(reserve_, victim);
-    return false;
-  }
-  ctx_.trace(trace::EventKind::NodeDrainRequested, victim->name(), 0, 0);
-  victim->begin_drain();
-  return true;
+  if (!victim) return false;
+  // A held node was never started or rented: retiring it only takes it out
+  // of the reserve.
+  if (master_of(victim->site())->dormant(ep)) std::erase(reserve_, victim);
+  return start_drain(victim, /*notice_seconds=*/-1.0);
 }
 
 void JobExecution::setup_pool() {
@@ -348,17 +344,14 @@ void JobExecution::setup_pool() {
 }
 
 void JobExecution::hold(SlaveNode* slave) {
-  held_.insert(slave->endpoint());
   reserve_.push_back(slave);
   std::erase(initial_active_, slave);
   master_of(slave->site())->mark_dormant(slave->endpoint());
-  ctx_.on_node_lost = [this](cluster::ClusterId site) { return lease_replacement(site); };
 }
 
 void JobExecution::activate(SlaveNode* slave, double boot_seconds,
                             trace::EventKind kind) {
   std::erase(reserve_, slave);
-  held_.erase(slave->endpoint());
   MasterNode* master = master_of(slave->site());
   // Booting: no push target yet, but counted as capacity that will pull.
   master->mark_leased(slave->endpoint());
@@ -370,7 +363,7 @@ void JobExecution::activate(SlaveNode* slave, double boot_seconds,
   }
   platform_.sim().schedule(des::from_seconds(boot_seconds), [this, slave, master, kind] {
     master->mark_booted(slave->endpoint());
-    if (ctx_.recorder.finished || !slave->alive()) return;
+    if (!losable(slave)) return;  // the run finished or the node died meanwhile
     // A migration names the lost node's site; the replacement shares it.
     ctx_.trace(kind, slave->name(),
                kind == trace::EventKind::JobMigrated ? slave->site() : 0, 0);
@@ -653,100 +646,89 @@ void JobExecution::apply_static_assignment() {
 }
 
 void JobExecution::schedule_lifecycle() {
-  const RunOptions& options = ctx_.options;
-  for (const auto& ev : options.lifecycle) schedule_node_event(ev);
-
-  if (options.spot.reclaim_rate_per_hour > 0.0) {
-    // One exponential reclaim draw per cloud node, each from its own
-    // deterministic substream; a held node's draw is discarded (it is not
-    // rented yet, and draws afresh if a lost node's replacement activates it).
-    const std::uint64_t seed =
-        options.spot.seed ? options.spot.seed : options.random_seed;
-    const double rate_per_second = options.spot.reclaim_rate_per_hour / 3600.0;
-    for (cluster::ClusterId site = 0; site < platform_.cluster_count(); ++site) {
-      if (!platform_.is_cloud(site)) continue;
-      for (const auto& node : site_nodes_[site]) {
-        Rng rng = Rng::substream(seed, spot_streams_used_++);
-        const double at = rng.exponential(rate_per_second);
-        if (held_.count(node.endpoint)) continue;
-        if (at > kSpotHorizonSeconds) continue;
-        schedule_drain(slave_by_endpoint(node.endpoint), master_of(site), at,
-                       std::max(0.0, options.spot.notice_seconds));
-      }
-    }
+  for (const auto& ev : ctx_.options.lifecycle) schedule_node_event(ev);
+  // One reclaim draw per cloud node in build order, held ones included.
+  for (auto& slave : slaves_) {
+    if (platform_.is_cloud(slave->site())) draw_spot_reclaim(slave.get());
   }
+}
+
+void JobExecution::draw_spot_reclaim(SlaveNode* slave) {
+  const RunOptions::SpotPolicy& spot = ctx_.options.spot;
+  if (spot.reclaim_rate_per_hour <= 0.0) return;
+  Rng rng = Rng::substream(ctx_.options.random_seed, spot_streams_used_++);
+  const double at = rng.exponential(spot.reclaim_rate_per_hour / 3600.0);
+  if (at > kSpotHorizonSeconds || master_of(slave->site())->dormant(slave->endpoint())) return;
+  schedule_drain(slave, at, std::max(0.0, spot.notice_seconds));
+}
+
+bool JobExecution::losable(const SlaveNode* slave) {
+  return !ctx_.recorder.finished && slave->alive() &&
+         !master_of(slave->site())->dormant(slave->endpoint());
+}
+
+bool JobExecution::start_drain(SlaveNode* victim, double notice_seconds) {
+  if (!losable(victim) || victim->draining()) return false;
+  const bool hard = notice_seconds >= 0.0;
+  ctx_.trace(trace::EventKind::NodeDrainRequested, victim->name(),
+             hard ? static_cast<std::uint64_t>(notice_seconds) : 0, hard ? 1 : 0);
+  victim->begin_drain();
+  return true;
+}
+
+void JobExecution::kill_node(SlaveNode* victim, trace::EventKind kind, bool provider_took) {
+  ctx_.trace(kind, victim->name(), 0, 0);
+  auto& lifecycle = ctx_.recorder.lifecycle;
+  ++(kind == trace::EventKind::NodeReclaimed ? lifecycle.nodes_reclaimed
+                                             : lifecycle.nodes_crashed);
+  if (provider_took) {
+    ctx_.recorder.end_cloud_billing(victim->endpoint(),
+                                    ctx_.now_seconds() - ctx_.job_start_seconds);
+  }
+  victim->kill();
+  std::erase(reserve_, victim);
+}
+
+void JobExecution::detect_loss(SlaveNode* victim, double delay_seconds) {
+  platform_.sim().schedule(des::from_seconds(delay_seconds), [this, victim] {
+    MasterNode* master = master_of(victim->site());
+    if (ctx_.recorder.finished || master->dormant(victim->endpoint())) return;
+    master->on_slave_failed(victim->endpoint());
+  });
 }
 
 void JobExecution::schedule_node_event(const RunOptions::LifecycleEvent& ev) {
   // A node this job has no slave on (directory-filtered, not leased by a
   // pooled job) misses quietly: random chaos plans name such nodes freely.
-  const net::EndpointId victim_ep = platform_.nodes(ev.site).at(ev.node_index).endpoint;
-  SlaveNode* victim = slave_by_endpoint(victim_ep);
-  MasterNode* master = master_of(ev.site);
-  if (!victim || !master) return;
+  SlaveNode* victim = slave_by_endpoint(platform_.nodes(ev.site).at(ev.node_index).endpoint);
+  if (!victim) return;
   using Kind = RunOptions::LifecycleEvent::Kind;
-  switch (ev.kind) {
-    case Kind::Crash:
-      // The node goes silent; its master notices one heartbeat timeout later
-      // and re-executes the un-checkpointed work. A node that already
-      // vacated (or is still held) cannot crash.
-      platform_.sim().schedule(des::from_seconds(ev.at_seconds), [this, victim] {
-        if (ctx_.recorder.finished || !victim->alive()) return;
-        if (held_.count(victim->endpoint())) return;
-        ctx_.trace(trace::EventKind::SlaveFailed, victim->name(), 0, 0);
-        ++ctx_.recorder.lifecycle.nodes_crashed;
-        victim->kill();
-      });
-      platform_.sim().schedule(
-          des::from_seconds(ev.at_seconds + ctx_.options.failure_detection_seconds),
-          [this, master, victim_ep] {
-            if (ctx_.recorder.finished) return;
-            if (held_.count(victim_ep)) return;
-            master->on_slave_failed(victim_ep);
-          });
-      break;
-    case Kind::Drain:
-      schedule_drain(victim, master, ev.at_seconds, /*notice_seconds=*/-1.0);
-      break;
-    case Kind::SpotReclaim:
-      schedule_drain(victim, master, ev.at_seconds, std::max(0.0, ev.notice_seconds));
-      break;
+  if (ev.kind != Kind::Crash) {
+    schedule_drain(victim, ev.at_seconds,
+                   ev.kind == Kind::Drain ? -1.0 : std::max(0.0, ev.notice_seconds));
+    return;
   }
+  // The node goes silent; its master notices one heartbeat timeout later and
+  // re-executes the un-checkpointed work. A node that already vacated (or is
+  // still held) cannot crash.
+  platform_.sim().schedule(des::from_seconds(ev.at_seconds), [this, victim] {
+    if (losable(victim)) kill_node(victim, trace::EventKind::SlaveFailed, false);
+  });
+  detect_loss(victim, ev.at_seconds + ctx_.options.failure_detection_seconds);
 }
 
-void JobExecution::schedule_drain(SlaveNode* victim, MasterNode* master,
-                                  double at_seconds, double notice_seconds) {
-  const bool hard = notice_seconds >= 0.0;  // spot reclaim: kill at deadline
-  platform_.sim().schedule(
-      des::from_seconds(at_seconds), [this, victim, notice_seconds, hard] {
-        if (ctx_.recorder.finished || !victim->alive() || victim->draining()) return;
-        if (held_.count(victim->endpoint())) return;
-        ctx_.trace(trace::EventKind::NodeDrainRequested, victim->name(),
-                   hard ? static_cast<std::uint64_t>(notice_seconds) : 0,
-                   hard ? 1 : 0);
-        victim->begin_drain();
-      });
-  if (!hard) return;
-  platform_.sim().schedule(
-      des::from_seconds(at_seconds + notice_seconds), [this, victim, master] {
-        // Already vacated (or never drained because it was dead/held at
-        // notice time): nothing to reclaim.
-        if (ctx_.recorder.finished || !victim->alive()) return;
-        const net::EndpointId victim_ep = victim->endpoint();
-        if (held_.count(victim_ep)) return;
-        ctx_.trace(trace::EventKind::NodeReclaimed, victim->name(), 0, 0);
-        ++ctx_.recorder.lifecycle.nodes_reclaimed;
-        // Spot billing stops the instant the provider takes the node back.
-        ctx_.recorder.end_cloud_billing(
-            victim_ep, ctx_.now_seconds() - ctx_.job_start_seconds);
-        victim->kill();
-        ctx_.sim().schedule(
-            des::from_seconds(ctx_.options.failure_detection_seconds),
-            [this, master, victim_ep] {
-              if (ctx_.recorder.finished) return;
-              master->on_slave_failed(victim_ep);
-            });
-      });
+void JobExecution::schedule_drain(SlaveNode* victim, double at_seconds, double notice_seconds) {
+  platform_.sim().schedule(des::from_seconds(at_seconds), [this, victim, notice_seconds] {
+    start_drain(victim, notice_seconds);
+  });
+  if (notice_seconds < 0.0) return;  // a plain drain has no deadline
+  // Spot reclaim: the provider takes the node at the deadline, unless it
+  // already vacated (or was dead or held at notice time).
+  platform_.sim().schedule(des::from_seconds(at_seconds + notice_seconds), [this, victim] {
+    if (!losable(victim)) return;
+    kill_node(victim, trace::EventKind::NodeReclaimed, true);
+    detect_loss(victim, ctx_.options.failure_detection_seconds);
+  });
 }
 
 void JobExecution::setup_chaos() {
@@ -885,14 +867,7 @@ void JobExecution::begin_site_outage(cluster::ClusterId site) {
   //    blackout (nobody pays for a rack that is gone). Held slaves die too
   //    and leave the reserve, so no controller activates (and bills) them.
   for (auto& s : slaves_) {
-    if (s->site() != site || !s->alive()) continue;
-    ctx_.trace(trace::EventKind::SlaveFailed, s->name(), 0, 0);
-    ++ctx_.recorder.lifecycle.nodes_crashed;
-    if (platform_.is_cloud(site)) {
-      ctx_.recorder.end_cloud_billing(s->endpoint(), now - ctx_.job_start_seconds);
-    }
-    s->kill();
-    std::erase(reserve_, s.get());
+    if (s->site() == site && s->alive()) kill_node(s.get(), trace::EventKind::SlaveFailed, true);
   }
 
   // 5. Flows to or from the dead endpoints must settle, not sit in the
@@ -977,16 +952,7 @@ bool JobExecution::lease_replacement(cluster::ClusterId site) {
   ++ctx_.recorder.lifecycle.replacements_leased;
   // A leased replacement is itself a spot instance: give it its own reclaim
   // draw, measured from the lease.
-  if (options.spot.reclaim_rate_per_hour > 0.0) {
-    const std::uint64_t seed =
-        options.spot.seed ? options.spot.seed : options.random_seed;
-    Rng rng = Rng::substream(seed, spot_streams_used_++);
-    const double at = rng.exponential(options.spot.reclaim_rate_per_hour / 3600.0);
-    if (at <= kSpotHorizonSeconds) {
-      schedule_drain(replacement, master_of(site), at,
-                     std::max(0.0, options.spot.notice_seconds));
-    }
-  }
+  draw_spot_reclaim(replacement);
   return true;
 }
 
@@ -1013,7 +979,7 @@ void JobExecution::elastic_tick() {
   const double now = ctx_.now_seconds();
   // Progress is measured over the job's own lifetime, not absolute sim
   // time — a workload job submitted late would otherwise look slow.
-  const double elapsed = now - start_time_;
+  const double elapsed = now - ctx_.job_start_seconds;
   const std::size_t total_chunks = ctx_.layout.chunks().size();
   std::size_t done = 0;
   for (const auto& n : ctx_.recorder.nodes) done += n.jobs;
@@ -1038,8 +1004,7 @@ void JobExecution::elastic_tick() {
 }
 
 void JobExecution::start() {
-  start_time_ = ctx_.now_seconds();
-  ctx_.job_start_seconds = start_time_;
+  ctx_.job_start_seconds = ctx_.now_seconds();
   for (auto& master : masters_) master->start();
   for (SlaveNode* slave : initial_active_) slave->start();
   if (repair_) repair_->start();
@@ -1056,7 +1021,7 @@ RunResult JobExecution::collect() {
   }
 
   RunResult result;
-  result.total_time = ctx_.recorder.end_time - start_time_;
+  result.total_time = ctx_.recorder.end_time - ctx_.job_start_seconds;
   result.nodes = ctx_.recorder.nodes;
   result.robj = head_->take_robj();
   result.rentals = ctx_.recorder.rentals;

@@ -11,7 +11,6 @@
 
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -70,8 +69,6 @@ class JobExecution {
   bool finished() const { return ctx_.recorder.finished; }
   /// Sim time the head completed the run (valid once finished()).
   double end_time() const { return ctx_.recorder.end_time; }
-  /// Sim time start() ran (0.0 until then — and for standalone runs).
-  double start_time() const { return start_time_; }
   RunContext& ctx() { return ctx_; }
 
   /// Settle the prefetchers and aggregate the RunResult. Call after the
@@ -125,13 +122,26 @@ class JobExecution {
   /// Checkpointed migration: hold back the last standby_nodes cloud slaves.
   void setup_migration();
   /// Schedule RunOptions::lifecycle events plus the stochastic spot-reclaim
-  /// draws (one exponential per active cloud node).
+  /// draws (one per cloud node).
   void schedule_lifecycle();
   /// Schedule one node event, whether a RunOptions::lifecycle entry or a
   /// chaos plan node event: a crash (kill, then detection one heartbeat
   /// timeout later) or a drain/reclaim notice. A no-op when this job has no
   /// slave on the named node.
   void schedule_node_event(const RunOptions::LifecycleEvent& ev);
+  /// Drain notice at `at_seconds` (relative to now); `notice_seconds >= 0`
+  /// adds a spot-reclaim kill that far after the notice.
+  void schedule_drain(SlaveNode* victim, double at_seconds, double notice_seconds);
+  // The steps every way of losing a node is built from, each written once:
+  // the spot draw (a held slave's draw is discarded), the guard (run on,
+  // node alive and not held), the drain start (guarded; a notice >= 0 marks
+  // a reclaim), the kill (billing stops when the provider took the node;
+  // leaves the reserve) and the detection (unless finished or held).
+  void draw_spot_reclaim(SlaveNode* slave);
+  bool losable(const SlaveNode* slave);
+  bool start_drain(SlaveNode* victim, double notice_seconds);
+  void kill_node(SlaveNode* victim, trace::EventKind kind, bool provider_took);
+  void detect_loss(SlaveNode* victim, double delay_seconds);
   /// Schedule every window of RunOptions::chaos (no-op when null): link
   /// faults and partitions, store outages, node crash/drain/reclaim events,
   /// and whole-site blackouts with recovery.
@@ -154,10 +164,6 @@ class JobExecution {
   void restore_links(const std::vector<net::LinkId>& links);
   void store_offline(storage::StoreId store);
   void store_online(storage::StoreId store);
-  /// Drain notice at `at_seconds` (relative to now); `notice_seconds >= 0`
-  /// adds a spot-reclaim hard-kill deadline that far after the notice.
-  void schedule_drain(SlaveNode* victim, MasterNode* master, double at_seconds,
-                      double notice_seconds);
   /// Activate the next live same-site held slave for a lost node; false
   /// when none is left.
   bool lease_replacement(cluster::ClusterId site);
@@ -166,7 +172,6 @@ class JobExecution {
 
   cluster::Platform& platform_;
   RunContext ctx_;
-  double start_time_ = 0.0;
 
   /// Per-site membership this job was built with (see resolve_membership).
   std::vector<std::vector<cluster::NodeHandle>> site_nodes_;
@@ -184,11 +189,9 @@ class JobExecution {
   bool replication_built_here_ = false;
   /// Slaves start() launches (everyone not held).
   std::vector<SlaveNode*> initial_active_;
-  /// Endpoints of held slaves never activated: unbilled, immune to node
-  /// events (an instance that was never rented cannot crash or be reclaimed).
-  /// A held slave the directory retires stays here but leaves the reserve.
-  std::set<net::EndpointId> held_;
-  /// Held slaves still available for activation, in activation order.
+  /// Held slaves still available for activation, in activation order. Held
+  /// slaves stay dormant at their master until activated (unbilled, immune
+  /// to node events); one the directory retires stays dormant but leaves.
   std::vector<SlaveNode*> reserve_;
   /// Next Rng substream id for stochastic spot draws (every cloud node
   /// first, held ones included, then one fresh draw per replacement).

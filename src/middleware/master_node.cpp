@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace cloudburst::middleware {
 
@@ -29,39 +30,34 @@ void MasterNode::handle(net::EndpointId from, Message msg) {
       break;
     }
     case MsgType::BatchAssign: {
-      if (msg.reopen) {
+      if (!msg.reopen) {
+        refill_outstanding_ = false;
+        no_more_ = no_more_ || msg.exhausted;
+      } else if (cluster_robj_sent_) {
         // Unsolicited grant: a peer master's site died and the head is
-        // re-homing its uncommitted chunks here. If this cluster already
-        // committed, re-open: the shipped robj lives safely at the head, so
-        // drop local state and let the next commit carry only the delta.
-        if (cluster_robj_sent_) {
-          cluster_robj_sent_ = false;
-          robj_.reset();
-        }
-        ctx_.trace(trace::EventKind::BatchGranted, trace_name_, msg.batch.size(), 2);
-        for (storage::ChunkId c : msg.batch) pool_.push_back(c);
-        serve_waiting();
-        if (cache::Prefetcher* pf = ctx_.prefetcher(site_)) {
-          pf->on_pool_update(pool_, ctx_.layout);
-        }
-        // Slaves idled by NoMoreJobs will never pull again — push at them.
-        flush_pool_if_endgame();
-        maybe_commit();
-        break;
+        // re-homing its uncommitted chunks here. This cluster already
+        // committed, so it re-opens: the shipped robj lives safely at the
+        // head; drop local state and let the next commit carry the delta.
+        cluster_robj_sent_ = false;
+        robj_.reset();
       }
-      refill_outstanding_ = false;
       ctx_.trace(trace::EventKind::BatchGranted, trace_name_, msg.batch.size(),
-                 msg.exhausted ? 1 : 0);
+                 msg.reopen ? 2 : msg.exhausted ? 1 : 0);
+      granted_since_robj_ += static_cast<std::uint32_t>(msg.batch.size());
       for (storage::ChunkId c : msg.batch) pool_.push_back(c);
-      if (msg.exhausted) no_more_ = true;
       serve_waiting();
       // Whatever stayed in the pool after serving the waiters is granted but
       // unfetched — exactly the lookahead the prefetcher feeds on.
       if (cache::Prefetcher* pf = ctx_.prefetcher(site_)) {
         pf->on_pool_update(pool_, ctx_.layout);
       }
-      maybe_refill();
-      if (!ctx_.options.reduction_tree) maybe_commit();
+      // Slaves idled by NoMoreJobs never pull again: push re-homed work.
+      if (msg.reopen) {
+        flush_pool_if_endgame();
+      } else {
+        maybe_refill();
+      }
+      maybe_commit();
       break;
     }
     case MsgType::JobDone: {
@@ -186,11 +182,9 @@ void MasterNode::on_slave_failed(net::EndpointId slave) {
   // Work not covered by a received robj is lost with the dead node's robj;
   // re-enqueue and replay it.
   const std::vector<storage::ChunkId> lost = lose_slave(slave);
-  const bool migrated = (!lost.empty() || work_remains()) && ctx_.on_node_lost &&
-                        ctx_.on_node_lost(site_);
+  const bool migrated = (!lost.empty() || work_remains()) && ctx_.on_node_lost(site_);
 
   if (!lost.empty()) {
-    reexecuted_jobs_ += static_cast<std::uint32_t>(lost.size());
     ctx_.recorder.lifecycle.chunks_reexecuted +=
         static_cast<std::uint32_t>(lost.size());
     for (storage::ChunkId c : lost) {
@@ -223,9 +217,7 @@ std::vector<storage::ChunkId> MasterNode::lose_slave(net::EndpointId slave) {
     // (and new replica placements) away from its store for a while.
     ctx_.options.replication->mark_site_suspect(site_, ctx_.now_seconds());
   }
-  waiting_slaves_.erase(
-      std::remove(waiting_slaves_.begin(), waiting_slaves_.end(), slave),
-      waiting_slaves_.end());
+  std::erase(waiting_slaves_, slave);
   drop_from_commit(slave);
 
   std::vector<storage::ChunkId> held = std::move(done_unchk_[slave]);
@@ -324,24 +316,17 @@ void MasterNode::on_node_vacated(net::EndpointId slave, const Message& msg) {
   }
 
   const bool remains = work_remains();
-  const bool migrated = remains && ctx_.on_node_lost && ctx_.on_node_lost(site_);
-  if (remains && !migrated) {
-    // Without a replacement, stranded work needs a node that is (or will
-    // again be) pulling: held slaves never start on their own and this
-    // vacate already failed to activate one, so a fully-emptied cluster is a
-    // hard error, not a silent hang.
-    bool recoverable = false;
-    for (net::EndpointId s : slaves_) {
-      if (!dead_.count(s) && !dormant_.count(s)) {
-        recoverable = true;
-        break;
-      }
-    }
-    if (!recoverable) {
-      throw std::runtime_error(
-          "MasterNode: all slaves of a cluster vacated with work remaining "
-          "and no replacement available");
-    }
+  const bool migrated = remains && ctx_.on_node_lost(site_);
+  // Without a replacement, stranded work needs a node that is (or will again
+  // be) pulling: held slaves never start on their own and this vacate already
+  // failed to activate one, so a fully-emptied cluster is a hard error, not a
+  // silent hang.
+  if (remains && !migrated && std::all_of(slaves_.begin(), slaves_.end(), [this](auto s) {
+        return dead_.count(s) || dormant_.count(s);
+      })) {
+    throw std::runtime_error(
+        "MasterNode: all slaves of a cluster vacated with work remaining "
+        "and no replacement available");
   }
   serve_waiting();
   if (!migrated) flush_pool_if_endgame();
@@ -463,6 +448,7 @@ void MasterNode::send_cluster_robj() {
   cluster_robj_sent_ = true;
   Message up;
   up.type = MsgType::MasterRobj;
+  up.want = std::exchange(granted_since_robj_, 0);  // the grants this robj covers
   const std::uint64_t bytes = ctx_.pack_robj(robj_, up);
   ctx_.trace(trace::EventKind::RobjSent, trace_name_, bytes);
   ctx_.send(self_, head_, bytes, std::move(up));

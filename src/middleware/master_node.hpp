@@ -55,8 +55,6 @@ class MasterNode {
 
   bool evacuated() const { return evacuated_; }
 
-  std::uint32_t vacated_slaves() const { return vacated_slaves_; }
-
   /// Held slaves (elastic reserve, migration standbys, booting pool leases)
   /// are wired into the cluster but stay dormant (unbilled, never started)
   /// until activated: the master must not push work at them or count them
@@ -69,10 +67,10 @@ class MasterNode {
     booting_.insert(slave);
   }
   void mark_booted(net::EndpointId slave) { booting_.erase(slave); }
+  bool dormant(net::EndpointId slave) const { return dormant_.count(slave) != 0; }
 
   net::EndpointId endpoint() const { return self_; }
   cluster::ClusterId site() const { return site_; }
-  std::uint32_t reexecuted_jobs() const { return reexecuted_jobs_; }
 
  private:
   void maybe_refill();
@@ -163,7 +161,9 @@ class MasterNode {
   std::uint32_t robjs_expected_ = 0;
   std::uint32_t robjs_received_ = 0;
   bool cluster_robj_sent_ = false;
-  std::uint32_t reexecuted_jobs_ = 0;
+  /// Chunks the head granted since the last cluster robj (that robj's
+  /// MasterRobj::want).
+  std::uint32_t granted_since_robj_ = 0;
   std::size_t push_cursor_ = 0;  ///< round-robin over live slaves
 
   // tree mode: count of cluster robjs (rank 0 sends exactly one)

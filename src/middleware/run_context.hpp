@@ -60,10 +60,10 @@ struct RunOptions {
   AppProfile profile;
   SchedulerPolicy policy;
 
-  /// Seed for the run's scheduler randomness: copied into
-  /// SchedulerPolicy::random_seed when the head's JobPool is built, so
-  /// RemoteSelection::Random ablations vary with the configured run seed
-  /// instead of a constant baked into the policy default.
+  /// Seed for the run's randomness: copied into SchedulerPolicy::random_seed
+  /// when the head's JobPool is built, so RemoteSelection::Random ablations
+  /// vary with the configured run seed instead of a constant baked into the
+  /// policy default; stochastic spot reclaims draw from its substreams.
   std::uint64_t random_seed = 42;
 
   /// Parallel retrieval streams per chunk fetch (the slave's "multiple
@@ -133,14 +133,12 @@ struct RunOptions {
   std::vector<LifecycleEvent> lifecycle;
 
   /// Stochastic spot reclamation for cloud nodes: each cloud node draws one
-  /// exponential reclaim time at `reclaim_rate_per_hour` (0 = off) from a
-  /// deterministic per-node substream; a draw inside the run behaves like a
+  /// exponential reclaim time at `reclaim_rate_per_hour` (0 = off) from its
+  /// own substream of `random_seed`; a draw inside the run behaves like a
   /// scheduled SpotReclaim with `notice_seconds` of warning.
   struct SpotPolicy {
     double reclaim_rate_per_hour = 0.0;
     double notice_seconds = 120.0;
-    /// Substream seed; 0 = derive from RunOptions::random_seed.
-    std::uint64_t seed = 0;
   };
   SpotPolicy spot;
 
@@ -358,8 +356,7 @@ struct RunContext {
   /// while the cluster still has work. Returns true if a held slave was
   /// activated as a replacement — the master then re-pools the lost chunks
   /// so the booting replacement (and idle survivors) pull them, instead of
-  /// push-assigning everything to survivors immediately. Null when the job
-  /// never held a slave back.
+  /// push-assigning everything to survivors immediately.
   std::function<bool(cluster::ClusterId)> on_node_lost{};
 
   /// Fired by a slave the moment it vacates (drain settled, final delta-robj

@@ -63,9 +63,6 @@ class SlaveNode {
   /// flush the final delta-robj checkpoint and vacate. Direct mode only.
   void begin_drain();
   bool draining() const { return draining_; }
-  /// True once the final checkpoint was flushed and the node reported
-  /// vacated (it is no longer alive from that instant).
-  bool vacated() const { return vacated_; }
 
   net::EndpointId endpoint() const { return node_.endpoint; }
   cluster::ClusterId site() const { return node_.cluster; }

@@ -463,7 +463,7 @@ TEST(StochasticSpot, SameSeedSameOutcome) {
   RunOptions o = rig.options();
   o.spot.reclaim_rate_per_hour = 400.0;  // draws land inside a seconds-long run
   o.spot.notice_seconds = 30.0;          // generous: every reclaim drains
-  o.spot.seed = 99;
+  o.random_seed = 99;
   o.migration.standby_nodes = 2;
   o.migration.boot_seconds = 0.5;
   const auto a = rig.run(o);
@@ -478,19 +478,27 @@ TEST(StochasticSpot, SameSeedSameOutcome) {
   EXPECT_EQ(a.lifecycle.replacements_leased, b.lifecycle.replacements_leased);
 }
 
-TEST(StochasticSpot, SeedZeroDerivesFromRunSeed) {
+TEST(StochasticSpot, DrawsFromRunSeed) {
   LifecycleRig rig;
   RunOptions o = rig.options();
   o.spot.reclaim_rate_per_hour = 400.0;
   o.spot.notice_seconds = 30.0;
-  o.spot.seed = 0;  // derive from RunOptions::random_seed
   o.migration.standby_nodes = 2;
   o.migration.boot_seconds = 0.5;
   o.random_seed = 1234;
+  trace::Tracer ta, tb, tc;
+  o.tracer = &ta;
   const auto a = rig.run(o);
+  o.tracer = &tb;
   const auto b = rig.run(o);
   rig.expect_correct(a);
-  EXPECT_DOUBLE_EQ(a.total_time, b.total_time);
+  EXPECT_EQ(ta.to_jsonl(), tb.to_jsonl());
+  // Another run seed draws other reclaim times.
+  o.random_seed = 99;
+  o.tracer = &tc;
+  const auto c = rig.run(o);
+  rig.expect_correct(c);
+  EXPECT_NE(ta.to_jsonl(), tc.to_jsonl());
 }
 
 // --- checkpointed migration --------------------------------------------------

@@ -484,7 +484,7 @@ TEST(RunRecordPin, MigrationRun) {
   o.migration.boot_seconds = 2.0;
   o.spot.reclaim_rate_per_hour = 200.0;
   o.spot.notice_seconds = 1.0;
-  o.spot.seed = 7;
+  o.random_seed = 7;
   o.lifecycle.push_back({Kind::Crash, cluster::kCloudSite, 0, 4.0});
   const RunResult result = middleware::run_distributed(platform, layout, o);
   EXPECT_GE(result.total_jobs(), 48u);
