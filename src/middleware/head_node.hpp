@@ -38,11 +38,6 @@ class HeadNode {
   /// MasterRobj are dropped. Idempotent.
   void on_master_failed(net::EndpointId master);
 
-  bool master_failed(net::EndpointId master) const {
-    return failed_masters_.count(master) != 0;
-  }
-
-  const JobPool& pool() const { return pool_; }
   net::EndpointId endpoint() const { return self_; }
 
   /// Final reduction object of a real-execution run (null otherwise);
@@ -52,23 +47,26 @@ class HeadNode {
  private:
   void merge_robj(Message msg);
   void finish_run();
+  /// Deal `chunks`, plus the pool's chunks once no live master will ask
+  /// again, round-robin to the live masters as reopen grants.
+  void regrant(std::vector<storage::ChunkId> chunks);
 
   RunContext& ctx_;
   net::EndpointId self_;
   JobPool pool_;
   std::vector<MasterInfo> masters_;
 
-  std::uint32_t robjs_expected_;
-  std::uint32_t robjs_merged_ = 0;
+  std::uint32_t merges_pending_ = 0;
   double merge_free_at_ = 0.0;  ///< head merges serialize on one core
   api::RobjPtr robj_;
 
   // --- master-failover bookkeeping (pure memory; byte-identity safe) -------
-  /// Chunks granted to each master and not yet covered by a MasterRobj.
+  /// Chunks granted to each live master and not yet covered by a
+  /// MasterRobj, in grant order. A master without an entry has committed.
   std::map<net::EndpointId, std::vector<storage::ChunkId>> granted_;
-  /// Masters whose cluster robj has arrived (their granted work committed).
-  std::set<net::EndpointId> robj_received_;
   std::set<net::EndpointId> failed_masters_;
+  /// Masters told "exhausted": they never ask for a batch again.
+  std::set<net::EndpointId> exhausted_;
 };
 
 }  // namespace cloudburst::middleware

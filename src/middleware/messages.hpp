@@ -58,7 +58,8 @@ struct Message {
 
   // BatchRequest: jobs wanted. RobjRequest/SlaveRobj: checkpoint round id
   // (the slave echoes it so the master can tell a commit-round robj from a
-  // periodic-checkpoint robj).
+  // periodic-checkpoint robj). MasterRobj: chunks granted since the
+  // cluster's previous robj, all of which this one covers.
   std::uint32_t want = 0;
 
   // BatchAssign

@@ -52,6 +52,16 @@ void JobPool::take_from_file(storage::FileId file, std::uint32_t want,
   if (take > 0) ++state.readers;
 }
 
+std::vector<storage::ChunkId> JobPool::take_all() {
+  std::vector<storage::ChunkId> out;
+  for (auto& f : files_) {
+    out.insert(out.end(), f.chunks.begin(), f.chunks.end());
+    f.chunks.clear();
+  }
+  remaining_ = 0;
+  return out;
+}
+
 storage::FileId JobPool::pick_remote_file(const std::vector<storage::FileId>& candidates,
                                           storage::StoreId preferred) {
   // "The remote jobs are chosen from files which the minimum number of

@@ -81,6 +81,9 @@ class JobPool {
   std::vector<storage::ChunkId> take_batch(storage::StoreId preferred, std::uint32_t want,
                                            const std::vector<storage::StoreId>& reserved_stores = {});
 
+  /// Remove and return every remaining job, in file order.
+  std::vector<storage::ChunkId> take_all();
+
   bool empty() const { return remaining_ == 0; }
   std::uint64_t remaining() const { return remaining_; }
   std::uint64_t remaining_on(storage::StoreId store) const;
