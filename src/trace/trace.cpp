@@ -73,14 +73,23 @@ std::size_t Tracer::count(EventKind kind) const {
 
 std::string Tracer::to_jsonl() const {
   std::string out;
-  char line[256];
+  char buf[96];
   for (const Event& e : events_) {
-    std::snprintf(line, sizeof(line),
-                  "{\"t\":%.6f,\"kind\":\"%s\",\"actor\":\"%s\",\"a\":%llu,\"b\":%llu}\n",
-                  e.t, to_string(e.kind), e.actor.c_str(),
-                  static_cast<unsigned long long>(e.a),
-                  static_cast<unsigned long long>(e.b));
-    out += line;
+    std::snprintf(buf, sizeof(buf), "{\"t\":%.6f,\"kind\":\"%s\",\"actor\":\"", e.t,
+                  to_string(e.kind));
+    out += buf;
+    for (const char c : e.actor) {  // a JSON string (RFC 8259)
+      if (static_cast<unsigned char>(c) < 0x20) {
+        std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+        out += buf;
+      } else {
+        if (c == '"' || c == '\\') out += '\\';
+        out += c;
+      }
+    }
+    std::snprintf(buf, sizeof(buf), "\",\"a\":%llu,\"b\":%llu}\n",
+                  static_cast<unsigned long long>(e.a), static_cast<unsigned long long>(e.b));
+    out += buf;
   }
   return out;
 }

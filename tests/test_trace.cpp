@@ -4,6 +4,7 @@
 // ordering).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
@@ -13,6 +14,7 @@
 #include "common/units.hpp"
 #include "middleware/runtime.hpp"
 #include "trace/trace.hpp"
+#include "workload/workload_manager.hpp"
 
 namespace cloudburst::trace {
 namespace {
@@ -41,6 +43,45 @@ TEST(Tracer, JsonlShape) {
   EXPECT_NE(out.find("\"a\":7"), std::string::npos);
   // One line per event, newline-terminated.
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 1);
+}
+
+TEST(Tracer, JsonlEscapesJobNames) {
+  // A job's name is its lane's actor: quotes, backslashes and control
+  // characters in it must come out as JSON escapes.
+  cluster::Platform platform(cluster::PlatformSpec::paper_testbed(4, 4));
+  storage::LayoutSpec lspec;
+  lspec.total_bytes = MiB(16);
+  lspec.num_files = 2;
+  lspec.chunks_per_file = 2;
+  lspec.unit_bytes = 64;
+  Tracer tracer;
+  workload::WorkloadOptions wopts;
+  wopts.tracer = &tracer;
+  workload::WorkloadManager manager(platform, wopts);
+  workload::JobSpec spec;
+  spec.name = "say \"hi\"\\now\x01\n";
+  spec.layout = storage::build_layout(lspec);
+  storage::assign_stores_by_fraction(spec.layout, 0.5, platform.local_store_id(),
+                                     platform.cloud_store_id());
+  spec.options.profile.unit_bytes = 64;
+  spec.options.profile.bytes_per_second_per_core = MBps(4);
+  workload::JobSpec plain = spec;  // a second job puts "<name>/" before each actor
+  plain.name = "plain";
+  manager.submit(std::move(spec), 0.0);
+  manager.submit(std::move(plain), 0.0);
+  manager.run();
+
+  const std::string out = tracer.to_jsonl();
+  EXPECT_NE(out.find("\"actor\":\"say \\\"hi\\\"\\\\now\\u0001\\u000a\""),
+            std::string::npos);
+  EXPECT_NE(out.find("\"actor\":\"say \\\"hi\\\"\\\\now\\u0001\\u000a/head\""),
+            std::string::npos);
+  // No raw control character survives; newlines only end lines.
+  EXPECT_EQ(std::count_if(out.begin(), out.end(),
+                          [](char c) { return static_cast<unsigned char>(c) < 0x20 && c != '\n'; }),
+            0);
+  EXPECT_EQ(static_cast<std::size_t>(std::count(out.begin(), out.end(), '\n')),
+            tracer.events().size());
 }
 
 TEST(Tracer, GanttMarksActivity) {
