@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace cloudburst::api {
 
@@ -32,13 +33,12 @@ double VectorFoldRobj::identity() const {
   return 0.0;
 }
 
-void VectorFoldRobj::accumulate(std::size_t i, double v) {
-  double& slot = values_.at(i);
-  switch (fold_) {
-    case VectorFold::Sum: slot += v; break;
-    case VectorFold::Min: slot = std::min(slot, v); break;
-    case VectorFold::Max: slot = std::max(slot, v); break;
+double* VectorFoldRobj::sum_slots(std::size_t size) {
+  if (fold_ != VectorFold::Sum || values_.size() != size) {
+    throw std::out_of_range("VectorFoldRobj: expected a Sum fold of " + std::to_string(size) +
+                            " slots");
   }
+  return values_.data();
 }
 
 RobjPtr VectorFoldRobj::clone_empty() const {
@@ -50,7 +50,21 @@ void VectorFoldRobj::merge_from(const ReductionObject& other) {
   if (o.values_.size() != values_.size() || o.fold_ != fold_) {
     throw std::invalid_argument("VectorFoldRobj: shape mismatch in merge");
   }
-  for (std::size_t i = 0; i < values_.size(); ++i) accumulate(i, o.values_[i]);
+  // One loop per fold, same rule and argument order as accumulate().
+  double* dst = values_.data();
+  const double* src = o.values_.data();
+  const std::size_t n = values_.size();
+  switch (fold_) {
+    case VectorFold::Sum:
+      for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
+      break;
+    case VectorFold::Min:
+      for (std::size_t i = 0; i < n; ++i) dst[i] = std::min(dst[i], src[i]);
+      break;
+    case VectorFold::Max:
+      for (std::size_t i = 0; i < n; ++i) dst[i] = std::max(dst[i], src[i]);
+      break;
+  }
 }
 
 std::uint64_t VectorFoldRobj::byte_size() const {
@@ -74,18 +88,15 @@ TopKMinRobj::TopKMinRobj(std::size_t k) : k_(k) {
   heap_.reserve(k);
 }
 
-void TopKMinRobj::offer(double score, std::uint64_t id) {
-  const Entry e{score, id};
+void TopKMinRobj::insert(const Entry& e) {
   if (heap_.size() < k_) {
     heap_.push_back(e);
     std::push_heap(heap_.begin(), heap_.end());
     return;
   }
-  if (e < heap_.front()) {  // strictly better than the current worst
-    std::pop_heap(heap_.begin(), heap_.end());
-    heap_.back() = e;
-    std::push_heap(heap_.begin(), heap_.end());
-  }
+  std::pop_heap(heap_.begin(), heap_.end());
+  heap_.back() = e;
+  std::push_heap(heap_.begin(), heap_.end());
 }
 
 std::vector<TopKMinRobj::Entry> TopKMinRobj::sorted_entries() const {

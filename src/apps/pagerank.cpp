@@ -8,12 +8,24 @@
 
 namespace cloudburst::apps {
 
-PageRankTask::PageRankTask(std::vector<double> ranks, std::vector<std::uint32_t> out_degree,
-                           double damping)
-    : ranks_(std::move(ranks)), out_degree_(std::move(out_degree)), damping_(damping) {
-  if (ranks_.empty() || ranks_.size() != out_degree_.size()) {
+namespace {
+
+std::vector<double> edge_shares(std::vector<double> ranks,
+                                const std::vector<std::uint32_t>& out_degree) {
+  if (ranks.empty() || ranks.size() != out_degree.size()) {
     throw std::invalid_argument("PageRankTask: ranks and out_degree must match and be nonempty");
   }
+  for (std::size_t p = 0; p < ranks.size(); ++p) {
+    ranks[p] /= static_cast<double>(out_degree[p]);
+  }
+  return ranks;
+}
+
+}  // namespace
+
+PageRankTask::PageRankTask(std::vector<double> ranks, std::vector<std::uint32_t> out_degree,
+                           double damping)
+    : share_(edge_shares(std::move(ranks), out_degree)), damping_(damping) {
   if (damping_ <= 0.0 || damping_ >= 1.0) {
     throw std::invalid_argument("PageRankTask: damping must be in (0, 1)");
   }
@@ -23,14 +35,16 @@ api::RobjPtr PageRankTask::create_robj() const { return api::make_vector_sum(pag
 
 void PageRankTask::process(const std::byte* data, std::size_t unit_count,
                            api::ReductionObject& robj) const {
-  auto& mass = dynamic_cast<api::VectorFoldRobj&>(robj);
+  const std::uint32_t n = pages();
+  double* mass = dynamic_cast<api::VectorFoldRobj&>(robj).sum_slots(n);
+  const double* share = share_.data();
   for (std::size_t i = 0; i < unit_count; ++i) {
     EdgeRecord e;
     std::memcpy(&e, data + i * sizeof(EdgeRecord), sizeof e);
-    if (e.src >= pages() || e.dst >= pages()) {
+    if (e.src >= n || e.dst >= n) {
       throw std::out_of_range("pagerank: edge endpoint out of range");
     }
-    mass.accumulate(e.dst, ranks_[e.src] / static_cast<double>(out_degree_[e.src]));
+    mass[e.dst] += share[e.src];
   }
 }
 
@@ -50,7 +64,7 @@ void PageRankTask::map(const std::byte* data, std::size_t unit_count,
     if (e.src >= pages() || e.dst >= pages()) {
       throw std::out_of_range("pagerank: edge endpoint out of range");
     }
-    emit.emit(e.dst, {ranks_[e.src] / static_cast<double>(out_degree_[e.src])});
+    emit.emit(e.dst, {share_[e.src]});
   }
 }
 

@@ -30,7 +30,7 @@ class PageRankTask final : public api::GRTask, public api::MRTask {
   PageRankTask(std::vector<double> ranks, std::vector<std::uint32_t> out_degree,
                double damping = 0.85);
 
-  std::uint32_t pages() const { return static_cast<std::uint32_t>(ranks_.size()); }
+  std::uint32_t pages() const { return static_cast<std::uint32_t>(share_.size()); }
   double damping() const { return damping_; }
 
   std::string name() const override { return "pagerank"; }
@@ -54,8 +54,9 @@ class PageRankTask final : public api::GRTask, public api::MRTask {
   std::vector<double> ranks_from(const std::vector<api::KeyValue>& out) const;
 
  private:
-  std::vector<double> ranks_;
-  std::vector<std::uint32_t> out_degree_;
+  /// Rank mass each out-edge of page p carries: ranks[p] / out_degree[p],
+  /// divided once here, exactly as a per-edge division would round.
+  std::vector<double> share_;
   double damping_;
 };
 
