@@ -205,7 +205,9 @@ TEST(ChaosValidate, RejectsNaNLinkFactor) {
   lspec.num_files = 3;
   lspec.chunks_per_file = 2;
   lspec.unit_bytes = 64;
-  const DataLayout layout = storage::build_layout(lspec);
+  DataLayout layout = storage::build_layout(lspec);
+  storage::assign_stores_by_fraction(layout, 1.0, platform.store_of_cluster(0),
+                                     platform.store_of_cluster(1));
 
   ChaosPlan plan;
   ChaosEvent fault;

@@ -175,6 +175,33 @@ TEST(LifecycleValidation, RejectsBadMigrationCombos) {
   EXPECT_THROW(rig.run(static_run), std::invalid_argument);
 }
 
+TEST(LifecycleValidation, RejectsStandbysHoldingBackACloudSite) {
+  // Two cloud sites of two nodes each. Standbys are the last cloud slaves in
+  // build order, so two of them would be all of "west": its master would
+  // never ask for work and the head would wait for its robj forever.
+  LifecycleRig rig;
+  PlatformSpec spec;
+  spec.sites.push_back(PlatformSpec::paper_local_site(8));
+  spec.sites.push_back(PlatformSpec::paper_cloud_site(4, "east"));
+  spec.sites.push_back(PlatformSpec::paper_cloud_site(4, "west"));
+  spec.wan_bandwidth = MBps(125);
+  spec.wan_latency = des::from_seconds(ms(25));
+  Platform platform(spec);
+  ASSERT_EQ(platform.nodes(2).size(), 2u);
+  storage::DataLayout layout =
+      storage::build_layout_for_units(rig.data.units(), rig.data.unit_bytes(), 6, 4);
+  storage::assign_stores_by_fraction(layout, 0.5, platform.store_of_cluster(0),
+                                     platform.store_of_cluster(1));
+  RunOptions o = rig.options();
+  o.migration.standby_nodes = 2;
+  EXPECT_THROW(validate_run(platform, layout, o), std::invalid_argument);
+
+  o.migration.standby_nodes = 1;  // west keeps one active slave
+  EXPECT_NO_THROW(validate_run(platform, layout, o));
+  o.lifecycle.push_back(event(Kind::Crash, 2, 0, 1.0));
+  rig.expect_correct(run_distributed(platform, layout, o));
+}
+
 // --- graceful drain: zero completed work lost --------------------------------
 
 TEST(GracefulDrain, LosesZeroCompletedWork) {

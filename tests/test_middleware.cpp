@@ -237,6 +237,17 @@ TEST(Runtime, RejectsInvalidSetups) {
   EXPECT_THROW(rig2.run(), std::invalid_argument);
 }
 
+TEST(Runtime, ValidateRunRejectsLayoutWithoutStores) {
+  Rig rig;
+  Platform platform(rig.spec);
+  storage::DataLayout layout = rig.layout(platform);
+  EXPECT_NO_THROW(validate_run(platform, layout, rig.options));
+  layout.move_file(1, storage::kInvalidStore);
+  EXPECT_THROW(validate_run(platform, layout, rig.options), std::invalid_argument);
+  layout.move_file(1, static_cast<storage::StoreId>(platform.store_count()));
+  EXPECT_THROW(validate_run(platform, layout, rig.options), std::invalid_argument);
+}
+
 TEST(Runtime, RejectsPlatformWithoutNodes) {
   Rig rig;
   rig.spec = PlatformSpec::paper_testbed(0, 0);

@@ -186,6 +186,29 @@ struct WorkloadRig {
   }
 };
 
+TEST(WorkloadManager, SubmitRejectsLayoutWithoutStores) {
+  // build_layout leaves every file on kInvalidStore until stores are
+  // assigned; such a job must be refused at submission, not run.
+  WorkloadRig rig;
+  WorkloadManager manager(rig.platform, WorkloadOptions{});
+  JobSpec unplaced = rig.job("unplaced");
+  storage::LayoutSpec spec;
+  spec.total_bytes = MiB(64);
+  spec.num_files = 2;
+  spec.unit_bytes = 64;
+  unplaced.layout = storage::build_layout(spec);
+  EXPECT_THROW(manager.submit(std::move(unplaced), 0.0), std::invalid_argument);
+
+  JobSpec far = rig.job("far");
+  far.layout.move_file(3, static_cast<storage::StoreId>(rig.platform.store_count()));
+  EXPECT_THROW(manager.submit(std::move(far), 0.0), std::invalid_argument);
+
+  manager.submit(rig.job("placed"), 0.0);
+  const auto result = manager.run();
+  ASSERT_EQ(result.jobs.size(), 1u);
+  EXPECT_EQ(result.jobs[0].run.total_jobs(), rig.layout.chunks().size());
+}
+
 // --- byte-identity of the solo path ------------------------------------------
 
 TEST(WorkloadManager, SoloFifoJobMatchesRunDistributedExactly) {
