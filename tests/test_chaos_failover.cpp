@@ -11,6 +11,10 @@
 //    the head re-granted it a dead master's work. The survivor shipped a
 //    second robj for it, the head counted both toward the robjs it expected,
 //    and it ended the run before another master's robj merged.
+//
+// Under each plan, every job's final wordcount robj must also serialize to
+// the same bytes as in the fault-free run: the exactly-once global
+// reduction checked on the result itself, not only on the commit ledger.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,6 +23,7 @@
 
 #include "apps/wordcount.hpp"
 #include "chaos/chaos.hpp"
+#include "common/serialize.hpp"
 #include "common/units.hpp"
 #include "directory/platform_directory.hpp"
 #include "engine/memory_dataset.hpp"
@@ -135,6 +140,32 @@ class FailoverRig {
     return bills.ok ? std::string{} : bills.detail;
   }
 
+  /// Each job's final robj, serialized (empty for a job without one).
+  static std::vector<std::vector<std::uint8_t>> robj_bytes(
+      const workload::WorkloadResult& result) {
+    std::vector<std::vector<std::uint8_t>> out;
+    for (const auto& job : result.jobs) {
+      BufferWriter writer;
+      if (job.run.robj) job.run.robj->serialize(writer);
+      out.push_back(writer.take());
+    }
+    return out;
+  }
+
+  /// Empty when every job's final robj equals the fault-free run's byte for
+  /// byte; otherwise the first job that differs.
+  std::string oracle(const workload::WorkloadResult& result) const {
+    const auto want = robj_bytes(run(nullptr));
+    const auto got = robj_bytes(result);
+    if (got.size() != want.size()) return "job count differs from the fault-free run";
+    for (std::size_t j = 0; j < got.size(); ++j) {
+      if (got[j].empty() || got[j] != want[j]) {
+        return "job " + result.jobs[j].name + " robj differs from the fault-free run";
+      }
+    }
+    return "";
+  }
+
  private:
   static engine::MemoryDataset marker_data(const storage::DataLayout& layout) {
     std::vector<apps::WordRecord> records;
@@ -189,7 +220,9 @@ TEST(ChaosFailoverPin, Seed3Plan45ShrunkLosesNoWork) {
       link_fault(kWest, kLocal, 3.172, 1.834, 0.0),
       window(ChaosEvent::Kind::SiteOutage, kWest, 4.278, 1.058),
   };
-  EXPECT_EQ(rig.audit(rig.run(&plan)), "");
+  const workload::WorkloadResult result = rig.run(&plan);
+  EXPECT_EQ(rig.audit(result), "");
+  EXPECT_EQ(rig.oracle(result), "");
 }
 
 // chaos_failover seed 2 plan 14 of the full fault mix (lost chunk 81): node
@@ -206,7 +239,9 @@ TEST(ChaosFailoverPin, Seed2Plan14LosesNoWork) {
       node_event(ChaosEvent::Kind::SpotReclaim, kEast, 0, 4.794, 28.365),
       node_event(ChaosEvent::Kind::NodeDrain, kEast, 2, 4.920),
   };
-  EXPECT_EQ(rig.audit(rig.run(&plan)), "");
+  const workload::WorkloadResult result = rig.run(&plan);
+  EXPECT_EQ(rig.audit(result), "");
+  EXPECT_EQ(rig.oracle(result), "");
 }
 
 // chaos_failover seed 42 plan 3 (perfbench's own mix: link faults and a
@@ -222,6 +257,7 @@ TEST(ChaosFailoverPin, Seed42Plan3FinishesAfterLastMerge) {
   trace::Tracer tracer;
   const workload::WorkloadResult result = rig.run(&plan, &tracer);
   EXPECT_EQ(rig.audit(result), "");
+  EXPECT_EQ(rig.oracle(result), "");
   for (const auto& job : result.jobs) {
     const std::string head = job.name + "/head";
     const trace::Event* last = nullptr;

@@ -6,7 +6,11 @@
 // they hash what those paths decide — rentals, activations, node-loss
 // counters, per-node work, the makespan and the trace without actor names.
 // A real-execution pin runs an apps kernel with payload-sized robjs, so it
-// also hashes the final reduction object's bytes. The digests are fixed, so any change to what a run
+// also hashes the final reduction object's bytes. The KernelLanes pins run
+// the four apps kernels (wordcount, knn, kmeans, pagerank) in direct mode,
+// with checkpoints and a drained node, and in tree mode; each run's robj
+// bytes and digest must equal those of the same run through a delegating
+// task that processes inline. The digests are fixed, so any change to what a run
 // records — a counter moved, dropped, double-counted or re-ordered — fails
 // here. Each counter group is also checked non-zero, so the pin is never
 // vacuous. The composed run drives every counter source at once: site caches
@@ -19,10 +23,15 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "api/combiners.hpp"
 #include "apps/datagen.hpp"
+#include "apps/kmeans.hpp"
+#include "apps/knn.hpp"
+#include "apps/pagerank.hpp"
 #include "apps/wordcount.hpp"
 #include "cache/chunk_cache.hpp"
 #include "common/serialize.hpp"
@@ -598,6 +607,139 @@ TEST(RunRecordPin, RealExecutionDirectRun) {
   for (const std::uint8_t byte : writer.take()) h.add(std::uint64_t{byte});
   hash_trace(h, tracer);
   EXPECT_EQ(h.hex(), "1887108acfeed747");
+}
+
+// --- kernel lanes ---------------------------------------------------------------
+
+/// Forwards everything to `inner` but keeps the default (inline) processing,
+/// so every process() call runs on the simulation thread.
+class InlineTask final : public api::GRTask {
+ public:
+  explicit InlineTask(const api::GRTask& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  std::size_t unit_bytes() const override { return inner_.unit_bytes(); }
+  api::RobjPtr create_robj() const override { return inner_.create_robj(); }
+  void process(const std::byte* data, std::size_t unit_count,
+               api::ReductionObject& robj) const override {
+    inner_.process(data, unit_count, robj);
+  }
+  void finalize(api::ReductionObject& robj) const override { inner_.finalize(robj); }
+
+ private:
+  const api::GRTask& inner_;
+};
+
+/// The four apps kernels over small generated datasets.
+struct KernelApps {
+  KernelApps() {
+    apps::WordGenSpec wspec;
+    wspec.count = 40000;
+    wspec.vocabulary = 2000;
+    wspec.seed = 5;
+    words.emplace(apps::generate_words(wspec));
+    apps::PointGenSpec pspec;
+    pspec.count = 12000;
+    pspec.seed = 7;
+    points.emplace(apps::generate_points(pspec));
+    knn.emplace(16, std::vector<float>(pspec.dim, 1.5f));
+    kmeans.emplace(apps::mixture_centers(pspec));
+    apps::GraphGenSpec gspec;
+    gspec.pages = 3000;
+    gspec.edges = 24000;
+    gspec.seed = 9;
+    edges.emplace(apps::generate_edges(gspec));
+    pagerank.emplace(std::vector<double>(gspec.pages, 1.0 / gspec.pages),
+                     apps::out_degrees(*edges, gspec.pages));
+  }
+
+  struct App {
+    const api::GRTask* task;
+    const engine::MemoryDataset* data;
+  };
+  std::vector<App> all() const {
+    return {{&wordcount, &*words}, {&*knn, &*points}, {&*kmeans, &*points},
+            {&*pagerank, &*edges}};
+  }
+
+  apps::WordCountTask wordcount;
+  std::optional<engine::MemoryDataset> words, points, edges;
+  std::optional<apps::KnnTask> knn;
+  std::optional<apps::KmeansTask> kmeans;
+  std::optional<apps::PageRankTask> pagerank;
+};
+
+struct KernelRun {
+  std::vector<std::uint8_t> robj;  ///< the final robj, serialized
+  std::string digest;              ///< capacity decisions, robj bytes, trace
+  RunResult result;
+};
+
+/// `task` over `data` on a 16+16-core testbed, about 10 s of simulated
+/// processing with real-payload robjs. Direct mode checkpoints every second
+/// and drains cloud node 1 at 2 s (RobjRequest and vacate both read a
+/// slave's robj mid-run); tree mode merges children into slave robjs.
+KernelRun run_kernel(const api::GRTask& task, const engine::MemoryDataset& data,
+                     bool tree) {
+  Platform platform(PlatformSpec::paper_testbed(16, 16));
+  storage::DataLayout layout =
+      storage::build_layout_for_units(data.units(), data.unit_bytes(), 6, 4);
+  storage::assign_stores_by_fraction(layout, 0.5, platform.local_store_id(),
+                                     platform.cloud_store_id());
+  trace::Tracer tracer;
+  RunOptions o;
+  o.profile.name = "lanes";
+  o.profile.unit_bytes = data.unit_bytes();
+  o.profile.bytes_per_second_per_core = static_cast<double>(data.size_bytes()) / 320.0;
+  o.profile.robj_bytes = 0;
+  o.profile.merge_bytes_per_second = MBps(1);
+  o.task = &task;
+  o.dataset = &data;
+  o.tracer = &tracer;
+  o.reduction_tree = tree;
+  if (!tree) {
+    o.checkpoint_interval_seconds = 1.0;
+    o.lifecycle.push_back({Kind::Drain, cluster::kCloudSite, 1, 2.0});
+  }
+  KernelRun run;
+  run.result = middleware::run_distributed(platform, layout, o);
+  BufferWriter writer;
+  run.result.robj->serialize(writer);
+  run.robj = writer.take();
+  Fnv h;
+  hash_capacity(h, run.result);
+  for (const std::uint8_t byte : run.robj) h.add(std::uint64_t{byte});
+  hash_trace(h, tracer);
+  run.digest = h.hex();
+  return run;
+}
+
+void expect_lanes_match_inline(bool tree, const std::vector<std::string>& want) {
+  const KernelApps apps;
+  const auto all = apps.all();
+  ASSERT_EQ(all.size(), want.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const std::string name = all[i].task->name();
+    const InlineTask inline_task(*all[i].task);
+    const KernelRun inline_run = run_kernel(inline_task, *all[i].data, tree);
+    const KernelRun run = run_kernel(*all[i].task, *all[i].data, tree);
+    EXPECT_EQ(run.robj, inline_run.robj) << name;
+    EXPECT_EQ(run.digest, inline_run.digest) << name;
+    EXPECT_EQ(inline_run.digest, want[i]) << name;
+    if (!tree) {
+      EXPECT_EQ(inline_run.result.lifecycle.nodes_vacated, 1u) << name;
+      EXPECT_GT(inline_run.result.lifecycle.checkpoint_flushes, 2u) << name;
+    }
+  }
+}
+
+TEST(KernelLanes, DirectRunsMatchInline) {
+  expect_lanes_match_inline(
+      false, {"03e9ca8a7d24fb65", "bdaffc46e03fe62d", "1593f118eeffd435", "9ad91f45f631cfed"});
+}
+
+TEST(KernelLanes, TreeRunsMatchInline) {
+  expect_lanes_match_inline(
+      true, {"b487acf3efe0b434", "8492a5a0fcd30d32", "6b2adebf88c2ea7c", "1206bb66f23dcc70"});
 }
 
 }  // namespace
