@@ -40,6 +40,12 @@ class GRTask {
   /// Optional post-processing once the global reduction is complete (e.g.
   /// kmeans divides sums by counts). Default: nothing.
   virtual void finalize(ReductionObject& robj) const { (void)robj; }
+
+  /// True when process() reads only its input units and writes only its
+  /// robj: no other state, no logging, no shared counters. The middleware
+  /// may then run a slave's process() calls on a host worker thread, in
+  /// order, beside the simulation. Default false: every call runs inline.
+  virtual bool concurrent_process() const { return false; }
 };
 
 }  // namespace cloudburst::api

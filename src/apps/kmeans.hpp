@@ -37,6 +37,7 @@ class KmeansTask final : public api::GRTask, public api::MRTask {
   api::RobjPtr create_robj() const override;
   void process(const std::byte* data, std::size_t unit_count,
                api::ReductionObject& robj) const override;
+  bool concurrent_process() const override { return true; }
   void finalize(api::ReductionObject& robj) const override;
 
   // --- Map-Reduce -------------------------------------------------------------

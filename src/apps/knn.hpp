@@ -36,6 +36,7 @@ class KnnTask final : public api::GRTask, public api::MRTask {
   api::RobjPtr create_robj() const override;
   void process(const std::byte* data, std::size_t unit_count,
                api::ReductionObject& robj) const override;
+  bool concurrent_process() const override { return true; }
 
   // --- Map-Reduce -------------------------------------------------------------
   void map(const std::byte* data, std::size_t unit_count, api::Emitter& emit) const override;

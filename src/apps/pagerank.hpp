@@ -40,6 +40,7 @@ class PageRankTask final : public api::GRTask, public api::MRTask {
   api::RobjPtr create_robj() const override;
   void process(const std::byte* data, std::size_t unit_count,
                api::ReductionObject& robj) const override;
+  bool concurrent_process() const override { return true; }
   void finalize(api::ReductionObject& robj) const override;
 
   // --- Map-Reduce -------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <thread>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -303,6 +304,14 @@ storage::StoreService& Platform::store(storage::StoreId id) {
 net::LinkId Platform::wan_link(ClusterId a, ClusterId b) const {
   if (a == b) throw std::invalid_argument("wan_link: a site has no WAN to itself");
   return wan_.at(a).at(b);
+}
+
+ThreadPool& Platform::kernel_pool() {
+  if (!kernel_pool_) {
+    const unsigned cores = std::thread::hardware_concurrency();
+    kernel_pool_ = std::make_unique<ThreadPool>(cores > 1 ? cores - 1 : 1);
+  }
+  return *kernel_pool_;
 }
 
 }  // namespace cloudburst::cluster

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "des/simulator.hpp"
 #include "net/network.hpp"
 #include "storage/fault.hpp"
@@ -219,6 +220,15 @@ class Platform {
   /// chaos windows scale its capacity). Throws if a == b.
   net::LinkId wan_link(ClusterId a, ClusterId b) const;
 
+  /// Host worker pool for real-execution kernels, shared by every job that
+  /// runs on this platform. Started on first use with
+  /// hardware_concurrency() - 1 workers (at least 1), so a timing-only run
+  /// starts no thread.
+  ThreadPool& kernel_pool();
+  /// Join the kernel pool after running every task queued on it; the next
+  /// kernel_pool() call starts a fresh one. A no-op when none is running.
+  void stop_kernel_pool() { kernel_pool_.reset(); }
+
  private:
   void build_cluster(ClusterId id, const ClusterSpec& cspec, net::SiteId site);
 
@@ -232,6 +242,14 @@ class Platform {
   std::vector<storage::StoreId> cluster_store_;  ///< affinity store per site
   std::vector<ClusterId> store_owner_;           ///< owning site per store
   std::vector<std::vector<net::LinkId>> wan_;    ///< WAN link per site pair
+  std::unique_ptr<ThreadPool> kernel_pool_;      ///< null until first use
+};
+
+/// Scope guard of a run: stops the platform's kernel pool on scope exit,
+/// whether the run returned or threw.
+struct KernelPoolStop {
+  Platform& platform;
+  ~KernelPoolStop() { platform.stop_kernel_pool(); }
 };
 
 }  // namespace cloudburst::cluster

@@ -1043,6 +1043,10 @@ void JobExecution::start() {
   if (repair_) repair_->start();
 }
 
+void JobExecution::fence_kernels() {
+  for (auto& slave : slaves_) slave->fence_kernels();
+}
+
 RunResult JobExecution::collect() {
   // Prefetches nobody consumed were wasted WAN work; settle them now that
   // every in-flight transfer has drained.

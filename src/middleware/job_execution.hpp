@@ -71,6 +71,10 @@ class JobExecution {
   double end_time() const { return ctx_.recorder.end_time; }
   RunContext& ctx() { return ctx_; }
 
+  /// Wait for every slave's queued kernel calls and rethrow the first error
+  /// one of them threw (slave order). Call once the simulator drained.
+  void fence_kernels();
+
   /// Settle the prefetchers and aggregate the RunResult. Call after the
   /// simulator drained (standalone) or after the whole workload finished, so
   /// in-flight transfers have landed.

@@ -12,6 +12,8 @@ RunResult run_distributed(cluster::Platform& platform, const storage::DataLayout
                           const RunOptions& options) {
   validate_run(platform, layout, options);
 
+  // The kernel pool lives for this run: joined however the run ends.
+  const cluster::KernelPoolStop stop_kernels{platform};
   net::Postman<Message> postman(platform.network());
   JobExecution job(platform, layout, options, postman,
                    [&postman](net::EndpointId ep,
@@ -20,6 +22,7 @@ RunResult run_distributed(cluster::Platform& platform, const storage::DataLayout
                    });
   job.start();
   platform.sim().run();
+  job.fence_kernels();
 
   if (!job.finished()) {
     throw std::runtime_error("run_distributed: simulation drained without completing the run");

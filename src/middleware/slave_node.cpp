@@ -11,7 +11,7 @@ namespace cloudburst::middleware {
 SlaveNode::SlaveNode(RunContext& ctx, const cluster::NodeHandle& node,
                      net::EndpointId master, std::size_t stat_index, std::uint32_t rank,
                      std::shared_ptr<const std::vector<net::EndpointId>> peers)
-    : ctx_(ctx), node_(node), master_(master), stat_index_(stat_index), rank_(rank),
+    : ctx_(ctx), node_(node), master_(master), rank_(rank), stat_index_(stat_index),
       peers_(std::move(peers)) {
   if (ctx_.options.task) robj_ = ctx_.options.task->create_robj();
 }
@@ -303,12 +303,18 @@ void SlaveNode::start_processing() {
 }
 
 void SlaveNode::on_processed(storage::ChunkId chunk, double duration) {
-  // Real execution: fold the chunk's unit range into this node's robj.
-  if (ctx_.options.task) {
-    const storage::ChunkInfo& info = ctx_.layout.chunk(chunk);
-    const std::uint64_t offset = ctx_.chunk_unit_offset.at(chunk);
-    ctx_.options.task->process(
-        ctx_.options.dataset->unit(offset), static_cast<std::size_t>(info.units), *robj_);
+  // Real execution: fold the chunk's unit range into this node's robj,
+  // inline or, for a task that allows it, on the kernel lane.
+  if (const api::GRTask* task = ctx_.options.task) {
+    const KernelLane::Call call{
+        task, ctx_.options.dataset->unit(ctx_.chunk_unit_offset.at(chunk)),
+        static_cast<std::size_t>(ctx_.layout.chunk(chunk).units), robj_.get()};
+    if (task->concurrent_process()) {
+      if (!lane_) lane_ = std::make_unique<KernelLane>();
+      lane_->submit(ctx_.platform.kernel_pool(), call);
+    } else {
+      task->process(call.data, call.units, *call.robj);
+    }
   }
 
   ctx_.trace(trace::EventKind::ProcessEnd, node_.name, chunk);
@@ -362,6 +368,7 @@ void SlaveNode::maybe_vacate() {
   // with adequate notice loses zero completed work.
   Message msg;
   msg.type = MsgType::NodeVacated;
+  fence_kernels();
   const std::uint64_t bytes = ctx_.pack_robj(robj_, msg);
   ctx_.trace(trace::EventKind::NodeVacated, node_.name, stats().jobs, bytes);
   ctx_.send(node_.endpoint, master_, bytes, std::move(msg));
@@ -383,6 +390,7 @@ void SlaveNode::on_child_robj(Message msg) {
   auto boxed = std::make_shared<Message>(std::move(msg));
   ctx_.sim().schedule(des::from_seconds(merge_seconds), [this, boxed] {
     if (!alive_) return;
+    fence_kernels();
     ctx_.merge_robj(robj_, boxed->robj_payload);
     ++children_received_;
     maybe_finish_tree();
@@ -402,6 +410,7 @@ void SlaveNode::send_robj(net::EndpointId dst, std::uint32_t round) {
   Message msg;
   msg.type = MsgType::SlaveRobj;
   msg.want = round;
+  fence_kernels();
   const std::uint64_t bytes = ctx_.pack_robj(robj_, msg);
   ctx_.trace(trace::EventKind::RobjSent, node_.name, bytes);
   ctx_.send(node_.endpoint, dst, bytes, std::move(msg));

@@ -19,6 +19,12 @@
 // A slave can be kill()ed mid-run: it goes silent (all pending callbacks are
 // inert) and whatever its robj accumulated is lost, exactly the failure
 // semantics a reduction-object runtime has.
+//
+// Real execution: a task that declares concurrent_process() has its chunks
+// folded into the robj on this slave's KernelLane, beside the simulation.
+// The slave fences the lane before anything reads or replaces the robj:
+// send_robj (RobjRequest and the tree hand-off), maybe_vacate, the tree
+// child merge, fence_kernels() at run end, and destruction.
 #pragma once
 
 #include <deque>
@@ -27,6 +33,7 @@
 #include <vector>
 
 #include "des/sim_time.hpp"
+#include "middleware/kernel_lane.hpp"
 #include "middleware/run_context.hpp"
 
 namespace cloudburst::middleware {
@@ -63,6 +70,14 @@ class SlaveNode {
   /// flush the final delta-robj checkpoint and vacate. Direct mode only.
   void begin_drain();
   bool draining() const { return draining_; }
+
+  /// Wait for every chunk handed to the kernel lane and rethrow what a
+  /// kernel threw. The slave calls it before it reads or replaces its robj;
+  /// run end calls it on every slave, dead ones included, so a slave killed
+  /// before it shipped still surfaces its kernel's error.
+  void fence_kernels() {
+    if (lane_) lane_->fence();
+  }
 
   net::EndpointId endpoint() const { return node_.endpoint; }
   cluster::ClusterId site() const { return node_.cluster; }
@@ -117,8 +132,8 @@ class SlaveNode {
   RunContext& ctx_;
   cluster::NodeHandle node_;
   net::EndpointId master_;
+  std::uint32_t rank_;  ///< next to master_: the two 4-byte fields fill one 8-byte slot
   std::size_t stat_index_;
-  std::uint32_t rank_;
   std::shared_ptr<const std::vector<net::EndpointId>> peers_;
 
   bool alive_ = true;
@@ -145,6 +160,10 @@ class SlaveNode {
   std::unordered_map<storage::ChunkId, storage::StoreId> assigned_store_;
 
   api::RobjPtr robj_;  ///< real-execution accumulator (may be null)
+  /// Made on the first chunk a concurrent task hands off (null otherwise:
+  /// a timing-only slave carries no lane). Declared after robj_ so it is
+  /// destroyed first: its destructor waits for the queued calls into robj_.
+  std::unique_ptr<KernelLane> lane_;
 };
 
 }  // namespace cloudburst::middleware

@@ -436,7 +436,12 @@ WorkloadResult WorkloadManager::run() {
     throw std::logic_error("WorkloadManager: run() called twice");
   }
   running_ = true;
+  // The kernel pool lives for this run: joined however the run ends.
+  const cluster::KernelPoolStop stop_kernels{platform_};
   platform_.sim().run();
+  for (const auto& job : jobs_) {
+    if (job->exec) job->exec->fence_kernels();
+  }
 
   std::size_t unfinished = 0;
   for (const auto& job : jobs_) {

@@ -2,11 +2,16 @@
 // simulated platform. Verifies every job processed exactly once, timing
 // decomposition consistency, work stealing and its ablations, and — via the
 // real-execution hook — that the distributed run computes bit-identical
-// results to a serial run of the same kernel.
+// results to a serial run of the same kernel. The KernelLaneErrors tests
+// check that a kernel exception thrown on a worker thread surfaces from
+// run_distributed and WorkloadManager::run, even when the slave that threw
+// is crashed before it ships its robj.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <functional>
+#include <stdexcept>
 
 #include "apps/datagen.hpp"
 #include "apps/knn.hpp"
@@ -19,6 +24,8 @@
 #include "engine/gr_engine.hpp"
 #include "middleware/job_execution.hpp"
 #include "middleware/runtime.hpp"
+#include "trace/trace.hpp"
+#include "workload/workload_manager.hpp"
 
 namespace cloudburst::middleware {
 namespace {
@@ -585,6 +592,193 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(1.0, 16u, 16u), std::make_tuple(0.25, 8u, 24u),
                       std::make_tuple(0.75, 32u, 0u), std::make_tuple(0.0, 0u, 32u),
                       std::make_tuple(1.0 / 3, 8u, 8u)));
+
+// --- kernel lane errors ----------------------------------------------------------
+
+/// Wordcount that opts in to lanes and throws std::out_of_range from one
+/// process() call: the `nth` call (1-based, counted over every thread) or,
+/// when `trigger` is set, a call on the unit run starting there into a robj
+/// that holds no word yet (the chunk is its slave's first). Which thread
+/// makes which call varies; which slave makes which call does not.
+class FaultyKernel final : public api::GRTask {
+ public:
+  explicit FaultyKernel(std::uint64_t nth, const std::byte* trigger = nullptr)
+      : nth_(nth), trigger_(trigger) {}
+
+  std::string name() const override { return "faulty-wordcount"; }
+  std::size_t unit_bytes() const override { return inner_.unit_bytes(); }
+  api::RobjPtr create_robj() const override { return inner_.create_robj(); }
+  void process(const std::byte* data, std::size_t unit_count,
+               api::ReductionObject& robj) const override {
+    const std::uint64_t call = calls_.fetch_add(1) + 1;
+    const bool fresh = dynamic_cast<const api::HashCountRobj&>(robj).distinct_keys() == 0;
+    const bool fire = trigger_ ? data == trigger_ && fresh : call == nth_;
+    if (fire) throw std::out_of_range("faulty kernel");
+    inner_.process(data, unit_count, robj);
+  }
+  bool concurrent_process() const override { return true; }
+
+ private:
+  apps::WordCountTask inner_;
+  std::uint64_t nth_;
+  const std::byte* trigger_;
+  mutable std::atomic<std::uint64_t> calls_{0};
+};
+
+/// 24 chunks of words on a 16+16-core testbed, about 10 s of processing.
+struct LaneErrorRig {
+  engine::MemoryDataset words = apps::generate_words({40000, 2000, 1.05, 5});
+  PlatformSpec spec = PlatformSpec::paper_testbed(16, 16);
+  storage::DataLayout layout = make_layout();
+
+  storage::DataLayout make_layout() const {
+    const Platform platform(spec);
+    storage::DataLayout l =
+        storage::build_layout_for_units(words.units(), words.unit_bytes(), 6, 4);
+    storage::assign_stores_by_fraction(l, 0.5, platform.local_store_id(),
+                                       platform.cloud_store_id());
+    return l;
+  }
+
+  RunOptions options(const api::GRTask& task, bool tree) const {
+    RunOptions o;
+    o.profile.name = "lane-errors";
+    o.profile.unit_bytes = words.unit_bytes();
+    o.profile.bytes_per_second_per_core = static_cast<double>(words.size_bytes()) / 320.0;
+    o.task = &task;
+    o.dataset = &words;
+    o.reduction_tree = tree;
+    return o;
+  }
+
+  RunResult run(const RunOptions& o) const {
+    Platform platform(spec);
+    return run_distributed(platform, layout, o);
+  }
+
+  workload::WorkloadResult run_workload(const RunOptions& o, std::size_t jobs) const {
+    Platform platform(spec);
+    workload::WorkloadManager manager(platform, {});
+    for (std::size_t j = 0; j < jobs; ++j) {
+      workload::JobSpec job;
+      job.name = "job" + std::to_string(j);
+      job.layout = layout;
+      job.options = o;
+      manager.submit(std::move(job), 0.0);
+    }
+    return manager.run();
+  }
+
+  /// First unit of chunk `id`.
+  const std::byte* chunk_data(storage::ChunkId id) const {
+    std::uint64_t offset = 0;
+    for (const auto& chunk : layout.chunks()) {
+      if (chunk.id == id) break;
+      offset += chunk.units;
+    }
+    return words.unit(offset);
+  }
+
+  /// A plan that crashes the node of the first chunk `tracer` saw processed,
+  /// just after that chunk; `trigger` is set to the chunk's first unit. In
+  /// direct mode without checkpoints the node would ship its robj only at
+  /// the final commit, so it dies before it ships.
+  chaos::ChaosPlan crash_first_processor(const trace::Tracer& tracer,
+                                         const std::byte*& trigger) const {
+    const Platform platform(spec);
+    for (const trace::Event& ev : tracer.events()) {
+      if (ev.kind != trace::EventKind::ProcessEnd) continue;
+      trigger = chunk_data(static_cast<storage::ChunkId>(ev.a));
+      for (cluster::ClusterId site = 0; site < platform.cluster_count(); ++site) {
+        const auto& nodes = platform.nodes(site);
+        for (std::uint32_t i = 0; i < nodes.size(); ++i) {
+          if (nodes[i].name != ev.actor) continue;
+          chaos::ChaosEvent crash;
+          crash.kind = chaos::ChaosEvent::Kind::NodeCrash;
+          crash.site_a = site;
+          crash.node_index = i;
+          crash.at_seconds = ev.t + 1e-3;
+          chaos::ChaosPlan plan;
+          plan.events.push_back(crash);
+          return plan;
+        }
+      }
+    }
+    throw std::logic_error("no processed chunk in the trace");
+  }
+};
+
+TEST(KernelLaneErrors, NthCallThrowsFromRunDistributed) {
+  const LaneErrorRig rig;
+  for (const bool tree : {true, false}) {
+    for (const std::uint64_t nth : {1u, 7u, 24u}) {
+      const FaultyKernel task(nth);
+      EXPECT_THROW(rig.run(rig.options(task, tree)), std::out_of_range)
+          << "tree=" << tree << " nth=" << nth;
+    }
+  }
+}
+
+TEST(KernelLaneErrors, NthCallThrowsFromWorkloadRun) {
+  const LaneErrorRig rig;
+  for (const std::uint64_t nth : {1u, 30u, 48u}) {
+    const FaultyKernel task(nth);
+    EXPECT_THROW(rig.run_workload(rig.options(task, false), 2), std::out_of_range)
+        << "nth=" << nth;
+  }
+}
+
+TEST(KernelLaneErrors, CrashedSlaveSurfacesErrorAtRunEnd) {
+  const LaneErrorRig rig;
+  trace::Tracer tracer;
+  const FaultyKernel clean(0);
+  RunOptions o = rig.options(clean, false);
+  o.tracer = &tracer;
+  rig.run(o);
+  const std::byte* trigger = nullptr;
+  const chaos::ChaosPlan plan = rig.crash_first_processor(tracer, trigger);
+
+  // Without the fault the plan crashes one node and the run re-executes its
+  // work on the survivors.
+  const FaultyKernel sound(0);
+  RunOptions crashed = rig.options(sound, false);
+  crashed.chaos = &plan;
+  const RunResult result = rig.run(crashed);
+  EXPECT_EQ(result.lifecycle.nodes_crashed, 1u);
+  EXPECT_GT(result.lifecycle.chunks_reexecuted, 0u);
+
+  // The crashed node's kernel throws on its first chunk; the survivor that
+  // re-executes that chunk folds it into a robj that already holds words,
+  // so it does not throw. Nothing fences a dead slave's lane mid-run: the
+  // error must surface at run end.
+  const FaultyKernel faulty(0, trigger);
+  RunOptions o2 = rig.options(faulty, false);
+  o2.chaos = &plan;
+  EXPECT_THROW(rig.run(o2), std::out_of_range);
+}
+
+TEST(KernelLaneErrors, CrashedSlaveSurfacesErrorFromWorkloadRun) {
+  const LaneErrorRig rig;
+  trace::Tracer tracer;
+  const FaultyKernel clean(0);
+  RunOptions o = rig.options(clean, false);
+  o.tracer = &tracer;
+  rig.run_workload(o, 1);
+  const std::byte* trigger = nullptr;
+  const chaos::ChaosPlan plan = rig.crash_first_processor(tracer, trigger);
+
+  const FaultyKernel sound(0);
+  RunOptions crashed = rig.options(sound, false);
+  crashed.chaos = &plan;
+  const workload::WorkloadResult result = rig.run_workload(crashed, 1);
+  ASSERT_EQ(result.jobs.size(), 1u);
+  EXPECT_EQ(result.jobs[0].run.lifecycle.nodes_crashed, 1u);
+
+  const FaultyKernel faulty(0, trigger);
+  RunOptions o2 = rig.options(faulty, false);
+  o2.chaos = &plan;
+  EXPECT_THROW(rig.run_workload(o2, 1), std::out_of_range);
+}
 
 }  // namespace
 }  // namespace cloudburst::middleware
