@@ -1,6 +1,6 @@
 #include "apps/datagen.hpp"
 
-#include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -41,27 +41,31 @@ engine::MemoryDataset generate_points(const PointGenSpec& spec) {
 }
 
 engine::MemoryDataset generate_edges(const GraphGenSpec& spec) {
-  if (spec.pages == 0) throw std::invalid_argument("generate_edges: pages must be > 0");
+  // One page cannot avoid a self-loop.
+  if (spec.pages < 2) throw std::invalid_argument("generate_edges: pages must be >= 2");
   if (spec.edges < spec.pages) {
     throw std::invalid_argument("generate_edges: need at least one edge per page");
   }
-  std::vector<EdgeRecord> edges;
-  edges.reserve(spec.edges);
+  const ZipfSampler popularity(spec.pages, spec.popularity_skew);
+  std::vector<std::byte> bytes(spec.edges * sizeof(EdgeRecord));
+  std::byte* out = bytes.data();
+  const auto emit = [&out, &spec](std::uint32_t src, std::uint32_t dst) {
+    if (dst == src) dst = (dst + 1) % spec.pages;  // no self-loop
+    const EdgeRecord e{src, dst};
+    std::memcpy(out, &e, sizeof e);
+    out += sizeof e;
+  };
 
   Rng rng = Rng::substream(spec.seed, 0xed9e);
   // Guaranteed out-edge per page (no dangling mass, see datagen.hpp).
   for (std::uint32_t p = 0; p < spec.pages; ++p) {
-    std::uint32_t dst = static_cast<std::uint32_t>(rng.zipf(spec.pages, spec.popularity_skew));
-    if (dst == p) dst = (dst + 1) % spec.pages;  // no self-loop
-    edges.push_back(EdgeRecord{p, dst});
+    emit(p, static_cast<std::uint32_t>(popularity(rng)));
   }
   for (std::uint64_t e = spec.pages; e < spec.edges; ++e) {
     const auto src = static_cast<std::uint32_t>(rng.next_below(spec.pages));
-    std::uint32_t dst = static_cast<std::uint32_t>(rng.zipf(spec.pages, spec.popularity_skew));
-    if (dst == src) dst = (dst + 1) % spec.pages;
-    edges.push_back(EdgeRecord{src, dst});
+    emit(src, static_cast<std::uint32_t>(popularity(rng)));
   }
-  return engine::MemoryDataset::from_records(edges);
+  return engine::MemoryDataset(std::move(bytes), sizeof(EdgeRecord));
 }
 
 std::vector<std::uint32_t> out_degrees(const engine::MemoryDataset& edges,
@@ -83,12 +87,14 @@ engine::MemoryDataset generate_words(const WordGenSpec& spec) {
   if (spec.count == 0 || spec.vocabulary == 0) {
     throw std::invalid_argument("generate_words: count and vocabulary must be > 0");
   }
-  std::vector<WordRecord> words(spec.count);
+  const ZipfSampler popularity(spec.vocabulary, spec.zipf_s);
+  std::vector<std::byte> bytes(spec.count * sizeof(WordRecord));
   Rng rng = Rng::substream(spec.seed, 0x30bd);
-  for (auto& w : words) {
-    w.word_id = rng.zipf(spec.vocabulary, spec.zipf_s);
+  for (std::size_t i = 0; i < spec.count; ++i) {
+    const WordRecord w{popularity(rng)};
+    std::memcpy(bytes.data() + i * sizeof w, &w, sizeof w);
   }
-  return engine::MemoryDataset::from_records(words);
+  return engine::MemoryDataset(std::move(bytes), sizeof(WordRecord));
 }
 
 }  // namespace cloudburst::apps

@@ -5,7 +5,9 @@
 // for knn/kmeans (so clustering has real structure), a Zipf-in-degree web
 // graph with minimum out-degree 1 for pagerank (no dangling pages, matching
 // the driver's damping treatment), and Zipf word streams for wordcount.
-// Everything is deterministic from the seed.
+// Everything is deterministic from the seed. Zipf draws come from one
+// ZipfSampler per call (common/rng.hpp), and records are written straight
+// into the dataset's byte buffer.
 #pragma once
 
 #include <cstddef>
@@ -33,14 +35,16 @@ engine::MemoryDataset generate_points(const PointGenSpec& spec);
 std::vector<std::vector<float>> mixture_centers(const PointGenSpec& spec);
 
 struct GraphGenSpec {
-  std::uint32_t pages = 0;
+  std::uint32_t pages = 0;  ///< must be >= 2 (no self-loops)
   std::uint64_t edges = 0;  ///< must be >= pages (min out-degree 1)
-  double popularity_skew = 1.1;  ///< Zipf exponent for destination popularity
+  double popularity_skew = 1.1;  ///< Zipf exponent for destination popularity; finite
   std::uint64_t seed = 1;
 };
 
 /// Directed edges: every page gets one guaranteed out-edge, the rest go from
-/// uniform sources to Zipf-popular destinations.
+/// uniform sources to Zipf-popular destinations. No edge is a self-loop.
+/// Throws std::invalid_argument on fewer than 2 pages, fewer edges than
+/// pages, or a non-finite skew.
 engine::MemoryDataset generate_edges(const GraphGenSpec& spec);
 
 /// Out-degree per page for a generated edge set (pagerank needs it).
@@ -50,10 +54,13 @@ std::vector<std::uint32_t> out_degrees(const engine::MemoryDataset& edges,
 struct WordGenSpec {
   std::size_t count = 0;
   std::uint64_t vocabulary = 10000;
-  double zipf_s = 1.05;
+  double zipf_s = 1.05;  ///< Zipf exponent of word popularity; finite
   std::uint64_t seed = 1;
 };
 
+/// Zipf-distributed word ids in [0, vocabulary). Throws
+/// std::invalid_argument on a zero count or vocabulary or a non-finite
+/// exponent.
 engine::MemoryDataset generate_words(const WordGenSpec& spec);
 
 }  // namespace cloudburst::apps

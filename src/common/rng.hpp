@@ -6,11 +6,13 @@
 //   * SplitMix64 — seed expansion / cheap stateless hashing,
 //   * Xoshiro256StarStar — the workhorse generator (satisfies
 //     std::uniform_random_bit_generator, so it plugs into <random>),
-//   * Rng — a convenience façade with the distributions we actually use.
+//   * Rng — a convenience façade with the distributions we actually use,
+//   * ZipfSampler — Zipf ranks by rejection-inversion, built once per (n, s).
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 namespace cloudburst {
 
@@ -120,11 +122,42 @@ class Rng {
   /// Bernoulli trial with probability p of true.
   constexpr bool bernoulli(double p) { return next_double() < p; }
 
-  /// Zipf-distributed integer in [0, n) with exponent `s` (rejection-inversion).
-  std::uint64_t zipf(std::uint64_t n, double s);
-
  private:
   Xoshiro256StarStar gen_;
+};
+
+/// Ranks whose acceptance thresholds ZipfSampler precomputes (32 KiB of
+/// doubles). At n = 500000, s = 1.1 they cover 79 % of the draws.
+inline constexpr std::uint64_t kZipfHeadRanks = 4096;
+
+/// Zipf-distributed integers in [0, n) with exponent `s`, by Hormann &
+/// Derflinger's rejection-inversion (ACM TOMACS 1996). The envelope bounds
+/// and the thresholds of ranks 1..min(n, kZipfHeadRanks) are computed once
+/// here; rarer ranks compute theirs per draw. A draw consumes the same
+/// next_double() values and applies the same test as evaluating the whole
+/// formula per call, so its outputs do not depend on the table.
+class ZipfSampler {
+ public:
+  /// Throws std::invalid_argument when `s` is not finite or the envelope
+  /// h(0.5), h(n + 0.5) overflows a double (s above about 1025, or s below
+  /// about -100 at n = 1000); the draw loop would never accept.
+  ZipfSampler(std::uint64_t n, double s);
+
+  /// Zero-based rank; always 0, drawing nothing, when n <= 1.
+  std::uint64_t operator()(Rng& rng) const;
+
+ private:
+  double h(double x) const;
+  double h_inv(double x) const;
+
+  std::uint64_t n_;
+  double s_;
+  bool log_branch_;  ///< s == 1: h is log and h_inv is exp
+  double one_minus_s_ = 0.0;
+  double inv_one_minus_s_ = 0.0;
+  double hx0_ = 0.0;   ///< h(0.5) - 1: the envelope extended below rank 1
+  double span_ = 0.0;  ///< h(n + 0.5) - hx0_
+  std::vector<double> head_;  ///< head_[k - 1] = h(k + 0.5) - k^-s
 };
 
 }  // namespace cloudburst
