@@ -11,6 +11,7 @@
 //    the head re-granted it a dead master's work. The survivor shipped a
 //    second robj for it, the head counted both toward the robjs it expected,
 //    and it ended the run before another master's robj merged.
+//  * A blackout that cancels the flow carrying a cluster robj to the head.
 //
 // Under each plan, every job's final wordcount robj must also serialize to
 // the same bytes as in the fault-free run: the exactly-once global
@@ -267,6 +268,41 @@ TEST(ChaosFailoverPin, Seed42Plan3FinishesAfterLastMerge) {
     ASSERT_NE(last, nullptr) << head;
     EXPECT_STREQ(trace::to_string(last->kind), "RunEnd") << head << " acted after its run ended";
   }
+}
+
+// West blacks out 1 ms after its master shipped the cluster robj of the
+// scan job to the head, while that MasterRobj is still in its 25 ms WAN
+// latency: the flow carrying the robj is cancelled with the site's other
+// flows and the robj never merges. The head re-grants west's work, and each
+// job still runs every chunk exactly once.
+TEST(ChaosFailoverPin, SiteOutageCancelsAnInFlightClusterRobj) {
+  const FailoverRig rig;
+  trace::Tracer clean;
+  rig.run(nullptr, &clean);
+  const std::string west_master = "scan/master-west";
+  double shipped = -1.0;
+  for (const auto& ev : clean.events()) {
+    if (ev.actor == west_master && ev.kind == trace::EventKind::RobjSent) shipped = ev.t;
+  }
+  ASSERT_GT(shipped, 0.0) << west_master << " never shipped its cluster robj";
+
+  ChaosPlan plan;
+  plan.events = {window(ChaosEvent::Kind::SiteOutage, kWest, shipped + 0.001, 1.0)};
+  trace::Tracer tracer;
+  const workload::WorkloadResult result = rig.run(&plan, &tracer);
+  double sent_before_outage = -1.0;
+  const trace::Event* outage = nullptr;
+  for (const auto& ev : tracer.events()) {
+    if (ev.kind == trace::EventKind::SiteOutage && ev.actor == "scan/chaos") outage = &ev;
+    if (!outage && ev.actor == west_master && ev.kind == trace::EventKind::RobjSent) {
+      sent_before_outage = ev.t;
+    }
+  }
+  ASSERT_NE(outage, nullptr);
+  EXPECT_GT(outage->b, 0u) << "the outage cancelled no flow";
+  EXPECT_GT(sent_before_outage, outage->t - 0.025) << "no cluster robj was on the wire";
+  EXPECT_EQ(rig.audit(result), "");
+  EXPECT_EQ(rig.oracle(result), "");
 }
 
 }  // namespace

@@ -18,12 +18,17 @@
 // replication with repair, a graceful drain and a hard spot reclaim.
 // The RunRecord tests check that a solo run's per-site request counts sum to
 // the stores' own counters, and that SiteCounters sums field by field.
+// The RobjHandoffPin tests run wordcount, kmeans and pagerank with
+// checkpoints short enough that idle slaves ship identity robjs, and pin the
+// checkpoint accounting, every shipped robj's wire bytes and the final robj.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -740,6 +745,98 @@ TEST(KernelLanes, DirectRunsMatchInline) {
 TEST(KernelLanes, TreeRunsMatchInline) {
   expect_lanes_match_inline(
       true, {"b487acf3efe0b434", "8492a5a0fcd30d32", "6b2adebf88c2ea7c", "1206bb66f23dcc70"});
+}
+
+// --- robj hand-off -----------------------------------------------------------------
+
+/// What a run's robj hand-offs decided: checkpoint accounting, every robj a
+/// slave or master shipped, and the final robj.
+struct HandoffPin {
+  std::uint64_t checkpoint_flushes;
+  std::uint64_t checkpoint_bytes;
+  std::uint64_t robjs_sent;
+  std::uint64_t robj_sent_bytes;  ///< sum of every RobjSent's wire bytes
+  std::uint64_t idle_ships;       ///< slave ships with no chunk since its last one
+  std::string robj_digest;        ///< FNV-1a of the final robj's bytes
+  bool operator==(const HandoffPin&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const HandoffPin& p) {
+  return os << "{" << p.checkpoint_flushes << ", " << p.checkpoint_bytes << ", "
+            << p.robjs_sent << ", " << p.robj_sent_bytes << ", " << p.idle_ships << ", \""
+            << p.robj_digest << "\"}";
+}
+
+/// `task` over `data` as in run_kernel, but direct mode checkpoints every
+/// 0.25 s, so periodic RobjRequests reach slaves that processed nothing
+/// since their last ship: each must still ship a fresh identity robj,
+/// charged at that robj's serialized size.
+HandoffPin run_handoff(const api::GRTask& task, const engine::MemoryDataset& data, bool tree) {
+  Platform platform(PlatformSpec::paper_testbed(16, 16));
+  storage::DataLayout layout =
+      storage::build_layout_for_units(data.units(), data.unit_bytes(), 6, 4);
+  storage::assign_stores_by_fraction(layout, 0.5, platform.local_store_id(),
+                                     platform.cloud_store_id());
+  trace::Tracer tracer;
+  RunOptions o;
+  o.profile.name = "handoff";
+  o.profile.unit_bytes = data.unit_bytes();
+  o.profile.bytes_per_second_per_core = static_cast<double>(data.size_bytes()) / 320.0;
+  o.profile.robj_bytes = 0;
+  o.profile.merge_bytes_per_second = MBps(1);
+  o.task = &task;
+  o.dataset = &data;
+  o.tracer = &tracer;
+  o.reduction_tree = tree;
+  if (!tree) o.checkpoint_interval_seconds = 0.25;
+  const RunResult result = middleware::run_distributed(platform, layout, o);
+
+  HandoffPin pin{result.lifecycle.checkpoint_flushes, result.lifecycle.checkpoint_bytes,
+                 0, 0, 0, ""};
+  std::map<std::string, bool> worked;  // slave -> processed a chunk since its last ship
+  for (const trace::Event& e : tracer.events()) {
+    if (e.kind == trace::EventKind::ProcessEnd) worked[e.actor] = true;
+    if (e.kind != trace::EventKind::RobjSent) continue;
+    ++pin.robjs_sent;
+    pin.robj_sent_bytes += e.a;
+    if (e.actor.rfind("master-", 0) == 0) continue;
+    if (!worked[e.actor]) ++pin.idle_ships;
+    worked[e.actor] = false;
+  }
+  BufferWriter writer;
+  result.robj->serialize(writer);
+  Fnv h;
+  for (const std::uint8_t byte : writer.take()) h.add(std::uint64_t{byte});
+  pin.robj_digest = h.hex();
+  return pin;
+}
+
+void expect_handoffs(bool tree, const std::vector<HandoffPin>& want) {
+  const KernelApps apps;
+  const std::vector<KernelApps::App> pinned = {
+      {&apps.wordcount, &*apps.words}, {&*apps.kmeans, &*apps.points},
+      {&*apps.pagerank, &*apps.edges}};
+  ASSERT_EQ(pinned.size(), want.size());
+  for (std::size_t i = 0; i < pinned.size(); ++i) {
+    const HandoffPin got = run_handoff(*pinned[i].task, *pinned[i].data, tree);
+    EXPECT_EQ(got, want[i]) << pinned[i].task->name();
+    if (!tree) {
+      EXPECT_GT(got.idle_ships, 0u) << pinned[i].task->name();
+      EXPECT_GT(got.checkpoint_flushes, 0u) << pinned[i].task->name();
+    }
+  }
+}
+
+TEST(RobjHandoffPin, DirectRunsShipIdentityDeltas) {
+  expect_handoffs(false, {{22, 178784, 34, 250176, 8, "0b3e971ce6964d18"},
+                          {22, 12870, 34, 19890, 8, "d3658730fcfde89f"},
+                          {22, 528198, 34, 816306, 8, "38016fd8521c2653"}});
+}
+
+TEST(RobjHandoffPin, TreeRuns) {
+  expect_handoffs(true, {{0, 0, 12, 219312, 0, "0b3e971ce6964d18"},
+                         {0, 0, 12, 7020, 0, "d3658730fcfde89f"},
+                         {0, 0, 12, 288108, 0, "01b0233efed06093"}});
 }
 
 }  // namespace
