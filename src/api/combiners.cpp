@@ -20,9 +20,7 @@ const T& cast_other(const ReductionObject& other, const char* what) {
 // --- VectorFoldRobj ---------------------------------------------------------
 
 VectorFoldRobj::VectorFoldRobj(std::size_t size, VectorFold fold)
-    : fold_(fold), values_(size, 0.0) {
-  std::fill(values_.begin(), values_.end(), identity());
-}
+    : fold_(fold), values_(size, identity()) {}
 
 double VectorFoldRobj::identity() const {
   switch (fold_) {
@@ -68,7 +66,8 @@ void VectorFoldRobj::merge_from(const ReductionObject& other) {
 }
 
 std::uint64_t VectorFoldRobj::byte_size() const {
-  return sizeof(std::uint64_t) + values_.size() * sizeof(double);
+  // Fold tag, element count, elements: exactly what serialize writes.
+  return sizeof(std::uint8_t) + sizeof(std::uint64_t) + values_.size() * sizeof(double);
 }
 
 void VectorFoldRobj::serialize(BufferWriter& out) const {
@@ -113,7 +112,8 @@ void TopKMinRobj::merge_from(const ReductionObject& other) {
 }
 
 std::uint64_t TopKMinRobj::byte_size() const {
-  return sizeof(std::uint64_t) + heap_.size() * sizeof(Entry);
+  // k, entry count, then each entry's score and id.
+  return 2 * sizeof(std::uint64_t) + heap_.size() * (sizeof(double) + sizeof(std::uint64_t));
 }
 
 void TopKMinRobj::serialize(BufferWriter& out) const {

@@ -5,9 +5,10 @@
 //  * updated in place after each data element (local reduction),
 //  * cloned empty per processing thread / node,
 //  * merged pairwise during the global reduction phase,
-//  * serialized when it crosses cluster boundaries (its byte size is what
-//    the middleware charges to the network — pagerank's very large robj is
-//    the source of its sync overhead).
+//  * handed to the next reducer when it crosses node and cluster
+//    boundaries: the simulated middleware moves the object itself and
+//    charges the network its byte_size() — pagerank's very large robj is
+//    the source of its sync overhead.
 // Memory allocation and access are managed by the runtime, per the paper;
 // applications only define the update and merge rules.
 #pragma once
@@ -32,9 +33,13 @@ class ReductionObject {
   /// the runtime chooses the merge order.
   virtual void merge_from(const ReductionObject& other) = 0;
 
-  /// Serialized size; used for robj transfer cost accounting.
+  /// Exactly the number of bytes serialize() writes. The middleware charges
+  /// every robj transfer at this size without serializing the object.
   virtual std::uint64_t byte_size() const = 0;
 
+  /// The robj's bytes, for storage and comparison (results, tests); the
+  /// in-process middleware hand-off does not use them. deserialize reads
+  /// what serialize wrote into an object of the same shape.
   virtual void serialize(BufferWriter& out) const = 0;
   virtual void deserialize(BufferReader& in) = 0;
 };

@@ -1,7 +1,6 @@
 #include "middleware/head_node.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -114,19 +113,18 @@ void HeadNode::regrant(std::vector<storage::ChunkId> chunks) {
 void HeadNode::merge_robj(Message msg) {
   // Merges serialize on the head node and cost robj wire bytes / merge rate.
   const AppProfile& profile = ctx_.options.profile;
-  const double merge_seconds =
-      profile.merge_seconds(profile.robj_wire_bytes(msg.robj_payload.size()));
+  const double merge_seconds = profile.merge_seconds(profile.robj_wire_bytes(msg.robj_bytes));
   const double now = ctx_.now_seconds();
   merge_free_at_ = std::max(merge_free_at_, now) + merge_seconds;
   const double done_at = merge_free_at_;
 
-  auto payload = std::make_shared<std::vector<std::uint8_t>>(std::move(msg.robj_payload));
   ++merges_pending_;
-  ctx_.sim().schedule(des::from_seconds(done_at - now), [this, payload] {
-    ctx_.merge_robj(robj_, *payload);
+  auto merge = [this, incoming = std::move(msg.robj)]() mutable {
+    ctx_.merge_robj(robj_, std::move(incoming));
     ctx_.trace(trace::EventKind::RobjMerged, "head");
     if (--merges_pending_ == 0 && granted_.empty() && !ctx_.recorder.finished) finish_run();
-  });
+  };
+  ctx_.sim().schedule(des::from_seconds(done_at - now), std::move(merge));
 }
 
 void HeadNode::finish_run() {

@@ -37,7 +37,8 @@ void MasterNode::handle(net::EndpointId from, Message msg) {
         // Unsolicited grant: a peer master's site died and the head is
         // re-homing its uncommitted chunks here. This cluster already
         // committed, so it re-opens: the shipped robj lives safely at the
-        // head; drop local state and let the next commit carry the delta.
+        // head; drop whatever merged here since and let the next commit
+        // carry the delta.
         cluster_robj_sent_ = false;
         robj_.reset();
       }
@@ -75,12 +76,12 @@ void MasterNode::handle(net::EndpointId from, Message msg) {
     case MsgType::SlaveRobj: {
       if (ctx_.options.reduction_tree) {
         // Rank 0 of the binomial tree delivers the merged cluster robj.
-        ctx_.merge_robj(robj_, msg.robj_payload);
+        ctx_.merge_robj(robj_, std::move(msg.robj));
         ++tree_robjs_received_;
         if (tree_robjs_received_ == 1) send_cluster_robj();
       } else {
         if (dead_.count(from)) break;  // lost robj: its chunks get re-run
-        ctx_.merge_robj(robj_, msg.robj_payload);
+        ctx_.merge_robj(robj_, std::move(msg.robj));
         // A periodic flush that protects newly completed work.
         if (msg.want == 0 && !done_unchk_[from].empty()) note_flush(from, msg);
         done_unchk_[from].clear();  // robj receipt == checkpoint of done work
@@ -97,7 +98,7 @@ void MasterNode::handle(net::EndpointId from, Message msg) {
       on_chunk_returned(from, msg.chunk);
       break;
     case MsgType::NodeVacated:
-      on_node_vacated(from, msg);
+      on_node_vacated(from, std::move(msg));
       break;
     default:
       throw std::logic_error("MasterNode: unexpected message type");
@@ -118,7 +119,7 @@ void MasterNode::finish_commit_if_complete() {
 }
 
 void MasterNode::note_flush(net::EndpointId slave, const Message& msg) {
-  const std::uint64_t bytes = ctx_.options.profile.robj_wire_bytes(msg.robj_payload.size());
+  const std::uint64_t bytes = ctx_.options.profile.robj_wire_bytes(msg.robj_bytes);
   ++ctx_.recorder.lifecycle.checkpoint_flushes;
   ctx_.recorder.lifecycle.checkpoint_bytes += bytes;
   ctx_.trace(trace::EventKind::CheckpointFlushed, trace_name_, done_unchk_[slave].size(),
@@ -294,11 +295,11 @@ void MasterNode::on_chunk_returned(net::EndpointId slave, storage::ChunkId chunk
   maybe_commit();
 }
 
-void MasterNode::on_node_vacated(net::EndpointId slave, const Message& msg) {
+void MasterNode::on_node_vacated(net::EndpointId slave, Message msg) {
   if (dead_.count(slave)) return;
   // The final delta-robj rides the vacate notice: merging it checkpoints
   // everything the node ever completed, so a drain loses zero finished work.
-  ctx_.merge_robj(robj_, msg.robj_payload);
+  ctx_.merge_robj(robj_, std::move(msg.robj));
   auto& rec = ctx_.recorder.lifecycle;
   ++rec.nodes_vacated;
   ++vacated_slaves_;

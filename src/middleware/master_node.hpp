@@ -89,7 +89,7 @@ class MasterNode {
   /// A draining slave handed an assigned chunk back unstarted.
   void on_chunk_returned(net::EndpointId slave, storage::ChunkId chunk);
   /// A draining slave flushed its final delta robj and went silent.
-  void on_node_vacated(net::EndpointId slave, const Message& msg);
+  void on_node_vacated(net::EndpointId slave, Message msg);
   /// The steps every node loss (crash or drain) shares: mark `slave` dead
   /// and its site suspect, drop it from the waiters and the commit round,
   /// take back its un-checkpointed and in-flight chunks, and settle the

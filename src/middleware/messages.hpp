@@ -12,13 +12,15 @@
 //                                              final delta-robj checkpoint)
 //
 // Messages ride the simulated network: control messages charge a small
-// fixed size, robj messages charge the application's robj_bytes — which is
-// why pagerank's global reduction is expensive across the WAN.
+// fixed size, robj messages charge the robj's serialized size (or the
+// profile's fixed robj_bytes) — which is why pagerank's global reduction is
+// expensive across the WAN.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "api/reduction_object.hpp"
 #include "storage/data_layout.hpp"
 
 namespace cloudburst::middleware {
@@ -73,10 +75,12 @@ struct Message {
   /// `job` — the charged wire size does not change.
   bool reopen = false;
 
-  // SlaveRobj / MasterRobj: payload travels by size only in the timing
-  // model; when a real task is attached (RunOptions::task) the serialized
-  // robj rides along here.
-  std::vector<std::uint8_t> robj_payload;
+  // SlaveRobj / MasterRobj / NodeVacated: the sender's reduction object
+  // itself (null in a timing-only run). It moves through the simulated
+  // network as an object, never as bytes; the transfer is charged at
+  // robj_bytes, its serialized size (byte_size()), set when it is packed.
+  api::RobjPtr robj;
+  std::uint64_t robj_bytes = 0;
 };
 
 /// Declared wire size of a control message (bytes charged to the network).

@@ -412,26 +412,20 @@ struct RunContext {
     postman.send(src, dst, bytes, std::move(msg));
   }
 
-  /// The robj codec's pack half: serialize `robj` into `msg` (a null robj,
-  /// as in a timing-only run, leaves the payload empty) and return the
-  /// message's wire bytes.
-  std::uint64_t pack_robj(const api::RobjPtr& robj, Message& msg) const {
-    if (robj) {
-      BufferWriter writer;
-      robj->serialize(writer);
-      msg.robj_payload = writer.take();
-    }
-    return options.profile.robj_wire_bytes(msg.robj_payload.size());
+  /// The robj hand-off's send half: move `robj` into `msg` (a null robj, as
+  /// in a timing-only run, moves nothing) and return the message's wire
+  /// bytes, charged at the robj's serialized size. Callers fence any kernel
+  /// lane writing into `robj` first.
+  std::uint64_t pack_robj(api::RobjPtr& robj, Message& msg) const {
+    msg.robj_bytes = robj ? robj->byte_size() : 0;
+    msg.robj = std::move(robj);
+    return options.profile.robj_wire_bytes(msg.robj_bytes);
   }
 
-  /// The robj codec's merge half: deserialize `payload` with the run's task
-  /// and fold it into `into`, which adopts it when still null. A no-op for a
-  /// timing-only run or an empty payload.
-  void merge_robj(api::RobjPtr& into, const std::vector<std::uint8_t>& payload) const {
-    if (payload.empty() || !options.task) return;
-    BufferReader reader(payload);
-    api::RobjPtr incoming = options.task->create_robj();
-    incoming->deserialize(reader);
+  /// The robj hand-off's receive half: `into` adopts `incoming` when still
+  /// null, or folds it in. A no-op for a null `incoming` (timing-only run).
+  static void merge_robj(api::RobjPtr& into, api::RobjPtr incoming) {
+    if (!incoming) return;
     if (!into) {
       into = std::move(incoming);
     } else {

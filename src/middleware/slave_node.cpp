@@ -12,8 +12,11 @@ SlaveNode::SlaveNode(RunContext& ctx, const cluster::NodeHandle& node,
                      net::EndpointId master, std::size_t stat_index, std::uint32_t rank,
                      std::shared_ptr<const std::vector<net::EndpointId>> peers)
     : ctx_(ctx), node_(node), master_(master), rank_(rank), stat_index_(stat_index),
-      peers_(std::move(peers)) {
-  if (ctx_.options.task) robj_ = ctx_.options.task->create_robj();
+      peers_(std::move(peers)) {}
+
+api::RobjPtr& SlaveNode::robj() {
+  if (!robj_ && ctx_.options.task) robj_ = ctx_.options.task->create_robj();
+  return robj_;
 }
 
 std::uint32_t SlaveNode::expected_children() const {
@@ -78,10 +81,10 @@ void SlaveNode::handle(net::EndpointId from, Message msg) {
       on_child_robj(std::move(msg));
       break;
     case MsgType::RobjRequest:
-      // Direct mode: ship the current robj (echoing the request's round id),
-      // then start a fresh delta so checkpoint bookkeeping stays exact.
+      // Direct mode: ship the current robj (echoing the request's round id);
+      // what follows goes into a fresh delta, so checkpoint bookkeeping stays
+      // exact.
       send_robj(master_, msg.want);
-      if (robj_) robj_ = ctx_.options.task->create_robj();
       break;
     default:
       throw std::logic_error("SlaveNode: unexpected message type");
@@ -308,7 +311,7 @@ void SlaveNode::on_processed(storage::ChunkId chunk, double duration) {
   if (const api::GRTask* task = ctx_.options.task) {
     const KernelLane::Call call{
         task, ctx_.options.dataset->unit(ctx_.chunk_unit_offset.at(chunk)),
-        static_cast<std::size_t>(ctx_.layout.chunk(chunk).units), robj_.get()};
+        static_cast<std::size_t>(ctx_.layout.chunk(chunk).units), robj().get()};
     if (task->concurrent_process()) {
       if (!lane_) lane_ = std::make_unique<KernelLane>();
       lane_->submit(ctx_.platform.kernel_pool(), call);
@@ -369,7 +372,7 @@ void SlaveNode::maybe_vacate() {
   Message msg;
   msg.type = MsgType::NodeVacated;
   fence_kernels();
-  const std::uint64_t bytes = ctx_.pack_robj(robj_, msg);
+  const std::uint64_t bytes = ctx_.pack_robj(robj(), msg);
   ctx_.trace(trace::EventKind::NodeVacated, node_.name, stats().jobs, bytes);
   ctx_.send(node_.endpoint, master_, bytes, std::move(msg));
   // Rented capacity is handed back the instant the node vacates (no-op for
@@ -385,16 +388,15 @@ void SlaveNode::maybe_vacate() {
 void SlaveNode::on_child_robj(Message msg) {
   // Charge the local-merge compute before counting the child.
   const AppProfile& profile = ctx_.options.profile;
-  const double merge_seconds =
-      profile.merge_seconds(profile.robj_wire_bytes(msg.robj_payload.size()));
-  auto boxed = std::make_shared<Message>(std::move(msg));
-  ctx_.sim().schedule(des::from_seconds(merge_seconds), [this, boxed] {
+  const double merge_seconds = profile.merge_seconds(profile.robj_wire_bytes(msg.robj_bytes));
+  auto merge = [this, child = std::move(msg.robj)]() mutable {
     if (!alive_) return;
     fence_kernels();
-    ctx_.merge_robj(robj_, boxed->robj_payload);
+    ctx_.merge_robj(robj(), std::move(child));
     ++children_received_;
     maybe_finish_tree();
-  });
+  };
+  ctx_.sim().schedule(des::from_seconds(merge_seconds), std::move(merge));
 }
 
 void SlaveNode::maybe_finish_tree() {
@@ -411,7 +413,7 @@ void SlaveNode::send_robj(net::EndpointId dst, std::uint32_t round) {
   msg.type = MsgType::SlaveRobj;
   msg.want = round;
   fence_kernels();
-  const std::uint64_t bytes = ctx_.pack_robj(robj_, msg);
+  const std::uint64_t bytes = ctx_.pack_robj(robj(), msg);
   ctx_.trace(trace::EventKind::RobjSent, node_.name, bytes);
   ctx_.send(node_.endpoint, dst, bytes, std::move(msg));
 }

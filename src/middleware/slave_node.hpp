@@ -13,8 +13,9 @@
 //    "all-to-all collective operation") and rank 0 ships the cluster robj
 //    to the master.
 //  * direct (fault-tolerant): the slave reports JobDone per chunk and ships
-//    its robj only when the master sends RobjRequest, starting a fresh
-//    (delta) robj afterwards — the master checkpoint-tracks work per robj.
+//    its robj only when the master sends RobjRequest; what it processes
+//    afterwards goes into a fresh (delta) robj — the master checkpoint-tracks
+//    work per robj.
 //
 // A slave can be kill()ed mid-run: it goes silent (all pending callbacks are
 // inert) and whatever its robj accumulated is lost, exactly the failure
@@ -22,9 +23,11 @@
 //
 // Real execution: a task that declares concurrent_process() has its chunks
 // folded into the robj on this slave's KernelLane, beside the simulation.
-// The slave fences the lane before anything reads or replaces the robj:
+// The slave fences the lane before anything reads or moves the robj:
 // send_robj (RobjRequest and the tree hand-off), maybe_vacate, the tree
-// child merge, fence_kernels() at run end, and destruction.
+// child merge, fence_kernels() at run end, and destruction. A shipped robj
+// leaves the slave as an object (RunContext::pack_robj); the next one is
+// made when first needed, by robj().
 #pragma once
 
 #include <deque>
@@ -116,6 +119,11 @@ class SlaveNode {
   void start_processing();
   void on_processed(storage::ChunkId chunk, double duration);
   void on_child_robj(Message msg);
+  /// The robj this slave folds into, made on first use: by the first chunk,
+  /// child merge or ship after construction or after the last ship, so a
+  /// slave with no work since its last ship still ships a fresh identity
+  /// robj. Null in a timing-only run.
+  api::RobjPtr& robj();
   void maybe_finish_tree();
   void send_robj(net::EndpointId dst, std::uint32_t round = 0);
   /// Drain endgame: once no work is held or requested, ship the final delta
@@ -159,7 +167,7 @@ class SlaveNode {
   /// without a ReplicaSet — the layout primary is implied).
   std::unordered_map<storage::ChunkId, storage::StoreId> assigned_store_;
 
-  api::RobjPtr robj_;  ///< real-execution accumulator (may be null)
+  api::RobjPtr robj_;  ///< real-execution accumulator; null until robj() makes it
   /// Made on the first chunk a concurrent task hands off (null otherwise:
   /// a timing-only slave carries no lane). Declared after robj_ so it is
   /// destroyed first: its destructor waits for the queued calls into robj_.

@@ -8,9 +8,18 @@
 
 #include "api/combiners.hpp"
 #include "common/rng.hpp"
+#include "common/serialize.hpp"
 
 namespace cloudburst::api {
 namespace {
+
+/// The middleware charges a robj's transfer at byte_size(), so it must be
+/// exactly the length serialize() writes.
+void expect_byte_size_is_serialized_length(const ReductionObject& robj) {
+  BufferWriter w;
+  robj.serialize(w);
+  EXPECT_EQ(robj.byte_size(), w.buffer().size());
+}
 
 // --- VectorFoldRobj -----------------------------------------------------------
 
@@ -76,8 +85,17 @@ TEST(VectorFoldRobj, SerializeRoundTrip) {
 }
 
 TEST(VectorFoldRobj, ByteSizeMatchesPayload) {
-  VectorFoldRobj v(100, VectorFold::Sum);
-  EXPECT_EQ(v.byte_size(), 8u + 100 * 8u);
+  for (const VectorFold fold : {VectorFold::Sum, VectorFold::Min, VectorFold::Max}) {
+    VectorFoldRobj v(100, fold);
+    expect_byte_size_is_serialized_length(v);
+    v.accumulate(3, 2.5);
+    expect_byte_size_is_serialized_length(v);
+    VectorFoldRobj other(100, fold);
+    other.accumulate(7, -1.0);
+    v.merge_from(other);
+    expect_byte_size_is_serialized_length(v);
+  }
+  expect_byte_size_is_serialized_length(VectorFoldRobj(0, VectorFold::Sum));
 }
 
 // --- TopKMinRobj ----------------------------------------------------------------
@@ -140,6 +158,19 @@ TEST(TopKMinRobj, SerializeRoundTripPreservesEntries) {
   EXPECT_EQ(copy.sorted_entries(), top.sorted_entries());
 }
 
+TEST(TopKMinRobj, ByteSizeMatchesPayload) {
+  TopKMinRobj top(4);
+  expect_byte_size_is_serialized_length(top);
+  top.offer(2.0, 1);
+  top.offer(1.0, 2);
+  expect_byte_size_is_serialized_length(top);
+  TopKMinRobj other(4);
+  for (int i = 0; i < 6; ++i) other.offer(0.5 * i, 10 + static_cast<std::uint64_t>(i));
+  top.merge_from(other);
+  EXPECT_EQ(top.count(), 4u);
+  expect_byte_size_is_serialized_length(top);
+}
+
 // --- HashCountRobj ---------------------------------------------------------------
 
 TEST(HashCountRobj, AddAndGet) {
@@ -184,6 +215,20 @@ TEST(HashCountRobj, SerializeIsCanonicalAndRoundTrips) {
   EXPECT_DOUBLE_EQ(copy.get(2), 2.0);
 }
 
+TEST(HashCountRobj, ByteSizeMatchesPayload) {
+  HashCountRobj h;
+  expect_byte_size_is_serialized_length(h);
+  h.add(5, 1.0);
+  h.add(9, 2.0);
+  expect_byte_size_is_serialized_length(h);
+  HashCountRobj other;
+  other.add(9, 1.0);
+  other.add(12, 4.0);
+  h.merge_from(other);
+  EXPECT_EQ(h.distinct_keys(), 3u);
+  expect_byte_size_is_serialized_length(h);
+}
+
 // --- ConcatRobj ---------------------------------------------------------------------
 
 TEST(ConcatRobj, AppendAndCount) {
@@ -225,6 +270,20 @@ TEST(ConcatRobj, SerializeRoundTrip) {
   copy.deserialize(r);
   EXPECT_EQ(copy.records(), 1u);
   EXPECT_EQ(copy.data(), c.data());
+}
+
+TEST(ConcatRobj, ByteSizeMatchesPayload) {
+  ConcatRobj c(3);
+  expect_byte_size_is_serialized_length(c);
+  const double record[3] = {1.0, 2.0, 3.0};
+  c.append(record);
+  expect_byte_size_is_serialized_length(c);
+  ConcatRobj other(3);
+  other.append(record);
+  other.append(record);
+  c.merge_from(other);
+  EXPECT_EQ(c.records(), 3u);
+  expect_byte_size_is_serialized_length(c);
 }
 
 // --- generic merge-law property sweep -------------------------------------------
