@@ -37,7 +37,7 @@
 
 #include "cache/chunk_cache.hpp"
 #include "net/network.hpp"
-#include "storage/store_service.hpp"
+#include "storage/store.hpp"
 #include "trace/trace.hpp"
 
 namespace cloudburst::cache {

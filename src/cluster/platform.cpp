@@ -228,17 +228,15 @@ Platform::Platform(const PlatformSpec& spec) : spec_(spec) {
     const net::EndpointId ep =
         net.add_endpoint(spec_.sites[i].name + "-store", store_site[i]);
     net.set_access_path(ep, {front});
-    if (is_object) {
-      stores_.push_back(std::make_unique<storage::ObjectStore>(
-          id, sim_, net, ep,
-          storage::ObjectStore::Params{store->access_latency,
-                                       store->per_stream_bandwidth, store->fault}));
-    } else {
-      stores_.push_back(std::make_unique<storage::LocalStore>(
-          id, sim_, net, ep,
-          storage::LocalStore::Params{store->access_latency, 0,
-                                      store->per_stream_bandwidth}));
-    }
+    // A disk seeks and has one spindle; an object store pays its latency on
+    // every GET and splits a read over any number of connections.
+    storage::Store::Params params;
+    params.request_latency = is_object ? store->access_latency : 0;
+    params.seek_latency = is_object ? 0 : store->access_latency;
+    params.per_stream_bandwidth = store->per_stream_bandwidth;
+    params.max_streams = is_object ? storage::Store::kUnlimitedStreams : 1;
+    params.fault = store->fault;
+    stores_.push_back(std::make_unique<storage::Store>(id, sim_, net, ep, std::move(params)));
     store_owner_.push_back(i);
     cluster_store_[i] = id;
   }
@@ -296,7 +294,7 @@ std::size_t Platform::cloud_node_count() const {
   return total;
 }
 
-storage::StoreService& Platform::store(storage::StoreId id) {
+storage::Store& Platform::store(storage::StoreId id) {
   if (id >= stores_.size()) throw std::out_of_range("unknown store id");
   return *stores_[id];
 }

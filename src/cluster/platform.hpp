@@ -32,8 +32,7 @@
 #include "des/simulator.hpp"
 #include "net/network.hpp"
 #include "storage/fault.hpp"
-#include "storage/local_store.hpp"
-#include "storage/object_store.hpp"
+#include "storage/store.hpp"
 
 namespace cloudburst::cluster {
 
@@ -86,9 +85,10 @@ struct StoreSpec {
   double fabric_bandwidth = 0.0;
   des::SimDuration fabric_latency = 0;
 
-  /// Object stores only: transient-fault model (per-GET failure probability,
-  /// throttling windows, hung GETs). Default-disabled — the store behaves as
-  /// the perfect-world device and draws no random numbers.
+  /// Transient-fault model (per-GET failure probability, throttling windows,
+  /// hung GETs), for either kind of store. Default-disabled — the store
+  /// behaves as the perfect-world device and draws no random numbers. An
+  /// invalid profile makes the Platform constructor throw.
   storage::FaultProfile fault;
 
   static StoreSpec disk(double front_bandwidth, double per_stream_bandwidth,
@@ -198,7 +198,7 @@ class Platform {
   }
 
   std::size_t store_count() const { return stores_.size(); }
-  storage::StoreService& store(storage::StoreId id);
+  storage::Store& store(storage::StoreId id);
   /// The store cluster `id` treats as local (its affinity); kInvalidStore if
   /// the cluster has no local store.
   storage::StoreId store_of_cluster(ClusterId id) const { return cluster_store_.at(id); }
@@ -238,7 +238,7 @@ class Platform {
   std::vector<std::vector<NodeHandle>> nodes_;
   net::EndpointId head_ep_ = 0;
   std::vector<net::EndpointId> master_ep_;
-  std::vector<std::unique_ptr<storage::StoreService>> stores_;
+  std::vector<std::unique_ptr<storage::Store>> stores_;
   std::vector<storage::StoreId> cluster_store_;  ///< affinity store per site
   std::vector<ClusterId> store_owner_;           ///< owning site per store
   std::vector<std::vector<net::LinkId>> wan_;    ///< WAN link per site pair

@@ -21,13 +21,14 @@
 // ------------
 // Active flows with the same (source, destination, rate cap) form a *class*:
 // one path, one rate, one entry on each of its links, and one log of walk
-// times. A multi-stream fetch (ObjectStore splits each chunk into `streams`
-// range GETs under one per-connection cap) is one class of `streams` flows,
-// so the walk, the water-filling and the link lists below run over classes,
-// not flows. Each flow is bound to its class at start_flow (the class caches
-// the path and its latency); a class whose last member leaves stays in the
-// lookup, detached from its links, for the next flow with its key, and the
-// topology setters drop every class because their paths may go stale.
+// times. A multi-stream fetch (storage::Store splits each chunk into
+// `streams` range GETs under one per-stream cap) is one class of `streams`
+// flows, so the walk, the water-filling and the link lists below run over
+// classes, not flows. Each flow is bound to its class at start_flow (the
+// class caches the path and its latency); a class whose last member leaves
+// stays in the lookup, detached from its links, for the next flow with its
+// key, and the topology setters drop every class because their paths may go
+// stale.
 //
 // Scoped rebalancing
 // ------------------

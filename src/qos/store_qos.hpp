@@ -1,9 +1,10 @@
 // Per-tenant store I/O QoS: weighted-fair arbitration + bandwidth
-// reservations at every StoreService access link.
+// reservations at every store's access link.
 //
 // The paper's stores serve whoever asks; once the platform multiplexes
-// multi-tenant workloads over shared LocalStore/ObjectStore instances, one
-// tenant's scan can starve another's interactive job at the store front end.
+// multi-tenant workloads over shared storage::Store instances (disks and
+// object stores alike), one tenant's scan can starve another's interactive
+// job at the store front end.
 // A StoreQos interposes an admission arbiter in front of each store:
 //
 //  * every store fetch is submitted to the arbiter before the wire transfer

@@ -172,7 +172,7 @@ double ReplicaSet::store_score(storage::StoreId store, cluster::ClusterId reader
       // exclusive end (see storage/fault.hpp).
       if (now >= w.begin_seconds && now < w.end_seconds) {
         p_fail = std::min(1.0, p_fail + w.fail_probability);
-        if (w.bandwidth_factor > 0.0 && w.bandwidth_factor < 1.0) {
+        if (w.bandwidth_factor < 1.0) {
           // A throttled stream takes 1/factor as long; charge the slowdown
           // on the reference transfer.
           score += (1.0 / w.bandwidth_factor - 1.0) *

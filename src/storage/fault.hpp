@@ -2,7 +2,8 @@
 //
 // The paper's slaves stream chunks from real Amazon S3, which throttles
 // (503 SlowDown), drops connections, and has heavy-tailed GET latency. A
-// FaultProfile attaches those behaviors to an ObjectStore:
+// FaultProfile attaches those behaviors to a Store of either kind (an
+// overloaded or failing disk array degrades the same way):
 //  * per-request failure probability — the GET aborts after moving a
 //    deterministic fraction of the chunk (the partial transfer still crosses
 //    the network and is billed as egress);
@@ -17,6 +18,11 @@
 // (seed, store id), so runs are bit-reproducible. A default-constructed
 // profile is disabled: the store consumes no random numbers and behaves
 // exactly as the fault-free model — paper runs stay byte-identical.
+//
+// The Store constructor throws std::invalid_argument on a profile it cannot
+// run: a probability that is not in [0, 1], a negative or non-finite
+// hang_seconds, a window that ends before it begins, or a bandwidth_factor
+// that is not a finite number > 0.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +42,7 @@ struct FaultProfile {
   ///
   /// Window membership is half-open — [begin_seconds, end_seconds): a GET
   /// issued exactly at begin_seconds is throttled, one issued exactly at
-  /// end_seconds is not (ObjectStore tests `now >= begin && now < end`).
+  /// end_seconds is not (Store tests `now >= begin && now < end`).
   /// Callers aligning windows to other events rely on this; it is pinned by
   /// ObjectStoreFaults.ThrottleWindowBoundaryIsHalfOpen.
   struct Throttle {

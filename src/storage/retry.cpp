@@ -23,7 +23,7 @@ namespace {
 /// control flow but their bytes are reported via on_wasted — they moved.
 struct RetryOp : std::enable_shared_from_this<RetryOp> {
   des::Simulator& sim;
-  StoreService& store;
+  Store& store;
   net::EndpointId dst;
   ChunkInfo chunk;
   unsigned streams;
@@ -43,7 +43,7 @@ struct RetryOp : std::enable_shared_from_this<RetryOp> {
   };
   std::shared_ptr<Attempt> cur;
 
-  RetryOp(des::Simulator& sim_, StoreService& store_, net::EndpointId dst_,
+  RetryOp(des::Simulator& sim_, Store& store_, net::EndpointId dst_,
           const ChunkInfo& chunk_, unsigned streams_, const RetryPolicy& policy_,
           RetryHooks hooks_, FetchCallback done_)
       : sim(sim_), store(store_), dst(dst_), chunk(chunk_), streams(streams_),
@@ -128,7 +128,7 @@ struct RetryOp : std::enable_shared_from_this<RetryOp> {
 
 }  // namespace
 
-void fetch_with_retry(des::Simulator& sim, StoreService& store, net::EndpointId dst,
+void fetch_with_retry(des::Simulator& sim, Store& store, net::EndpointId dst,
                       const ChunkInfo& chunk, unsigned streams,
                       const RetryPolicy& policy, RetryHooks hooks, FetchCallback done) {
   if (!policy.engaged()) {

@@ -1,6 +1,6 @@
 // Retry policy for store fetches.
 //
-// Wraps StoreService::fetch with the client-side resilience loop an S3
+// Wraps Store::fetch with the client-side resilience loop an S3
 // consumer actually runs: bounded attempts, exponential backoff with
 // deterministic jitter, a per-attempt timeout that abandons hung GETs, and
 // an optional hedged second request that races the primary after a quantile
@@ -20,7 +20,7 @@
 
 #include "common/rng.hpp"
 #include "des/simulator.hpp"
-#include "storage/store_service.hpp"
+#include "storage/store.hpp"
 
 namespace cloudburst::storage {
 
@@ -62,7 +62,7 @@ struct RetryPolicy {
 /// on_wasted (failed attempts, hedge losers, post-timeout arrivals).
 struct RetryHooks {
   /// A physical store request is about to be issued (first try, retry, or
-  /// hedge leg — one call per StoreService::fetch). Lets a caller keep its
+  /// hedge leg — one call per Store::fetch). Lets a caller keep its
   /// own per-run request count: in a multi-job workload the store's global
   /// stats() aggregate every job, so per-tenant accounting needs this.
   std::function<void(unsigned attempt)> on_attempt;
@@ -81,7 +81,7 @@ struct RetryHooks {
 /// with the delivering request's success, or with the last failure once
 /// attempts are exhausted. With a disengaged policy this forwards straight
 /// to store.fetch.
-void fetch_with_retry(des::Simulator& sim, StoreService& store, net::EndpointId dst,
+void fetch_with_retry(des::Simulator& sim, Store& store, net::EndpointId dst,
                       const ChunkInfo& chunk, unsigned streams,
                       const RetryPolicy& policy, RetryHooks hooks, FetchCallback done);
 

@@ -1,5 +1,6 @@
-// Fault-model tests: ObjectStore fault injection (failures, throttling
-// windows, hung GETs), the fetch_with_retry resilience loop (backoff,
+// Fault-model tests: Store fault injection (failures, throttling
+// windows, hung GETs) on either kind of store, fault-profile validation,
+// the fetch_with_retry resilience loop (backoff,
 // timeout, hedging), the byte-identity pin of fault-free paper runs, the
 // end-to-end acceptance run (faulty store + retry policy), prefetcher
 // regression tests for the cache-failure interplay bugs, and the
@@ -9,7 +10,9 @@
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -20,8 +23,7 @@
 #include "cache/prefetcher.hpp"
 #include "common/units.hpp"
 #include "middleware/runtime.hpp"
-#include "storage/local_store.hpp"
-#include "storage/object_store.hpp"
+#include "storage/store.hpp"
 #include "storage/retry.hpp"
 #include "trace/trace.hpp"
 
@@ -35,7 +37,7 @@ using des::from_seconds;
 using des::Simulator;
 using storage::ChunkInfo;
 using storage::FetchResult;
-using storage::ObjectStore;
+using storage::Store;
 
 /// A site with one reader endpoint and one store endpoint behind a fat link.
 struct FaultStoreRig {
@@ -62,11 +64,11 @@ ChunkInfo make_chunk(storage::ChunkId id, std::uint64_t bytes) {
   return c;
 }
 
-// --- ObjectStore fault injection --------------------------------------------
+// --- Store fault injection --------------------------------------------------
 
 TEST(ObjectStoreFaults, DisabledProfileNeverFails) {
   FaultStoreRig rig(1e9);
-  ObjectStore store(1, rig.sim, rig.net, rig.store_ep, ObjectStore::Params{0, 0, {}});
+  Store store(1, rig.sim, rig.net, rig.store_ep, Store::Params{});
   unsigned ok = 0;
   for (storage::ChunkId id = 0; id < 20; ++id) {
     store.fetch(rig.reader, make_chunk(id, 1000), 2, [&](const FetchResult& r) {
@@ -86,8 +88,7 @@ TEST(ObjectStoreFaults, FailProbabilityInjectsPartialAborts) {
 
   const auto run_sequence = [&fault] {
     FaultStoreRig rig(1e9);
-    ObjectStore store(1, rig.sim, rig.net, rig.store_ep,
-                      ObjectStore::Params{0, 0, fault});
+    Store store(1, rig.sim, rig.net, rig.store_ep, Store::Params{.fault = fault});
     std::vector<FetchResult> results;
     for (storage::ChunkId id = 0; id < 200; ++id) {
       store.fetch(rig.reader, make_chunk(id, 1'000'000), 4,
@@ -127,8 +128,8 @@ TEST(ObjectStoreFaults, ThrottleWindowDegradesBandwidth) {
   fault.throttles.push_back({/*begin=*/0.0, /*end=*/10.0,
                              /*bandwidth_factor=*/0.25, /*fail=*/0.0});
   FaultStoreRig rig(1e9);
-  ObjectStore store(1, rig.sim, rig.net, rig.store_ep,
-                    ObjectStore::Params{0, /*per_connection=*/1e6, fault});
+  Store store(1, rig.sim, rig.net, rig.store_ep,
+              Store::Params{.per_stream_bandwidth = 1e6, .fault = fault});
 
   double in_window = -1, after_window = -1;
   store.fetch(rig.reader, make_chunk(0, 1'000'000), 1, [&](const FetchResult& r) {
@@ -158,8 +159,8 @@ TEST(ObjectStoreFaults, ThrottleWindowBoundaryIsHalfOpen) {
   fault.throttles.push_back({/*begin=*/5.0, /*end=*/10.0,
                              /*bandwidth_factor=*/0.25, /*fail=*/0.0});
   FaultStoreRig rig(1e9);
-  ObjectStore store(1, rig.sim, rig.net, rig.store_ep,
-                    ObjectStore::Params{0, /*per_connection=*/1e6, fault});
+  Store store(1, rig.sim, rig.net, rig.store_ep,
+              Store::Params{.per_stream_bandwidth = 1e6, .fault = fault});
 
   double at_begin = -1;
   rig.sim.schedule(from_seconds(5.0), [&] {
@@ -189,8 +190,8 @@ TEST(ObjectStoreFaults, HungGetBalloonsLatency) {
   fault.hang_probability = 1.0;
   fault.hang_seconds = 30.0;
   FaultStoreRig rig(1e9);
-  ObjectStore store(1, rig.sim, rig.net, rig.store_ep,
-                    ObjectStore::Params{from_seconds(0.1), 0, fault});
+  Store store(1, rig.sim, rig.net, rig.store_ep,
+              Store::Params{.request_latency = from_seconds(0.1), .fault = fault});
   double done = -1;
   store.fetch(rig.reader, make_chunk(0, 1000), 1,
               [&](const FetchResult& r) {
@@ -200,6 +201,103 @@ TEST(ObjectStoreFaults, HungGetBalloonsLatency) {
   rig.sim.run();
   EXPECT_GE(done, 30.0);
   EXPECT_EQ(store.stats().hung, 1u);
+}
+
+TEST(StoreFaults, DiskFaultProfileFailsGets) {
+  // The platform hands a disk its StoreSpec::fault like any store, so the
+  // disk fails GETs exactly as ReplicaSet's route oracle assumes it does.
+  auto spec = cluster::PlatformSpec::paper_testbed(8, 8);
+  ASSERT_EQ(spec.sites[kLocalSite].store->kind, cluster::StoreSpec::Kind::Disk);
+  spec.sites[kLocalSite].store->fault.fail_probability = 1.0;
+  cluster::Platform platform(spec);
+  auto& disk = platform.store(platform.local_store_id());
+  unsigned failed = 0;
+  for (storage::ChunkId id = 0; id < 4; ++id) {
+    disk.fetch(platform.nodes(kLocalSite)[0].endpoint, make_chunk(id, 1'000'000), 1,
+               [&](const FetchResult& r) {
+                 EXPECT_LT(r.bytes_moved, 1'000'000u);
+                 failed += !r.ok;
+               });
+  }
+  platform.sim().run();
+  EXPECT_EQ(failed, 4u);
+  EXPECT_EQ(disk.stats().faults, 4u);
+}
+
+// --- fault-profile validation -------------------------------------------------
+
+/// Constructing a store with `fault` must throw std::invalid_argument.
+void expect_rejected(const storage::FaultProfile& fault) {
+  FaultStoreRig rig(1e9);
+  EXPECT_THROW(Store(1, rig.sim, rig.net, rig.store_ep, Store::Params{.fault = fault}),
+               std::invalid_argument);
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(StoreFaultProfile, RejectsBadFailProbability) {
+  for (double p : {-0.1, 1.5, kNaN, kInf}) {
+    storage::FaultProfile fault;
+    fault.fail_probability = p;
+    expect_rejected(fault);
+  }
+}
+
+TEST(StoreFaultProfile, RejectsBadHangProbability) {
+  for (double p : {-0.1, 1.5, kNaN, kInf}) {
+    storage::FaultProfile fault;
+    fault.hang_probability = p;
+    fault.hang_seconds = 10.0;
+    expect_rejected(fault);
+  }
+}
+
+TEST(StoreFaultProfile, RejectsBadThrottleFailProbability) {
+  for (double p : {-0.1, 1.5, kNaN, kInf}) {
+    storage::FaultProfile fault;
+    fault.throttles.push_back({0.0, 10.0, 0.5, p});
+    expect_rejected(fault);
+  }
+}
+
+TEST(StoreFaultProfile, RejectsBadHangSeconds) {
+  for (double h : {-1.0, kNaN, kInf}) {
+    storage::FaultProfile fault;
+    fault.hang_probability = 0.5;
+    fault.hang_seconds = h;
+    expect_rejected(fault);
+  }
+}
+
+TEST(StoreFaultProfile, RejectsInvertedThrottleWindow) {
+  storage::FaultProfile fault;
+  fault.throttles.push_back({10.0, 5.0, 0.5, 0.0});
+  expect_rejected(fault);
+
+  // An empty window (end == begin) is valid: it never throttles.
+  storage::FaultProfile empty;
+  empty.throttles.push_back({5.0, 5.0, 0.5, 0.0});
+  FaultStoreRig rig(1e9);
+  EXPECT_NO_THROW(Store(1, rig.sim, rig.net, rig.store_ep, Store::Params{.fault = empty}));
+}
+
+TEST(StoreFaultProfile, RejectsBadBandwidthFactor) {
+  // A factor of 0 would read as an uncapped GET (a rate cap of 0 means
+  // unlimited); NaN or a negative factor would throw mid-run from the network.
+  for (double f : {0.0, -0.5, kNaN, kInf}) {
+    storage::FaultProfile fault;
+    fault.throttles.push_back({0.0, 10.0, f, 0.0});
+    expect_rejected(fault);
+  }
+}
+
+TEST(StoreFaultProfile, PlatformRejectsBadProfileOnEitherKindOfStore) {
+  for (cluster::ClusterId site : {kLocalSite, kCloudSite}) {
+    auto spec = cluster::PlatformSpec::paper_testbed(8, 8);
+    spec.sites[site].store->fault.throttles.push_back({0.0, 10.0, 0.0, 0.0});
+    EXPECT_THROW(cluster::Platform{spec}, std::invalid_argument);
+  }
 }
 
 // --- fetch_with_retry --------------------------------------------------------
@@ -227,8 +325,7 @@ TEST(FetchWithRetry, RetriesUntilSuccess) {
   storage::FaultProfile fault;
   fault.fail_probability = 0.5;
   FaultStoreRig rig(1e9);
-  ObjectStore store(1, rig.sim, rig.net, rig.store_ep,
-                    ObjectStore::Params{0, 0, fault});
+  Store store(1, rig.sim, rig.net, rig.store_ep, Store::Params{.fault = fault});
   storage::RetryPolicy policy;
   policy.max_attempts = 10;
   policy.backoff_base_seconds = 0.01;
@@ -255,8 +352,7 @@ TEST(FetchWithRetry, ExhaustionReportsFailureWithExponentialBackoff) {
   storage::FaultProfile fault;
   fault.fail_probability = 1.0;  // every GET fails
   FaultStoreRig rig(1e9);
-  ObjectStore store(1, rig.sim, rig.net, rig.store_ep,
-                    ObjectStore::Params{0, 0, fault});
+  Store store(1, rig.sim, rig.net, rig.store_ep, Store::Params{.fault = fault});
   storage::RetryPolicy policy;
   policy.max_attempts = 3;
   policy.backoff_base_seconds = 0.5;
@@ -285,8 +381,7 @@ TEST(FetchWithRetry, TimeoutAbandonsHungGets) {
   fault.hang_probability = 1.0;
   fault.hang_seconds = 1000.0;
   FaultStoreRig rig(1e9);
-  ObjectStore store(1, rig.sim, rig.net, rig.store_ep,
-                    ObjectStore::Params{0, 0, fault});
+  Store store(1, rig.sim, rig.net, rig.store_ep, Store::Params{.fault = fault});
   storage::RetryPolicy policy;
   policy.max_attempts = 2;
   policy.backoff_base_seconds = 0.5;
@@ -315,8 +410,7 @@ TEST(FetchWithRetry, HedgingRescuesTailLatency) {
   fault.hang_probability = 0.4;
   fault.hang_seconds = 100.0;
   FaultStoreRig rig(1e9);
-  ObjectStore store(1, rig.sim, rig.net, rig.store_ep,
-                    ObjectStore::Params{0, 0, fault});
+  Store store(1, rig.sim, rig.net, rig.store_ep, Store::Params{.fault = fault});
   storage::RetryPolicy policy;
   policy.hedge_delay_seconds = 0.5;
 
@@ -587,7 +681,7 @@ struct CombinedRig {
 
   struct Outcome {
     middleware::RunResult result;
-    std::vector<storage::StoreService::Stats> store_stats;
+    std::vector<storage::Store::Stats> store_stats;
   };
 
   Outcome run(cluster::PlatformSpec spec, const middleware::RunOptions& o) {

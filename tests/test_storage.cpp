@@ -1,5 +1,6 @@
 // Tests for the storage substrate: layout geometry, store assignment, the
-// index round trip, and both store services' timing/stat behavior.
+// index round trip, and the store's timing/stat behavior with disk and
+// object-store parameters.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -7,8 +8,7 @@
 #include "common/units.hpp"
 #include "des/simulator.hpp"
 #include "storage/data_layout.hpp"
-#include "storage/local_store.hpp"
-#include "storage/object_store.hpp"
+#include "storage/store.hpp"
 
 namespace cloudburst::storage {
 namespace {
@@ -168,10 +168,16 @@ ChunkInfo make_chunk(ChunkId id, FileId file, std::uint32_t index, std::uint64_t
   return c;
 }
 
+/// A disk as the platform builds one: a seek rule and a single spindle.
+Store::Params disk_params(des::SimDuration seek_latency, double per_stream_bandwidth) {
+  return Store::Params{.seek_latency = seek_latency,
+                       .per_stream_bandwidth = per_stream_bandwidth,
+                       .max_streams = 1};
+}
+
 TEST(LocalStore, SequentialReadAvoidsSeek) {
   StoreRig rig(1e6);
-  LocalStore store(0, rig.sim, rig.net, rig.store_ep,
-                   LocalStore::Params{from_seconds(0.5), 0, 0});
+  Store store(0, rig.sim, rig.net, rig.store_ep, disk_params(from_seconds(0.5), 0));
   double t1 = -1, t2 = -1;
   store.fetch(rig.reader, make_chunk(0, 0, 0, 1'000'000), 1,
               [&](const FetchResult&) { t1 = des::to_seconds(rig.sim.now()); });
@@ -187,8 +193,7 @@ TEST(LocalStore, SequentialReadAvoidsSeek) {
 
 TEST(LocalStore, NonConsecutiveChunkSeeks) {
   StoreRig rig(1e6);
-  LocalStore store(0, rig.sim, rig.net, rig.store_ep,
-                   LocalStore::Params{from_seconds(0.5), 0, 0});
+  Store store(0, rig.sim, rig.net, rig.store_ep, disk_params(from_seconds(0.5), 0));
   store.fetch(rig.reader, make_chunk(0, 0, 0, 1000), 1, nullptr);
   rig.sim.run();
   store.fetch(rig.reader, make_chunk(2, 0, 2, 1000), 1, nullptr);  // skips index 1
@@ -199,8 +204,7 @@ TEST(LocalStore, NonConsecutiveChunkSeeks) {
 TEST(LocalStore, DifferentReaderForcesSeek) {
   StoreRig rig(1e6);
   const auto reader2 = rig.net.add_endpoint("reader2", 0);
-  LocalStore store(0, rig.sim, rig.net, rig.store_ep,
-                   LocalStore::Params{from_seconds(0.5), 0, 0});
+  Store store(0, rig.sim, rig.net, rig.store_ep, disk_params(from_seconds(0.5), 0));
   store.fetch(rig.reader, make_chunk(0, 0, 0, 1000), 1, nullptr);
   rig.sim.run();
   store.fetch(reader2, make_chunk(1, 0, 1, 1000), 1, nullptr);
@@ -210,8 +214,7 @@ TEST(LocalStore, DifferentReaderForcesSeek) {
 
 TEST(LocalStore, PerStreamCapLimitsSingleReader) {
   StoreRig rig(10e6);
-  LocalStore store(0, rig.sim, rig.net, rig.store_ep,
-                   LocalStore::Params{0, 0, /*per_stream=*/1e6});
+  Store store(0, rig.sim, rig.net, rig.store_ep, disk_params(0, /*per_stream=*/1e6));
   double done = -1;
   store.fetch(rig.reader, make_chunk(0, 0, 0, 1'000'000), 1,
               [&](const FetchResult&) { done = des::to_seconds(rig.sim.now()); });
@@ -221,7 +224,7 @@ TEST(LocalStore, PerStreamCapLimitsSingleReader) {
 
 TEST(LocalStore, BytesServedAccumulate) {
   StoreRig rig(1e6);
-  LocalStore store(0, rig.sim, rig.net, rig.store_ep, LocalStore::Params{0, 0, 0});
+  Store store(0, rig.sim, rig.net, rig.store_ep, disk_params(0, 0));
   store.fetch(rig.reader, make_chunk(0, 0, 0, 123), 1, nullptr);
   store.fetch(rig.reader, make_chunk(1, 0, 1, 877), 1, nullptr);
   rig.sim.run();
@@ -230,8 +233,8 @@ TEST(LocalStore, BytesServedAccumulate) {
 
 TEST(ObjectStore, RequestLatencyAppliesOnce) {
   StoreRig rig(1e6);
-  ObjectStore store(1, rig.sim, rig.net, rig.store_ep,
-                    ObjectStore::Params{.request_latency = from_seconds(0.25)});
+  Store store(1, rig.sim, rig.net, rig.store_ep,
+              Store::Params{.request_latency = from_seconds(0.25)});
   double done = -1;
   store.fetch(rig.reader, make_chunk(0, 0, 0, 1'000'000), 1,
               [&](const FetchResult&) { done = des::to_seconds(rig.sim.now()); });
@@ -243,7 +246,7 @@ TEST(ObjectStore, MultipleStreamsBeatPerConnectionCap) {
   // 4 MB chunk, 1 MB/s per connection, 10 MB/s aggregate: one stream takes
   // 4s; four streams take 1s.
   StoreRig rig(10e6);
-  ObjectStore store(1, rig.sim, rig.net, rig.store_ep, ObjectStore::Params{.per_connection_bandwidth = 1e6});
+  Store store(1, rig.sim, rig.net, rig.store_ep, Store::Params{.per_stream_bandwidth = 1e6});
   double done1 = -1;
   store.fetch(rig.reader, make_chunk(0, 0, 0, 4'000'000), 1,
               [&](const FetchResult&) { done1 = des::to_seconds(rig.sim.now()); });
@@ -261,7 +264,7 @@ TEST(ObjectStore, MultipleStreamsBeatPerConnectionCap) {
 TEST(ObjectStore, StreamsShareAggregateCapacity) {
   // 8 streams of 1 MB/s against a 4 MB/s front: aggregate binds at 4 MB/s.
   StoreRig rig(4e6);
-  ObjectStore store(1, rig.sim, rig.net, rig.store_ep, ObjectStore::Params{.per_connection_bandwidth = 1e6});
+  Store store(1, rig.sim, rig.net, rig.store_ep, Store::Params{.per_stream_bandwidth = 1e6});
   double done = -1;
   store.fetch(rig.reader, make_chunk(0, 0, 0, 8'000'000), 8,
               [&](const FetchResult&) { done = des::to_seconds(rig.sim.now()); });
@@ -271,7 +274,7 @@ TEST(ObjectStore, StreamsShareAggregateCapacity) {
 
 TEST(ObjectStore, UnevenSplitStillCompletes) {
   StoreRig rig(1e9);
-  ObjectStore store(1, rig.sim, rig.net, rig.store_ep, ObjectStore::Params{});
+  Store store(1, rig.sim, rig.net, rig.store_ep, Store::Params{});
   double done = -1;
   // 10 bytes over 3 streams: 4+3+3.
   store.fetch(rig.reader, make_chunk(0, 0, 0, 10), 3,
@@ -280,6 +283,24 @@ TEST(ObjectStore, UnevenSplitStillCompletes) {
   EXPECT_GE(done, 0.0);
   EXPECT_EQ(store.stats().bytes_served, 10u);
   EXPECT_EQ(store.stats().seeks, 0u);
+}
+
+TEST(Store, DiskParamsIgnoreExtraStreams) {
+  // One spindle: eight streams move the chunk no faster than one, even with
+  // a per-stream cap far below the disk link (an object store would split
+  // the read into eight capped GETs and finish 8x sooner).
+  StoreRig rig(10e6);
+  Store store(0, rig.sim, rig.net, rig.store_ep, disk_params(from_seconds(0.5), 1e6));
+  double one = -1, eight = -1;
+  store.fetch(rig.reader, make_chunk(0, 0, 0, 1'000'000), 1,
+              [&](const FetchResult&) { one = des::to_seconds(rig.sim.now()); });
+  rig.sim.run();
+  store.fetch(rig.reader, make_chunk(1, 1, 0, 1'000'000), 8,
+              [&](const FetchResult&) { eight = des::to_seconds(rig.sim.now()) - one; });
+  rig.sim.run();
+  EXPECT_NEAR(one, 1.5, 1e-6);  // seek + 1 MB at the 1 MB/s stream cap
+  EXPECT_DOUBLE_EQ(eight, one);
+  EXPECT_EQ(store.stats().seeks, 2u);
 }
 
 }  // namespace
