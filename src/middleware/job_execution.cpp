@@ -1,6 +1,7 @@
 #include "middleware/job_execution.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <optional>
 #include <set>
@@ -84,18 +85,18 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
   const bool loses_nodes = !events.empty() || options.spot.reclaim_rate_per_hour > 0.0 ||
                            options.migration.standby_nodes > 0;
   const bool chaos = options.chaos && !options.chaos->events.empty();
-  const bool adds_capacity = options.elastic.enabled || options.pool_plan.enabled;
+  const bool elastic = options.elastic.enabled;
   if (options.reduction_tree &&
-      (options.checkpoint_interval_seconds > 0.0 || adds_capacity || loses_nodes || chaos)) {
+      (options.checkpoint_interval_seconds > 0.0 || elastic || loses_nodes || chaos)) {
     throw std::invalid_argument(
-        "run_distributed: checkpointing, elastic bursting, pool leases, node events "
-        "and chaos plans require reduction_tree = false (the master must track "
-        "per-slave work)");
+        "run_distributed: checkpointing, elastic bursting, node events and chaos "
+        "plans require reduction_tree = false (the master must track per-slave "
+        "work)");
   }
-  if (options.static_assignment && (adds_capacity || loses_nodes || chaos)) {
+  if (options.static_assignment && (elastic || loses_nodes || chaos)) {
     throw std::invalid_argument(
-        "run_distributed: static assignment excludes elastic bursting, pool leases, "
-        "node events and chaos plans");
+        "run_distributed: static assignment excludes elastic bursting, node events "
+        "and chaos plans");
   }
 
   if (options.elastic.enabled) {
@@ -109,7 +110,7 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
     }
   }
 
-  // --- dynamic control plane (directory / elastic node pool) -----------------
+  // --- dynamic control plane (directory) -------------------------------------
   if (!options.directory) {
     for (cluster::ClusterId site = 0; site < platform.cluster_count(); ++site) {
       for (const auto& node : platform.nodes(site)) {
@@ -121,18 +122,25 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
       }
     }
   }
-  if (options.pool_plan.enabled) {
-    if (!options.directory) {
-      throw std::invalid_argument(
-          "run_distributed: pool leases require RunOptions::directory");
-    }
-    if (options.elastic.enabled || options.migration.standby_nodes > 0 ||
-        options.spot.reclaim_rate_per_hour > 0.0) {
-      throw std::invalid_argument(
-          "run_distributed: the elastic node pool owns cloud-node lifetime — "
-          "per-job elastic/migration/spot machinery is excluded");
-    }
-  }
+
+  // --- store retry -----------------------------------------------------------
+  // Every delay reaches des::from_seconds, where a NaN or an infinity is
+  // undefined behaviour; each check is written so NaN fails it.
+  const storage::RetryPolicy& retry = options.retry;
+  const auto require = [](bool ok, const char* rule) {
+    if (!ok) throw std::invalid_argument(std::string("run_distributed: retry ") + rule);
+  };
+  const auto at_least = [](double v, double floor) { return std::isfinite(v) && v >= floor; };
+  require(retry.max_attempts >= 1, "max_attempts must be >= 1");
+  require(at_least(retry.backoff_base_seconds, 1e-3), "backoff base must be finite and >= 1 ms");
+  require(std::isfinite(retry.backoff_multiplier) && retry.backoff_multiplier > 0.0,
+          "backoff multiplier must be finite and > 0");
+  require(at_least(retry.backoff_max_seconds, retry.backoff_base_seconds),
+          "backoff max must be finite and >= the base");
+  require(retry.jitter_fraction >= 0.0 && retry.jitter_fraction <= 1.0,
+          "jitter fraction must be in [0, 1]");
+  require(at_least(retry.attempt_timeout_seconds, 0.0), "attempt timeout must be finite and >= 0");
+  require(at_least(retry.hedge_delay_seconds, 0.0), "hedge delay must be finite and >= 0");
 
   // --- store QoS -------------------------------------------------------------
   if (options.qos) {
@@ -260,9 +268,9 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
 
 JobExecution::JobExecution(cluster::Platform& platform, const storage::DataLayout& layout,
                            const RunOptions& options, net::Postman<Message>& postman,
-                           const MailboxRegistrar& register_mailbox, std::uint32_t job_id,
-                           std::string trace_tag, SlotArbiter* arbiter,
-                           std::function<void()> on_finished)
+                           std::uint32_t job_id, std::string trace_tag,
+                           SlotArbiter* arbiter, std::function<void()> on_finished,
+                           std::optional<std::vector<PoolLease>> pool_leases)
     : platform_(platform),
       ctx_{.platform = platform,
            .layout = layout,
@@ -271,7 +279,8 @@ JobExecution::JobExecution(cluster::Platform& platform, const storage::DataLayou
            .job_id = job_id,
            .trace_tag = std::move(trace_tag),
            .arbiter = arbiter,
-           .on_finished = std::move(on_finished)} {
+           .on_finished = std::move(on_finished)},
+      pool_leases_(std::move(pool_leases)) {
   ctx_.recorder.init(platform.cluster_count(), platform.store_count());
   ctx_.on_node_lost = [this](cluster::ClusterId site) { return lease_replacement(site); };
   setup_chunk_offsets();
@@ -279,7 +288,7 @@ JobExecution::JobExecution(cluster::Platform& platform, const storage::DataLayou
   setup_qos();
   setup_replication();
   build_prefetchers();
-  build_actors(register_mailbox);
+  build_actors();
   apply_static_assignment();
   setup_elastic();
   setup_migration();
@@ -299,9 +308,11 @@ JobExecution::~JobExecution() {
 void JobExecution::resolve_membership() {
   site_nodes_.resize(platform_.cluster_count());
   const directory::PlatformDirectory* dir = ctx_.options.directory;
-  const bool pooled = ctx_.options.pool_plan.enabled;
+  const bool pooled = pool_leases_.has_value();
   std::set<net::EndpointId> leased;
-  for (const auto& lease : ctx_.options.pool_plan.leases) leased.insert(lease.node);
+  if (pooled) {
+    for (const PoolLease& lease : *pool_leases_) leased.insert(lease.node);
+  }
   std::size_t live_total = 0;
   for (cluster::ClusterId site = 0; site < platform_.cluster_count(); ++site) {
     for (const auto& node : platform_.nodes(site)) {
@@ -363,11 +374,10 @@ bool JobExecution::drain_node(net::EndpointId ep) {
 }
 
 void JobExecution::setup_pool() {
-  const RunOptions::PoolPlan& plan = ctx_.options.pool_plan;
-  if (!plan.enabled) return;
+  if (!pool_leases_) return;
   // A lease still booting is held and activated at once: it counts as
   // capacity that will pull, and starts when warm.
-  for (const auto& lease : plan.leases) {
+  for (const PoolLease& lease : *pool_leases_) {
     if (lease.ready_in_seconds <= 0.0) continue;  // warm: starts with the job
     SlaveNode* booting = slave_by_endpoint(lease.node);
     if (!booting) continue;  // lease on a site this job has no master for
@@ -388,7 +398,7 @@ void JobExecution::activate(SlaveNode* slave, double boot_seconds,
   MasterNode* master = master_of(slave->site());
   // Booting: no push target yet, but counted as capacity that will pull.
   master->mark_leased(slave->endpoint());
-  if (!ctx_.options.pool_plan.enabled) {
+  if (!pool_leases_) {
     // Bills from the moment it comes up; a pooled job's instance time bills
     // at the pool's lease windows instead.
     ctx_.recorder.rentals.push_back(
@@ -405,7 +415,7 @@ void JobExecution::activate(SlaveNode* slave, double boot_seconds,
 }
 
 void JobExecution::rent_initial_cloud() {
-  if (ctx_.options.pool_plan.enabled) return;  // the pool's lease windows bill
+  if (pool_leases_) return;  // the pool's lease windows bill
   for (SlaveNode* slave : initial_active_) {
     if (platform_.is_cloud(slave->site())) {
       ctx_.recorder.rentals.push_back({slave->endpoint(), 0.0});
@@ -584,7 +594,7 @@ void JobExecution::build_prefetchers() {
   }
 }
 
-void JobExecution::build_actors(const MailboxRegistrar& register_mailbox) {
+void JobExecution::build_actors() {
   for (cluster::ClusterId site = 0; site < platform_.cluster_count(); ++site) {
     const auto& nodes = site_nodes_[site];
     if (nodes.empty()) continue;
@@ -630,19 +640,21 @@ void JobExecution::build_actors(const MailboxRegistrar& register_mailbox) {
                                      master_infos_);
 
   // --- wire mailboxes --------------------------------------------------------
+  net::Postman<Message>& postman = ctx_.postman;
+  const std::uint32_t job = ctx_.job_id;
   HeadNode* head = head_.get();
-  register_mailbox(head->endpoint(), [head](net::EndpointId from, Message msg) {
+  postman.register_mailbox(head->endpoint(), job, [head](net::EndpointId from, Message msg) {
     head->handle(from, std::move(msg));
   });
   for (auto& master : masters_) {
     MasterNode* m = master.get();
-    register_mailbox(m->endpoint(), [m](net::EndpointId from, Message msg) {
+    postman.register_mailbox(m->endpoint(), job, [m](net::EndpointId from, Message msg) {
       m->handle(from, std::move(msg));
     });
   }
   for (auto& slave : slaves_) {
     SlaveNode* s = slave.get();
-    register_mailbox(s->endpoint(), [s](net::EndpointId from, Message msg) {
+    postman.register_mailbox(s->endpoint(), job, [s](net::EndpointId from, Message msg) {
       s->handle(from, std::move(msg));
     });
   }

@@ -1,16 +1,17 @@
 // One job's complete actor tree (head, masters, slaves, prefetchers) on a
 // possibly shared platform.
 //
-// run_distributed() builds exactly one of these and drains the simulator;
-// workload::WorkloadManager builds one per concurrent job over the same
-// Platform and lets their event streams interleave in a single DES run. The
-// construction and event-scheduling order here is load-bearing: a solo
-// JobExecution must replay run_distributed's historical sequence byte for
-// byte (the PaperFidelity goldens pin it).
+// workload::WorkloadManager builds one per job over the same Platform and
+// lets their event streams interleave in a single DES run;
+// run_distributed() is a one-job FIFO workload. The construction and
+// event-scheduling order here is load-bearing: a solo JobExecution must
+// replay the paper runs' historical sequence byte for byte (the
+// PaperFidelity goldens pin it).
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,29 +28,31 @@
 namespace cloudburst::middleware {
 
 /// Check that `options` can run on `platform` over `layout`; throws
-/// std::invalid_argument otherwise. run_distributed calls this itself; a
-/// workload manager calls it per job at submission so a bad spec fails fast
-/// instead of mid-simulation.
+/// std::invalid_argument otherwise. The workload manager calls it per job
+/// at submission, so a bad spec fails fast instead of mid-simulation.
 void validate_run(const cluster::Platform& platform, const storage::DataLayout& layout,
                   const RunOptions& options);
 
+/// A cloud node the workload's elastic node pool leased to a job.
+struct PoolLease {
+  net::EndpointId node = 0;
+  double ready_in_seconds = 0.0;  ///< 0 = warm now
+};
+
 class JobExecution {
  public:
-  /// How this job's actors get their mailboxes. A standalone run registers
-  /// straight with the postman; a workload installs demultiplexing mailboxes
-  /// (several jobs' actors share each endpoint) and routes by Message::job.
-  using MailboxRegistrar =
-      std::function<void(net::EndpointId, std::function<void(net::EndpointId, Message)>)>;
-
-  /// Builds the full actor tree and schedules the job's self-driving events
-  /// (node events, elastic controller ticks, pool lease boots) — everything
-  /// short of the first master/slave action, which start() triggers. The
-  /// referenced platform/layout/options/postman must outlive this object.
+  /// Builds the full actor tree, registers it with `postman` under
+  /// `job_id`, and schedules the job's self-driving events (node events,
+  /// elastic controller ticks, pool lease boots) — everything short of the
+  /// first master/slave action, which start() triggers. A pooled job gets
+  /// `pool_leases`: its cloud nodes are exactly these, and the pool's lease
+  /// windows bill them. The referenced platform/layout/options/postman must
+  /// outlive this object.
   JobExecution(cluster::Platform& platform, const storage::DataLayout& layout,
                const RunOptions& options, net::Postman<Message>& postman,
-               const MailboxRegistrar& register_mailbox, std::uint32_t job_id = 0,
-               std::string trace_tag = {}, SlotArbiter* arbiter = nullptr,
-               std::function<void()> on_finished = {});
+               std::uint32_t job_id, std::string trace_tag, SlotArbiter* arbiter,
+               std::function<void()> on_finished,
+               std::optional<std::vector<PoolLease>> pool_leases);
 
   JobExecution(const JobExecution&) = delete;
   JobExecution& operator=(const JobExecution&) = delete;
@@ -66,9 +69,6 @@ class JobExecution {
   /// head completes the global reduction.
   void start();
 
-  bool finished() const { return ctx_.recorder.finished; }
-  /// Sim time the head completed the run (valid once finished()).
-  double end_time() const { return ctx_.recorder.end_time; }
   RunContext& ctx() { return ctx_; }
 
   /// Wait for every slave's queued kernel calls and rethrow the first error
@@ -76,15 +76,14 @@ class JobExecution {
   void fence_kernels();
 
   /// Settle the prefetchers and aggregate the RunResult. Call after the
-  /// simulator drained (standalone) or after the whole workload finished, so
-  /// in-flight transfers have landed.
+  /// whole workload finished, so in-flight transfers have landed.
   RunResult collect();
 
  private:
   void setup_chunk_offsets();
   /// Resolve this job's platform membership: per-site node lists filtered
   /// through the service directory (Active only) and, on cloud sites under a
-  /// pool plan, down to the leased nodes. Without a directory or plan the
+  /// pooled job, down to the leased nodes. Without a directory or pool the
   /// lists equal the platform's — default runs are byte-identical.
   void resolve_membership();
   /// Subscribe to the directory's change feed (store retirement marks the
@@ -114,7 +113,7 @@ class JobExecution {
   /// repair actor.
   void setup_replication();
   void build_prefetchers();
-  void build_actors(const MailboxRegistrar& register_mailbox);
+  void build_actors();
   void apply_static_assignment();
   /// Deadline-driven bursting: hold the cloud slaves beyond the initial
   /// allocation; a periodic controller (elastic_tick) activates them from
@@ -176,6 +175,8 @@ class JobExecution {
 
   cluster::Platform& platform_;
   RunContext ctx_;
+  /// Set for a pooled job (see the constructor).
+  std::optional<std::vector<PoolLease>> pool_leases_;
 
   /// Per-site membership this job was built with (see resolve_membership).
   std::vector<std::vector<cluster::NodeHandle>> site_nodes_;

@@ -44,10 +44,11 @@ enum class MsgType : std::uint8_t {
 struct Message {
   MsgType type = MsgType::SlaveJobRequest;
 
-  /// Workload multiplexing: id of the job this message belongs to. Shared
-  /// endpoints (a node running slave actors of several concurrent jobs)
-  /// demultiplex on it; single-job runs leave it 0 throughout. Carried out
-  /// of band — it adds nothing to the charged wire size.
+  /// Id of the job this message belongs to (the workload manager's 1-based
+  /// job id; RunContext::send stamps it). The Postman routes on (endpoint,
+  /// job), so a node running slave actors of several concurrent jobs hands
+  /// each message to its own job's actor. Carried out of band — it adds
+  /// nothing to the charged wire size.
   std::uint32_t job = 0;
 
   // AssignJob

@@ -35,7 +35,8 @@ namespace cloudburst::middleware {
 /// at any instant. Before computing a chunk a slave acquires its node's
 /// slot, and releases it at the chunk boundary — the arbiter's discipline
 /// (FIFO, weighted fair share, strict priority) decides who gets the core
-/// next. Standalone runs have no arbiter (RunContext::arbiter == nullptr)
+/// next. Run-to-completion workloads (FIFO, SJF — run_distributed is a
+/// one-job FIFO workload) have no arbiter (RunContext::arbiter == nullptr)
 /// and skip the handshake entirely, so single-job paths stay byte-identical.
 class SlotArbiter {
  public:
@@ -213,23 +214,6 @@ struct RunOptions {
   /// byte-identical.
   directory::PlatformDirectory* directory = nullptr;
 
-  /// Elastic node pool lease plan (workload-manager internal). When enabled,
-  /// the job's cloud-side membership is exactly these leased nodes: a lease
-  /// still booting (ready_in_seconds > 0) is held and activated at once, so
-  /// it starts processing once warm, and instance billing moves from the
-  /// job to the pool's lease windows.
-  /// Requires reduction_tree = false; mutually exclusive with per-job
-  /// elastic / migration / spot machinery (the pool owns node lifetime).
-  struct PoolLease {
-    net::EndpointId node = 0;
-    double ready_in_seconds = 0.0;  ///< 0 = warm now
-  };
-  struct PoolPlan {
-    bool enabled = false;
-    std::vector<PoolLease> leases;
-  };
-  PoolPlan pool_plan;
-
   /// Optional scripted chaos plan (owned by the caller; pure data, see
   /// chaos/chaos_plan.hpp). When set, JobExecution schedules every fault
   /// window against this run: WAN link faults and partitions act on the
@@ -297,25 +281,25 @@ struct RunContext {
   /// unless the attached cache fleet enables prefetching.
   std::vector<std::unique_ptr<cache::Prefetcher>> prefetchers{};
 
-  /// Identity of this run within a workload (0 for standalone runs);
-  /// stamped on every control message so shared endpoints can demultiplex.
+  /// Identity of this run within its workload (the manager's 1-based job
+  /// id); stamped on every control message, and the Postman routes on it.
   std::uint32_t job_id = 0;
 
-  /// Prefix for trace actor names (e.g. "j3/"); empty for standalone runs
-  /// so paper traces stay byte-identical. Gives each job its own Gantt
-  /// lanes when several jobs share a tracer.
+  /// Prefix for trace actor names (e.g. "j3/"); empty when the workload has
+  /// one job, so paper traces stay byte-identical. Gives each job its own
+  /// Gantt lanes when several jobs share a tracer.
   std::string trace_tag;
 
-  /// Core-slot arbiter for workload runs; null for standalone runs (no
-  /// acquire/release handshake at all).
+  /// Core-slot arbiter of a concurrent workload (FairShare, Priority); null
+  /// under run-to-completion policies (no acquire/release handshake at all).
   SlotArbiter* arbiter = nullptr;
 
   /// Fired once when the head completes the run's global reduction — the
   /// workload manager's job-completion signal.
   std::function<void()> on_finished;
 
-  /// Sim time this job's start() ran (0.0 for standalone runs); lifecycle
-  /// billing ends are recorded relative to it.
+  /// Sim time this job's start() ran; run times and lifecycle billing ends
+  /// are recorded relative to it.
   double job_start_seconds = 0.0;
 
   /// Tenant id this run bills store traffic to (resolved from
@@ -362,7 +346,7 @@ struct RunContext {
   /// Fired by a slave the moment it vacates (drain settled, final delta-robj
   /// shipped). The workload manager uses it to settle cross-job drains:
   /// once every job sharing the node has vacated it, the node retires from
-  /// the directory and leaves the pool. Null outside managed workloads.
+  /// the directory and leaves the pool.
   std::function<void(net::EndpointId)> on_node_vacated{};
 
   /// Should reads from `store` go through site `site`'s cache? Object-kind

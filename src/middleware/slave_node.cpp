@@ -229,22 +229,17 @@ void SlaveNode::on_fetch_failed(storage::ChunkId chunk) {
     const storage::StoreId next = rs->resolve(chunk, node_.cluster, now);
     if (next != failed) reassign_store(chunk, failed, next);
   }
+  // The cycle spent every attempt, so wait the backoff the attempt after the
+  // last would have. Without jitter every slave that lost the same outage
+  // waits this same maximal delay, retrying in lockstep and re-overloading
+  // the store together; the jitter draw comes from a substream keyed by
+  // (endpoint, chunk, per-node draw count) — independent of event
+  // interleaving, so a fixed seed still replays bit-identically.
   const storage::RetryPolicy& p = ctx_.options.retry;
-  double delay = std::max(p.backoff_base_seconds, 1e-3);
-  for (unsigned k = 1; k < p.max_attempts; ++k) delay *= p.backoff_multiplier;
-  delay = std::min(delay, p.backoff_max_seconds);
-  if (p.jitter_fraction > 0.0) {
-    // Every slave that lost the same outage computes the same maximal delay
-    // above, so without jitter they all retry in lockstep and re-overload the
-    // store together. The draw comes from a substream keyed by (endpoint,
-    // chunk, per-node draw count) — independent of event interleaving, so a
-    // fixed seed still replays bit-identically.
-    Rng rng = Rng::substream(
-        p.seed, (static_cast<std::uint64_t>(node_.endpoint) << 40) ^
-                    (static_cast<std::uint64_t>(chunk) << 16) ^ backoff_draws_++);
-    delay *= rng.uniform(std::max(0.0, 1.0 - p.jitter_fraction),
-                         1.0 + p.jitter_fraction);
-  }
+  Rng rng = Rng::substream(p.seed, (static_cast<std::uint64_t>(node_.endpoint) << 40) ^
+                                       (static_cast<std::uint64_t>(chunk) << 16) ^
+                                       backoff_draws_++);
+  const double delay = p.backoff_before(p.max_attempts + 1, rng);
   ++ctx_.recorder.sites[node_.cluster].fetch_retries;
   ctx_.trace(trace::EventKind::RetryBackoff, node_.name, chunk, p.max_attempts + 1);
   ctx_.sim().schedule(des::from_seconds(delay), [this, chunk] {

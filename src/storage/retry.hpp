@@ -24,6 +24,10 @@
 
 namespace cloudburst::storage {
 
+/// middleware::validate_run rejects a run whose policy has no attempt, a
+/// backoff base under 1 ms, a non-positive multiplier, a cap below the base,
+/// a jitter fraction outside [0, 1], a negative timeout or hedge delay, or
+/// any non-finite value.
 struct RetryPolicy {
   /// Total tries per fetch cycle; 1 = no retry.
   unsigned max_attempts = 1;

@@ -25,10 +25,11 @@ namespace cloudburst::workload {
 /// Inter-job scheduling discipline — the layer *above* each job's JobPool.
 enum class SchedulingPolicy : std::uint8_t {
   /// Run-to-completion in submission order. One job owns the platform at a
-  /// time; a single-job FIFO workload is byte-identical to run_distributed.
+  /// time; run_distributed is a single-job FIFO workload.
   Fifo,
   /// Run-to-completion, shortest estimated job first (cost::planner's
-  /// analytic estimate). Also one job at a time.
+  /// analytic estimate, computed at submission under this policy only).
+  /// Also one job at a time.
   Sjf,
   /// All admitted jobs run concurrently; each node's core is time-shared at
   /// chunk granularity so every tenant's weighted service stays balanced.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -57,6 +58,23 @@ std::vector<double> split_exact(double total, const std::vector<double>& raw) {
   }
   out[largest] = total - accounted;
   return out;
+}
+
+/// The rules a job must meet to run on pool leases (the manager's
+/// constructor already requires the directory).
+void validate_pooled(const middleware::RunOptions& options) {
+  if (options.reduction_tree || options.static_assignment) {
+    throw std::invalid_argument(
+        "WorkloadManager: a pooled job needs reduction_tree = false and no static "
+        "assignment (leased nodes boot and leave mid-run, so the master must track "
+        "per-slave work)");
+  }
+  if (options.elastic.enabled || options.migration.standby_nodes > 0 ||
+      options.spot.reclaim_rate_per_hour > 0.0) {
+    throw std::invalid_argument(
+        "WorkloadManager: the elastic node pool owns cloud-node lifetime — "
+        "per-job elastic/migration/spot machinery is excluded");
+  }
 }
 
 double percentile(std::vector<double> sorted, double p) {
@@ -157,13 +175,13 @@ std::uint32_t WorkloadManager::submit(JobSpec spec, double at_seconds) {
   job->effective.tenant = spec.tenant;
   if (options_.tracer) job->effective.tracer = options_.tracer;
   if (options_.directory) job->effective.directory = options_.directory;
-  if (pool_) job->effective.pool_plan.enabled = true;  // leases fill at start
-  // Validate the effective options (directory and pool flags included), so a
-  // pooled job combining per-job elastic/migration/spot machinery fails here.
   middleware::validate_run(platform_, spec.layout, job->effective);
+  if (pool_) validate_pooled(job->effective);
   job->spec = std::move(spec);
-  job->estimate_seconds =
-      cost::estimate_exec_seconds(platform_, job->spec.layout, job->spec.options);
+  if (options_.policy == SchedulingPolicy::Sjf) {
+    job->estimate_seconds =
+        cost::estimate_exec_seconds(platform_, job->spec.layout, job->spec.options);
+  }
   job->bytes = job->spec.layout.total_bytes();
   // Estimated cloud burn while the job is in flight: the cloud nodes it can
   // occupy times the instance-hour price (pool jobs: their lease request).
@@ -300,23 +318,6 @@ void WorkloadManager::pump() {
   }
 }
 
-void WorkloadManager::add_route(
-    net::EndpointId ep, std::uint32_t job,
-    std::function<void(net::EndpointId, middleware::Message)> handler) {
-  if (routes_.find(ep) == routes_.end()) {
-    postman_.register_mailbox(ep, [this, ep](net::EndpointId from,
-                                             middleware::Message msg) {
-      auto& per_job = routes_.at(ep);
-      const auto it = per_job.find(msg.job);
-      if (it == per_job.end()) {
-        throw std::logic_error("WorkloadManager: message routed to an unknown job");
-      }
-      it->second(from, std::move(msg));
-    });
-  }
-  routes_[ep][job] = std::move(handler);
-}
-
 void WorkloadManager::start_job(Job& job) {
   job.started = true;
   job.start_seconds = des::to_seconds(platform_.sim().now());
@@ -329,29 +330,23 @@ void WorkloadManager::start_job(Job& job) {
     share.weight = w != options_.tenant_weights.end() ? w->second : 1.0;
     arbiter_->register_job(job.id, share);
   }
+  std::optional<std::vector<middleware::PoolLease>> leases;
   if (pool_) {
     // Lease cloud nodes now, at start time: a warm node is ready immediately,
-    // a cold one boots inside the lease. The leases become the job's
-    // RunOptions::pool_plan, which setup_pool() turns into deferred starts.
-    const auto leases = pool_->lease(job.id, job.spec.tenant,
-                                     job.spec.pool_nodes, job.start_seconds);
-    job.effective.pool_plan.leases.clear();
-    for (const auto& lease : leases) {
-      job.effective.pool_plan.leases.push_back(
-          {lease.node, lease.ready_in_seconds});
+    // a cold one boots inside the lease, which the job's setup_pool() turns
+    // into a deferred start.
+    leases.emplace();
+    for (const auto& lease : pool_->lease(job.id, job.spec.tenant, job.spec.pool_nodes,
+                                          job.start_seconds)) {
+      leases->push_back({lease.node, lease.ready_in_seconds});
     }
   }
   // A solo job keeps bare actor names so its trace (and everything downstream
-  // of it) matches run_distributed exactly; concurrent jobs get "name/" lanes.
+  // of it) matches the paper runs exactly; concurrent jobs get "name/" lanes.
   std::string tag = jobs_.size() > 1 ? job.spec.name + "/" : std::string{};
-  const std::uint32_t id = job.id;
   job.exec = std::make_unique<middleware::JobExecution>(
-      platform_, job.spec.layout, job.effective, postman_,
-      [this, id](net::EndpointId ep,
-                 std::function<void(net::EndpointId, middleware::Message)> handler) {
-        add_route(ep, id, std::move(handler));
-      },
-      job.id, std::move(tag), arbiter_.get(), [this, &job] { on_job_finished(job); });
+      platform_, job.spec.layout, job.effective, postman_, job.id, std::move(tag),
+      arbiter_.get(), [this, &job] { on_job_finished(job); }, std::move(leases));
   job.exec->ctx().on_node_vacated = [this, &job](net::EndpointId ep) {
     on_slave_vacated(job, ep);
   };

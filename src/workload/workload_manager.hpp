@@ -19,11 +19,12 @@
 //    rented it (elastic activations included) — the per-tenant attribution
 //    then splits the real platform bill, component by component, exactly.
 //
-// A one-job FIFO workload reduces to middleware::run_distributed — same
-// actor construction order, no arbiter handshake, byte-identical results.
+// Every run goes through this manager: middleware::run_distributed submits
+// one job at t = 0 to a default (FIFO) manager and returns its RunResult.
+// The manager owns the one Postman<Message> of the run; each JobExecution
+// registers its actors there under its job id.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -64,7 +65,7 @@ class WorkloadManager {
     double submit_seconds = 0.0;
     double start_seconds = 0.0;
     double finish_seconds = 0.0;
-    double estimate_seconds = 0.0;  ///< SJF ranking key
+    double estimate_seconds = 0.0;  ///< SJF ranking key (computed under SJF only)
     std::uint32_t preemptions = 0;
     bool started = false;
     bool finished = false;
@@ -93,10 +94,6 @@ class WorkloadManager {
   void pump();
   void start_job(Job& job);
   void on_job_finished(Job& job);
-  /// Install this job's handler for `ep` (first route on an endpoint also
-  /// installs the demultiplexing mailbox).
-  void add_route(net::EndpointId ep, std::uint32_t job,
-                 std::function<void(net::EndpointId, middleware::Message)> handler);
   void record(trace::EventKind kind, const Job& job, std::uint64_t b = 0);
   WorkloadResult aggregate();
 
@@ -133,12 +130,6 @@ class WorkloadManager {
     double burn_usd_per_hour = 0.0;
   };
   std::map<std::string, TenantUsage> usage_;
-
-  /// Per-endpoint, per-job-id message routes (Message::job demux).
-  std::map<net::EndpointId,
-           std::map<std::uint32_t,
-                    std::function<void(net::EndpointId, middleware::Message)>>>
-      routes_;
 };
 
 }  // namespace cloudburst::workload

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -460,6 +461,50 @@ TEST(DirectoryIntegration, PoolRequiresADirectory) {
   opts.pool.enabled = true;  // no directory attached
   EXPECT_THROW(workload::WorkloadManager(rig.platform, opts),
                std::invalid_argument);
+}
+
+TEST(DirectoryIntegration, PooledSubmitNeedsWorkTrackingAndOwnsNodeLifetime) {
+  // Pool leases boot and leave mid-run, so a pooled manager takes a job only
+  // in direct mode without a static plan, and keeps per-job elastic,
+  // migration and spot machinery out: the pool owns cloud-node lifetime.
+  DirectoryRig rig;
+  PlatformDirectory dir(rig.platform);
+  dir.bootstrap();
+  workload::WorkloadOptions opts;
+  opts.directory = &dir;
+  opts.pool.enabled = true;
+  workload::WorkloadManager pooled(rig.platform, opts);
+  workload::WorkloadManager plain(rig.platform, {});
+
+  const auto direct_job = [&rig](const std::function<void(middleware::RunOptions&)>& edit) {
+    workload::JobSpec spec = rig.job("j");
+    spec.options.reduction_tree = false;
+    edit(spec.options);
+    return spec;
+  };
+  EXPECT_NO_THROW(pooled.submit(direct_job([](middleware::RunOptions&) {}), 0.0));
+
+  struct Rule {
+    const char* name;
+    std::function<void(middleware::RunOptions&)> edit;
+  };
+  const Rule rejected[] = {
+      {"tree", [](middleware::RunOptions& o) { o.reduction_tree = true; }},
+      {"static", [](middleware::RunOptions& o) { o.static_assignment = true; }},
+      {"elastic",
+       [](middleware::RunOptions& o) {
+         o.elastic.enabled = true;
+         o.elastic.deadline_seconds = 1.0;
+       }},
+      {"migration", [](middleware::RunOptions& o) { o.migration.standby_nodes = 1; }},
+      {"spot", [](middleware::RunOptions& o) { o.spot.reclaim_rate_per_hour = 1.0; }},
+  };
+  for (const Rule& rule : rejected) {
+    EXPECT_THROW(pooled.submit(direct_job(rule.edit), 0.0), std::invalid_argument)
+        << rule.name;
+    // Each is a pool rule: without the pool the same job is accepted.
+    EXPECT_NO_THROW(plain.submit(direct_job(rule.edit), 0.0)) << rule.name;
+  }
 }
 
 // --- cross-job drain ---------------------------------------------------------

@@ -2,6 +2,8 @@
 // (property-style sweeps over randomized flow workloads).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@ using des::Simulator;
 struct TestMsg {
   int id = 0;
   std::string body;
+  std::uint32_t job = 0;
 };
 
 struct Rig {
@@ -42,7 +45,7 @@ TEST(Postman, DeliversToRegisteredMailbox) {
   Rig rig;
   std::vector<int> received;
   EndpointId seen_from = 999;
-  rig.postman.register_mailbox(rig.b, [&](EndpointId from, TestMsg msg) {
+  rig.postman.register_mailbox(rig.b, 0, [&](EndpointId from, TestMsg msg) {
     received.push_back(msg.id);
     seen_from = from;
   });
@@ -63,7 +66,7 @@ TEST(Postman, UnregisteredMailboxDropsSilently) {
 TEST(Postman, DeliveryRespectsTransferTime) {
   Rig rig;
   double arrival = -1;
-  rig.postman.register_mailbox(rig.b, [&](EndpointId, TestMsg) {
+  rig.postman.register_mailbox(rig.b, 0, [&](EndpointId, TestMsg) {
     arrival = des::to_seconds(rig.sim.now());
   });
   rig.postman.send(rig.a, rig.b, 500'000, TestMsg{});  // 0.5s at 1 MB/s + 10ms
@@ -74,7 +77,7 @@ TEST(Postman, DeliveryRespectsTransferTime) {
 TEST(Postman, ManyMessagesAllArriveInOrderPerPath) {
   Rig rig;
   std::vector<int> order;
-  rig.postman.register_mailbox(rig.b, [&](EndpointId, TestMsg msg) {
+  rig.postman.register_mailbox(rig.b, 0, [&](EndpointId, TestMsg msg) {
     order.push_back(msg.id);
   });
   for (int i = 0; i < 20; ++i) rig.postman.send(rig.a, rig.b, 1000, TestMsg{i, ""});
@@ -85,10 +88,38 @@ TEST(Postman, ManyMessagesAllArriveInOrderPerPath) {
   for (int i = 0; i < 20; ++i) EXPECT_EQ(order[i], i);
 }
 
+TEST(Postman, RoutesByJobAtASharedEndpoint) {
+  // Two jobs' actors share endpoint b; each mailbox sees only its own job's
+  // messages, whatever order the jobs registered in.
+  Rig rig;
+  std::vector<int> job3, job7;
+  rig.postman.register_mailbox(rig.b, 7, [&](EndpointId, TestMsg msg) {
+    job7.push_back(msg.id);
+  });
+  rig.postman.register_mailbox(rig.b, 3, [&](EndpointId, TestMsg msg) {
+    job3.push_back(msg.id);
+  });
+  for (int i = 0; i < 6; ++i) {
+    rig.postman.send(rig.a, rig.b, 100, TestMsg{i, "", i % 2 == 0 ? 3u : 7u});
+  }
+  rig.sim.run();
+  EXPECT_EQ(job3, (std::vector<int>{0, 2, 4}));
+  EXPECT_EQ(job7, (std::vector<int>{1, 3, 5}));
+}
+
+TEST(Postman, UnknownJobAtARegisteredEndpointThrows) {
+  // A registered endpoint with no mailbox for the message's job is a
+  // routing bug, not a drop.
+  Rig rig;
+  rig.postman.register_mailbox(rig.b, 1, [](EndpointId, TestMsg) {});
+  rig.postman.send(rig.a, rig.b, 100, TestMsg{0, "", 2});
+  EXPECT_THROW(rig.sim.run(), std::logic_error);
+}
+
 TEST(Postman, MovesLargePayloadsWithoutCopy) {
   Rig rig;
   std::string got;
-  rig.postman.register_mailbox(rig.b, [&](EndpointId, TestMsg msg) {
+  rig.postman.register_mailbox(rig.b, 0, [&](EndpointId, TestMsg msg) {
     got = std::move(msg.body);
   });
   rig.postman.send(rig.a, rig.b, 10, TestMsg{0, std::string(1000, 'x')});

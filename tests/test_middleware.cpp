@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <stdexcept>
@@ -329,7 +330,6 @@ TEST(Runtime, ValidateRunTreeAndStaticModesExcludeWorkTrackingFeatures) {
   Rig rig;
   Platform platform(rig.spec);
   const storage::DataLayout layout = rig.layout(platform);
-  directory::PlatformDirectory dir(platform);
   chaos::ChaosPlan link_fault;
   chaos::ChaosEvent fault;
   fault.kind = chaos::ChaosEvent::Kind::LinkFault;
@@ -351,12 +351,6 @@ TEST(Runtime, ValidateRunTreeAndStaticModesExcludeWorkTrackingFeatures) {
        [](RunOptions& o) {
          o.elastic.enabled = true;
          o.elastic.deadline_seconds = 1.0;
-       },
-       false},
-      {"pool",
-       [&dir](RunOptions& o) {
-         o.directory = &dir;
-         o.pool_plan.enabled = true;
        },
        false},
       {"node event",
@@ -393,6 +387,102 @@ TEST(Runtime, ValidateRunTreeAndStaticModesExcludeWorkTrackingFeatures) {
   tree.reduction_tree = true;
   tree.chaos = &empty;
   EXPECT_NO_THROW(validate_run(platform, layout, tree));
+}
+
+// --- retry policy rules ------------------------------------------------------
+// Each retry delay reaches des::from_seconds, so validate_run turns away a
+// policy that would hand it a NaN, an infinity or a negative value.
+
+TEST(Runtime, ValidateRunRejectsRetryWithoutAttempts) {
+  Rig rig;
+  rig.options.retry.max_attempts = 0;
+  EXPECT_THROW(rig.validate(), std::invalid_argument);
+  rig.options.retry.max_attempts = 1;
+  EXPECT_NO_THROW(rig.validate());
+}
+
+TEST(Runtime, ValidateRunRejectsRetryBackoffBaseBelowOneMillisecond) {
+  for (const double base : {0.0, 5e-4, -1.0, std::nan(""), HUGE_VAL}) {
+    Rig rig;
+    rig.options.retry.backoff_base_seconds = base;
+    EXPECT_THROW(rig.validate(), std::invalid_argument) << base;
+  }
+  Rig rig;
+  rig.options.retry.backoff_base_seconds = 1e-3;
+  EXPECT_NO_THROW(rig.validate());
+}
+
+TEST(Runtime, ValidateRunRejectsRetryBackoffMultiplierNotPositive) {
+  for (const double multiplier : {0.0, -2.0, std::nan(""), HUGE_VAL}) {
+    Rig rig;
+    rig.options.retry.backoff_multiplier = multiplier;
+    EXPECT_THROW(rig.validate(), std::invalid_argument) << multiplier;
+  }
+  Rig rig;
+  rig.options.retry.backoff_multiplier = 0.5;  // a shrinking backoff is allowed
+  EXPECT_NO_THROW(rig.validate());
+}
+
+TEST(Runtime, ValidateRunRejectsRetryBackoffMaxBelowBase) {
+  for (const double cap : {0.01, std::nan(""), HUGE_VAL}) {
+    Rig rig;
+    rig.options.retry.backoff_base_seconds = 0.05;
+    rig.options.retry.backoff_max_seconds = cap;
+    EXPECT_THROW(rig.validate(), std::invalid_argument) << cap;
+  }
+  Rig rig;
+  rig.options.retry.backoff_base_seconds = 0.05;
+  rig.options.retry.backoff_max_seconds = 0.05;
+  EXPECT_NO_THROW(rig.validate());
+}
+
+TEST(Runtime, ValidateRunRejectsRetryJitterOutsideUnitInterval) {
+  for (const double jitter : {-0.1, 1.5, std::nan("")}) {
+    Rig rig;
+    rig.options.retry.jitter_fraction = jitter;
+    EXPECT_THROW(rig.validate(), std::invalid_argument) << jitter;
+  }
+  for (const double jitter : {0.0, 1.0}) {
+    Rig rig;
+    rig.options.retry.jitter_fraction = jitter;
+    EXPECT_NO_THROW(rig.validate()) << jitter;
+  }
+}
+
+TEST(Runtime, ValidateRunRejectsNegativeOrNonFiniteRetryTimeoutAndHedge) {
+  for (const double bad : {-1.0, std::nan(""), HUGE_VAL}) {
+    Rig timeout;
+    timeout.options.retry.attempt_timeout_seconds = bad;
+    EXPECT_THROW(timeout.validate(), std::invalid_argument) << bad;
+    Rig hedge;
+    hedge.options.retry.hedge_delay_seconds = bad;
+    EXPECT_THROW(hedge.validate(), std::invalid_argument) << bad;
+  }
+}
+
+TEST(Runtime, SecondRunOnTheSamePlatformTimesItselfFromItsOwnStart) {
+  // docs/API.md's cold/warm cache example: two runs back to back on one
+  // Platform. The second starts where the first drained, reads the chunks
+  // the first cached, and its total_time counts from its own start.
+  Rig rig;
+  Platform platform(rig.spec);
+  const storage::DataLayout layout = rig.layout(platform);
+  cache::CacheConfig cfg;
+  cfg.capacity_bytes = GiB(16);
+  cache::CacheFleet fleet(cfg);
+  rig.options.cache = &fleet;
+
+  const RunResult cold = run_distributed(platform, layout, rig.options);
+  const double cold_drained = des::to_seconds(platform.sim().now());
+  const RunResult warm = run_distributed(platform, layout, rig.options);
+  const double warm_drained = des::to_seconds(platform.sim().now());
+
+  EXPECT_EQ(cold.total_jobs(), 24u);
+  EXPECT_EQ(warm.total_jobs(), 24u);
+  EXPECT_GE(cold_drained, cold.total_time);
+  EXPECT_GT(warm.totals().cache_hits, cold.totals().cache_hits);
+  EXPECT_GT(warm.total_time, 0.0);
+  EXPECT_LE(warm.total_time, warm_drained - cold_drained);
 }
 
 TEST(Runtime, StaticAssignmentRealExecutionCorrect) {
