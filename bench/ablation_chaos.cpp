@@ -1,6 +1,6 @@
 // Ablation: region failover under a scripted chaos plan.
 //
-// A three-site platform (the paper's local cluster plus two cloud regions)
+// The east/west platform (the paper's local cluster plus two cloud regions)
 // runs a marker-dataset job through the WorkloadManager's elastic pool while
 // a ChaosPlan blacks out the "west" region mid-run — slaves killed, store
 // dark, in-flight flows cancelled, directory retirement, master evacuated.
@@ -24,37 +24,19 @@
 #include "paper_common.hpp"
 
 #include <cinttypes>
-#include <cmath>
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "apps/wordcount.hpp"
+#include "apps/scenarios.hpp"
 #include "chaos/chaos.hpp"
-#include "common/units.hpp"
 #include "directory/platform_directory.hpp"
-#include "engine/memory_dataset.hpp"
 #include "replica/replica_set.hpp"
-#include "storage/data_layout.hpp"
 #include "trace/trace.hpp"
 #include "workload/workload_manager.hpp"
 
 namespace {
 
 using namespace cloudburst;
-using namespace cloudburst::units;
-
-/// Local cluster plus two cloud providers, data split three ways.
-cluster::PlatformSpec three_site_spec() {
-  cluster::PlatformSpec spec;
-  spec.sites.push_back(cluster::PlatformSpec::paper_local_site(8));
-  spec.sites.push_back(cluster::PlatformSpec::paper_cloud_site(4, "east"));
-  spec.sites.push_back(cluster::PlatformSpec::paper_cloud_site(4, "west"));
-  spec.wan_bandwidth = MBps(125);
-  spec.wan_latency = des::from_seconds(ms(25));
-  spec.set_wan(1, 2, MBps(60), des::from_seconds(ms(60)));
-  return spec;
-}
 
 struct ArmOutcome {
   double makespan = 0.0;
@@ -66,72 +48,36 @@ struct ArmOutcome {
   std::uint32_t slaves_failed = 0;
   std::uint32_t site_outages = 0;
   std::uint32_t site_recoveries = 0;
-  bool bills_ok = false;
   bool coverage_ok = true;
   std::string detail;
 };
 
-/// One pooled workload run over the three-site platform. The chaos plan and
-/// replication are the only knobs; everything else (layout, seed, pool) is
+/// One pooled workload run over the east/west platform. The chaos plan and
+/// replication are the only knobs; everything else (data, seed, pool) is
 /// shared so the arms differ by exactly one design decision.
-ArmOutcome run_arm(bool replicated, const chaos::ChaosPlan* plan, bool quick,
+ArmOutcome run_arm(apps::MarkerData& marker, bool replicated, const chaos::ChaosPlan* plan,
                    std::uint64_t seed) {
-  const std::uint32_t files = quick ? 6u : 12u;
-  const std::uint64_t units = quick ? 600000u : 2400000u;
-
-  apps::WordCountTask task;
-  storage::DataLayout layout = storage::build_layout_for_units(
-      units, sizeof(apps::WordRecord), files, /*chunks_per_file=*/2);
-  std::vector<apps::WordRecord> records;
-  records.reserve(units);
-  for (const auto& chunk : layout.chunks()) {
-    for (std::uint64_t u = 0; u < chunk.units; ++u) {
-      records.push_back(apps::WordRecord{chunk.id});
-    }
-  }
-  engine::MemoryDataset data = engine::MemoryDataset::from_records(records);
-
-  cluster::Platform platform(three_site_spec());
-  storage::assign_stores_by_weights(layout, {1.0, 1.0, 1.0},
-                                    {platform.store_of_cluster(0),
-                                     platform.store_of_cluster(1),
-                                     platform.store_of_cluster(2)});
+  cluster::Platform platform(apps::east_west_spec(8, 4));
+  apps::spread_evenly(marker.layout, platform);
   directory::PlatformDirectory dir(platform);
   dir.bootstrap();
-
-  replica::ReplicationConfig rcfg;
-  rcfg.replication_factor = 2;
-  rcfg.placement = replica::PlacementPolicy::CrossSite;
-  replica::ReplicaSet rs{rcfg};
+  replica::ReplicaSet rs{apps::cross_site_replication()};
 
   trace::Tracer tracer;
-  workload::WorkloadOptions wopts;
-  wopts.policy = workload::SchedulingPolicy::FairShare;
-  wopts.directory = &dir;
+  workload::WorkloadOptions wopts = apps::failover_workload_options(dir);
   wopts.tracer = &tracer;
-  wopts.pool.enabled = true;
-  wopts.pool.boot_seconds = 2.0;
   workload::WorkloadManager manager(platform, wopts);
 
   workload::JobSpec spec;
   spec.name = "failover";
   spec.tenant = "acme";
-  spec.layout = layout;
-  spec.options.profile.name = "chaos-failover";
-  spec.options.profile.unit_bytes = sizeof(apps::WordRecord);
-  spec.options.profile.bytes_per_second_per_core = KiB(512);  // slow: faults
-  spec.options.profile.per_job_overhead_seconds = 0.2;        // land mid-run
-  spec.options.profile.robj_bytes = KiB(16);
-  spec.options.reduction_tree = false;
+  spec.layout = marker.layout;
+  spec.options = apps::failover_run_options(marker, replicated ? &rs : nullptr);
   spec.options.random_seed = seed;
-  spec.options.task = &task;
-  spec.options.dataset = &data;
-  spec.options.retry.max_attempts = 3;
-  spec.options.retry.backoff_base_seconds = 0.05;
-  if (replicated) spec.options.replication = &rs;
-  if (plan) spec.options.chaos = plan;
+  spec.options.chaos = plan;
   manager.submit(std::move(spec), 0.0);
   const workload::WorkloadResult result = manager.run();
+  bench::require_bills("ablation_chaos", result);
 
   ArmOutcome out;
   out.makespan = result.makespan;
@@ -146,22 +92,15 @@ ArmOutcome run_arm(bool replicated, const chaos::ChaosPlan* plan, bool quick,
   out.site_recoveries =
       static_cast<std::uint32_t>(tracer.count(trace::EventKind::SiteRecovered));
 
-  // Exactly-once: the marker robj divides back into per-chunk counts.
-  const auto& got = dynamic_cast<const api::HashCountRobj&>(*run.robj);
-  for (const auto& chunk : layout.chunks()) {
-    const double per_unit = static_cast<double>(chunk.units);
-    const double raw = got.get(chunk.id);
-    const auto count = static_cast<std::uint32_t>(raw / per_unit + 0.5);
-    if (count == 0) {
-      ++out.lost_chunks;
-    } else if (count > 1 || std::fabs(count * per_unit - raw) > 1e-6) {
-      ++out.duplicated_chunks;  // double count, or a partial merge
-    }
+  // Exactly-once: the marker robj divides back into per-chunk counts. A
+  // partial merge reads 0 there but counts as a duplicate here.
+  const apps::MarkerCounts counts = apps::marker_counts(*run.robj, marker.layout);
+  for (const std::uint32_t n : counts.executions) {
+    if (n == 0) ++out.lost_chunks;
+    if (n > 1) ++out.duplicated_chunks;
   }
-
-  const auto bills = chaos::audit_bills(result);
-  out.bills_ok = bills.ok;
-  if (!bills.ok) out.detail = bills.detail;
+  out.lost_chunks -= counts.partial;
+  out.duplicated_chunks += counts.partial;
 
   // Drive repair to quiescence post-run (the background actor stops with the
   // run): coverage must be restorable from the surviving copies.
@@ -171,7 +110,7 @@ ArmOutcome run_arm(bool replicated, const chaos::ChaosPlan* plan, bool quick,
       if (tasks.empty()) break;
       for (const auto& t : tasks) rs.repair_done(t, true, 1e9);
     }
-    const auto coverage = chaos::audit_coverage(rs, layout);
+    const auto coverage = chaos::audit_coverage(rs, marker.layout);
     out.coverage_ok = coverage.ok;
     if (!coverage.ok) out.detail = coverage.detail;
   }
@@ -183,8 +122,11 @@ ArmOutcome run_arm(bool replicated, const chaos::ChaosPlan* plan, bool quick,
 int main(int argc, char** argv) {
   const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
 
+  apps::MarkerData marker = args.quick ? apps::marker_data(600000, 6, 2)
+                                       : apps::marker_data(2400000, 12, 2);
+
   // Reference run: no chaos, no replication.
-  const ArmOutcome clean = run_arm(false, nullptr, args.quick, args.seed);
+  const ArmOutcome clean = run_arm(marker, false, nullptr, args.seed);
 
   // Blackout window: opens mid-run — after the pool boot window, while the
   // west slaves hold in-progress work — and outlasts the clean finish, so a
@@ -197,8 +139,8 @@ int main(int argc, char** argv) {
   outage.duration_seconds = 2.0 * clean.makespan;
   plan.events.push_back(outage);
 
-  const ArmOutcome repl = run_arm(true, &plan, args.quick, args.seed);
-  const ArmOutcome base = run_arm(false, &plan, args.quick, args.seed);
+  const ArmOutcome repl = run_arm(marker, true, &plan, args.seed);
+  const ArmOutcome base = run_arm(marker, false, &plan, args.seed);
 
   const double repl_inflation = repl.makespan / clean.makespan - 1.0;
   const double base_inflation = base.makespan / clean.makespan - 1.0;
@@ -280,13 +222,6 @@ int main(int argc, char** argv) {
                  "counted %u — recovery must delay work, never drop it\n",
                  base.lost_chunks, base.duplicated_chunks);
     return 1;
-  }
-  for (const ArmOutcome* arm : {&clean, &repl, &base}) {
-    if (!arm->bills_ok) {
-      std::fprintf(stderr, "ablation_chaos: bills do not partition: %s\n",
-                   arm->detail.c_str());
-      return 1;
-    }
   }
   if (!repl.coverage_ok) {
     std::fprintf(stderr, "ablation_chaos: repair left coverage holes: %s\n",

@@ -21,7 +21,8 @@
 //      leases, and the cross-job drain must lose zero completed work
 //      (no chunk is re-executed).
 //
-// Emits BENCH_directory.json and exits non-zero when a self-check fails.
+// Emits BENCH_directory.json and exits non-zero when a self-check fails or a
+// workload's per-job bills do not sum to its platform bill.
 #include "paper_common.hpp"
 
 #include <cinttypes>
@@ -127,6 +128,7 @@ BurstOutcome run_burst(bool pooled, bool quick, std::uint64_t seed) {
     manager.submit(std::move(job), arrivals[i]);
   }
   const workload::WorkloadResult result = manager.run();
+  bench::require_bills("ablation_directory", result);
 
   BurstOutcome out;
   out.platform_usd = result.platform_cost.total_usd();
@@ -216,6 +218,7 @@ DynamicOutcome run_dynamic(bool quick, std::uint64_t seed) {
   });
 
   const workload::WorkloadResult result = manager.run();
+  bench::require_bills("ablation_directory", result);
 
   DynamicOutcome out;
   out.completed = true;  // run() throws on a deadlocked workload

@@ -15,7 +15,8 @@
 //      a StoreQos (interactive weight 3, batch 1) the arbiter paces batch
 //      releases and the interactive p95 must come out strictly better.
 //
-// Emits BENCH_qos.json and exits non-zero when either self-check fails.
+// Emits BENCH_qos.json and exits non-zero when either self-check fails or a
+// workload's per-job bills do not sum to its platform bill.
 #include "paper_common.hpp"
 
 #include <algorithm>
@@ -179,6 +180,7 @@ LatencyOutcome run_contended_workload(bool managed, bool quick, std::uint64_t se
   manager.submit(std::move(probe), 0.0);
 
   const auto result = manager.run();
+  bench::require_bills("ablation_qos", result);
 
   LatencyOutcome out;
   out.makespan = result.makespan;

@@ -14,8 +14,10 @@
 #include <vector>
 
 #include "apps/experiments.hpp"
+#include "chaos/chaos.hpp"
 #include "common/table.hpp"
 #include "middleware/run_result.hpp"
+#include "workload/workload.hpp"
 
 namespace cloudburst::bench {
 
@@ -54,6 +56,15 @@ struct BenchArgs {
     return args;
   }
 };
+
+/// Exit 1, naming `bench` on stderr, unless every job's attributed bill in
+/// `result` sums to its platform bill (chaos::audit_bills).
+inline void require_bills(const char* bench, const workload::WorkloadResult& result) {
+  const chaos::AuditResult bills = chaos::audit_bills(result);
+  if (bills.ok) return;
+  std::fprintf(stderr, "%s: bills do not partition: %s\n", bench, bills.detail.c_str());
+  std::exit(1);
+}
 
 /// Results of the five Figure-3 environments for one application.
 struct EnvSweep {

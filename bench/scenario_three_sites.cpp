@@ -9,6 +9,7 @@
 // pool, stealing across any remote store with the per-store endgame reserve.
 #include "paper_common.hpp"
 
+#include "apps/scenarios.hpp"
 #include "cache/chunk_cache.hpp"
 #include "common/units.hpp"
 #include "cost/cost_model.hpp"
@@ -18,21 +19,6 @@
 namespace {
 
 using namespace cloudburst;
-using namespace cloudburst::units;
-
-cluster::PlatformSpec three_site_spec() {
-  cluster::PlatformSpec spec;
-  spec.sites.push_back(cluster::PlatformSpec::paper_local_site(16));
-  spec.sites.push_back(cluster::PlatformSpec::paper_cloud_site(16, "cloudA"));
-  spec.sites.push_back(cluster::PlatformSpec::paper_cloud_site(16, "cloudB"));
-  spec.wan_bandwidth = MBps(125);
-  spec.wan_latency = des::from_seconds(ms(25));
-  // The providers talk to each other over the public internet, not the
-  // dedicated local uplink.
-  spec.set_wan(1, 2, MBps(80), des::from_seconds(ms(40)));
-  spec.node_speed_jitter = 0.03;
-  return spec;
-}
 
 struct ThreeSiteRun {
   middleware::RunResult result;
@@ -41,7 +27,7 @@ struct ThreeSiteRun {
 
 ThreeSiteRun run_three_sites(bench::PaperApp app, const std::vector<double>& weights,
                              cache::CacheFleet* fleet = nullptr) {
-  cluster::Platform platform(three_site_spec());
+  cluster::Platform platform(apps::cloud_ab_spec(16, 16));
   storage::DataLayout layout =
       apps::paper_layout(app, 1.0, platform.local_store_id(), platform.cloud_store_id());
   assign_stores_by_weights(layout, weights,

@@ -115,6 +115,7 @@ int main(int argc, char** argv) {
   for (const Scenario& scenario : scenarios) {
     for (workload::SchedulingPolicy policy : policies) {
       const auto result = run_workload(policy, scenario.trace, jobs, args.seed);
+      bench::require_bills("workload_multitenant", result);
 
       // Per-tenant attribution must partition the platform bill exactly.
       double attributed = 0.0;

@@ -99,14 +99,30 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
         "and chaos plans");
   }
 
+  // --- delays ----------------------------------------------------------------
+  // Each one reaches Simulator::schedule, which throws on a negative delay
+  // mid-run, and des::from_seconds, where a NaN or an infinity is undefined
+  // behaviour; each check is written so NaN fails it.
+  const auto non_negative = [](double value, const char* what) {
+    if (!(std::isfinite(value) && value >= 0.0)) {
+      throw std::invalid_argument(std::string("run_distributed: ") + what +
+                                  " must be finite and >= 0");
+    }
+  };
+  non_negative(options.failure_detection_seconds, "failure detection time");
+  non_negative(options.checkpoint_interval_seconds, "checkpoint interval");
+  non_negative(options.elastic.boot_seconds, "elastic boot time");
+
   if (options.elastic.enabled) {
     const auto cloud_nodes = platform.cloud_node_count();
     if (cloud_nodes > 0 && options.elastic.initial_cloud_nodes == 0) {
       throw std::invalid_argument(
           "run_distributed: elastic bursting needs at least one initial cloud node");
     }
-    if (options.elastic.check_interval_seconds <= 0.0) {
-      throw std::invalid_argument("run_distributed: elastic check interval must be > 0");
+    if (!(std::isfinite(options.elastic.check_interval_seconds) &&
+          options.elastic.check_interval_seconds > 0.0)) {
+      throw std::invalid_argument(
+          "run_distributed: elastic check interval must be finite and > 0");
     }
   }
 
@@ -157,9 +173,7 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
         "run_distributed: node events are mutually exclusive with elastic "
         "bursting (one policy decides when held cloud slaves activate)");
   }
-  if (options.spot.reclaim_rate_per_hour < 0.0) {
-    throw std::invalid_argument("run_distributed: spot reclaim rate must be >= 0");
-  }
+  non_negative(options.spot.reclaim_rate_per_hour, "spot reclaim rate");
   // Every scripted removal (a drain also takes its node out of the run) must
   // leave each site one platform node; distinct victims only, so a node named
   // twice counts once.
@@ -186,9 +200,7 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
     }
   }
   if (options.migration.standby_nodes > 0) {
-    if (options.migration.boot_seconds < 0.0) {
-      throw std::invalid_argument("run_distributed: migration boot time must be >= 0");
-    }
+    non_negative(options.migration.boot_seconds, "migration boot time");
     // setup_migration holds back the last standby_nodes cloud slaves in build
     // order, which runs site by site. A site whose slaves all fall among them
     // never asks for work, and the head waits for its robj forever.

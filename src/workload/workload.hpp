@@ -131,6 +131,8 @@ struct JobResult {
   int priority = 0;
   double deadline_seconds = 0.0;
 
+  /// Platform sim times: on a platform that ran before the workload's
+  /// manager was built they include that earlier run.
   double submit_seconds = 0.0;
   double start_seconds = 0.0;
   double finish_seconds = 0.0;
@@ -180,7 +182,9 @@ struct WorkloadResult {
   /// when several jobs' controllers activated them.
   cost::CostReport platform_cost;
 
-  double makespan = 0.0;  ///< last job finish (workload starts at t = 0)
+  /// Last job finish, counted from the manager's start (the platform's sim
+  /// time when the manager was built); the platform bill's run time.
+  double makespan = 0.0;
   double p50_latency_seconds = 0.0;
   double p95_latency_seconds = 0.0;
   double slo_hit_rate = 1.0;  ///< fraction of admitted jobs meeting their deadline

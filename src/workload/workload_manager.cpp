@@ -90,7 +90,7 @@ double percentile(std::vector<double> sorted, double p) {
 
 WorkloadManager::WorkloadManager(cluster::Platform& platform, WorkloadOptions options)
     : platform_(platform), options_(std::move(options)),
-      postman_(platform.network()) {
+      postman_(platform.network()), start_seconds_(now_seconds()) {
   if (options_.pool.enabled) {
     if (!options_.directory) {
       throw std::invalid_argument(
@@ -170,7 +170,7 @@ std::uint32_t WorkloadManager::submit(JobSpec spec, double at_seconds) {
   auto job = std::make_unique<Job>();
   job->id = static_cast<std::uint32_t>(jobs_.size()) + 1;
   if (spec.name.empty()) spec.name = "job" + std::to_string(job->id);
-  job->submit_seconds = at_seconds;
+  job->submit_seconds = now_seconds() + at_seconds;
   job->effective = spec.options;
   job->effective.tenant = spec.tenant;
   if (options_.tracer) job->effective.tracer = options_.tracer;
@@ -451,6 +451,7 @@ WorkloadResult WorkloadManager::run() {
 
 WorkloadResult WorkloadManager::aggregate() {
   WorkloadResult result;
+  double last_finish = start_seconds_;  ///< absolute sim time
 
   // --- per-job results and raw (billed-alone) usage ---------------------------
   std::vector<cost::CostInputs> job_inputs;
@@ -491,10 +492,12 @@ WorkloadResult WorkloadManager::aggregate() {
     r.raw_cost = cost::price(job_inputs.back(), options_.pricing);
     result.jobs.push_back(std::move(r));
 
-    result.makespan = std::max(result.makespan, job.finish_seconds);
+    last_finish = std::max(last_finish, job.finish_seconds);
     result.preemptions += job.preemptions;
     result.elastic_activations += result.jobs.back().run.elastic_activations;
   }
+
+  result.makespan = last_finish - start_seconds_;
 
   // --- the platform billed once ----------------------------------------------
   // Cloud nodes are physical: a node several jobs rented (including elastic
@@ -502,13 +505,13 @@ WorkloadResult WorkloadManager::aggregate() {
   // the end of the workload, exactly once.
   std::map<net::EndpointId, double> rented_from;
   // Latest rental end per node; a rental no lifecycle event closed runs to
-  // the workload's makespan, which then dominates every early end.
+  // the workload's last finish, which then dominates every early end.
   std::map<net::EndpointId, double> rented_until;
   for (const JobResult& r : result.jobs) {
     for (const middleware::Rental& rental : r.run.rentals) {
       const double at = r.start_seconds + rental.start;
       const double end =
-          rental.end >= 0.0 ? r.start_seconds + rental.end : result.makespan;
+          rental.end >= 0.0 ? r.start_seconds + rental.end : last_finish;
       const auto it = rented_from.find(rental.node);
       if (it == rented_from.end()) {
         rented_from[rental.node] = at;
@@ -529,8 +532,8 @@ WorkloadResult WorkloadManager::aggregate() {
   if (pool_) {
     // Under the node pool the per-job rental lists above are empty by
     // construction; the pool's provisioning windows ARE the platform bill
-    // (a window still open when the workload ends closes at the makespan).
-    for (const auto& window : pool_->windows(result.makespan)) {
+    // (a window still open when the workload ends closes at its last finish).
+    for (const auto& window : pool_->windows(last_finish)) {
       platform_inputs.instance_seconds.push_back(
           std::max(0.0, window.end - window.start));
     }

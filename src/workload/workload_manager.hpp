@@ -20,7 +20,7 @@
 //    then splits the real platform bill, component by component, exactly.
 //
 // Every run goes through this manager: middleware::run_distributed submits
-// one job at t = 0 to a default (FIFO) manager and returns its RunResult.
+// one job at delay 0 to a default (FIFO) manager and returns its RunResult.
 // The manager owns the one Postman<Message> of the run; each JobExecution
 // registers its actors there under its job id.
 #pragma once
@@ -45,7 +45,8 @@ class WorkloadManager {
   WorkloadManager(cluster::Platform& platform, WorkloadOptions options);
   ~WorkloadManager();
 
-  /// Queue `spec` for submission at `at_seconds` (sim time). Validates the
+  /// Queue `spec` for submission `at_seconds` after the manager's start (the
+  /// platform's sim time when it was constructed). Validates the
   /// spec immediately (throws std::invalid_argument on a bad one). Returns
   /// the job id (1-based, in submit-call order). Call before run().
   std::uint32_t submit(JobSpec spec, double at_seconds);
@@ -111,6 +112,9 @@ class WorkloadManager {
   cluster::Platform& platform_;
   WorkloadOptions options_;
   net::Postman<middleware::Message> postman_;
+  /// Sim time at construction: submissions are delays from it, and the
+  /// makespan counts from it.
+  double start_seconds_;
   std::unique_ptr<CoreSlotArbiter> arbiter_;  ///< concurrent policies only
   std::unique_ptr<NodePool> pool_;            ///< WorkloadOptions::pool.enabled
 

@@ -10,11 +10,10 @@
 #include <memory>
 #include <vector>
 
-#include "apps/wordcount.hpp"
+#include "apps/scenarios.hpp"
 #include "chaos/chaos.hpp"
 #include "common/units.hpp"
 #include "directory/platform_directory.hpp"
-#include "engine/memory_dataset.hpp"
 #include "middleware/runtime.hpp"
 #include "net/network.hpp"
 #include "qos/store_qos.hpp"
@@ -37,77 +36,12 @@ using middleware::RunOptions;
 using middleware::RunResult;
 using storage::DataLayout;
 
-/// Local cluster plus two cloud providers, data split three ways.
-PlatformSpec three_site_spec() {
-  PlatformSpec spec;
-  spec.sites.push_back(PlatformSpec::paper_local_site(8));
-  spec.sites.push_back(PlatformSpec::paper_cloud_site(4, "east"));
-  spec.sites.push_back(PlatformSpec::paper_cloud_site(4, "west"));
-  spec.wan_bandwidth = MBps(125);
-  spec.wan_latency = des::from_seconds(ms(25));
-  spec.set_wan(1, 2, MBps(60), des::from_seconds(ms(60)));
-  return spec;
+/// Per-chunk execution counts of a marker run; a partial merge fails the test.
+std::vector<std::uint32_t> executions(const RunResult& result, const DataLayout& layout) {
+  const apps::MarkerCounts counts = apps::marker_counts(*result.robj, layout);
+  EXPECT_EQ(counts.partial, 0u) << "a chunk's count is not a whole number of executions";
+  return counts.executions;
 }
-
-/// Real-execution rig whose dataset marks every unit with its chunk id, so
-/// the head's final HashCountRobj *is* the per-chunk execution count —
-/// exactly what chaos::audit_exactly_once consumes.
-struct MarkerRig {
-  apps::WordCountTask task;
-  DataLayout layout;
-  engine::MemoryDataset data;
-
-  MarkerRig(std::uint32_t files, std::uint32_t chunks_per_file, std::uint64_t units)
-      : layout(storage::build_layout_for_units(units, sizeof(apps::WordRecord), files,
-                                               chunks_per_file)),
-        data(make_data(layout)) {}
-
-  static engine::MemoryDataset make_data(const DataLayout& layout) {
-    std::vector<apps::WordRecord> records;
-    for (const auto& chunk : layout.chunks()) {
-      for (std::uint64_t u = 0; u < chunk.units; ++u) {
-        records.push_back(apps::WordRecord{chunk.id});
-      }
-    }
-    return engine::MemoryDataset::from_records(records);
-  }
-
-  void spread_over(Platform& platform) {
-    storage::assign_stores_by_weights(layout, {1.0, 1.0, 1.0},
-                                      {platform.store_of_cluster(0),
-                                       platform.store_of_cluster(1),
-                                       platform.store_of_cluster(2)});
-  }
-
-  RunOptions options() {
-    RunOptions o;
-    o.profile.name = "chaos-marker";
-    o.profile.unit_bytes = sizeof(apps::WordRecord);
-    o.profile.bytes_per_second_per_core = KiB(512);  // slow: faults land mid-run
-    o.profile.per_job_overhead_seconds = 0.2;
-    o.profile.robj_bytes = KiB(16);
-    o.reduction_tree = false;
-    o.task = &task;
-    o.dataset = &data;
-    return o;
-  }
-
-  /// Per-chunk execution counts from the finished run's reduction object.
-  std::vector<std::uint32_t> executions(const RunResult& result) const {
-    const auto& got = dynamic_cast<const api::HashCountRobj&>(*result.robj);
-    std::vector<std::uint32_t> counts(layout.chunks().size(), 0);
-    for (const auto& chunk : layout.chunks()) {
-      const double units = static_cast<double>(chunk.units);
-      counts[chunk.id] =
-          static_cast<std::uint32_t>(got.get(chunk.id) / units + 0.5);
-      // Fractional residue would mean a *partial* double count — report it
-      // as a hard failure rather than rounding it away.
-      EXPECT_NEAR(counts[chunk.id] * units, got.get(chunk.id), 1e-6)
-          << "chunk " << chunk.id;
-    }
-    return counts;
-  }
-};
 
 // --- plan generation ---------------------------------------------------------
 
@@ -150,7 +84,7 @@ TEST(ChaosPlanGen, SeededPlansAreDeterministicAndRespectProtection) {
 // --- validation --------------------------------------------------------------
 
 TEST(ChaosValidate, RejectsBadPlans) {
-  Platform platform(three_site_spec());
+  Platform platform(apps::east_west_spec(8, 4));
   storage::LayoutSpec lspec;
   lspec.total_bytes = MiB(12);
   lspec.num_files = 3;
@@ -199,7 +133,7 @@ TEST(ChaosValidate, RejectsBadPlans) {
 // NaN fails every comparison, so a `factor < 0 || factor > 1` rule let it
 // through and the network then ran the faulted link at NaN capacity.
 TEST(ChaosValidate, RejectsNaNLinkFactor) {
-  Platform platform(three_site_spec());
+  Platform platform(apps::east_west_spec(8, 4));
   storage::LayoutSpec lspec;
   lspec.total_bytes = MiB(12);
   lspec.num_files = 3;
@@ -229,25 +163,25 @@ TEST(ChaosValidate, RejectsNaNLinkFactor) {
 // --- chaos-off byte identity -------------------------------------------------
 
 TEST(ChaosOff, EmptyPlanIsByteIdenticalToNoPlan) {
-  MarkerRig rig(6, 2, 60000);
+  apps::MarkerData marker = apps::marker_data(60000, 6, 2);
   trace::Tracer base_trace;
   trace::Tracer empty_trace;
 
-  RunOptions base = rig.options();
+  RunOptions base = apps::marker_run_options(marker);
   base.tracer = &base_trace;
   {
-    Platform platform(three_site_spec());
-    rig.spread_over(platform);
-    middleware::run_distributed(platform, rig.layout, base);
+    Platform platform(apps::east_west_spec(8, 4));
+    apps::spread_evenly(marker.layout, platform);
+    middleware::run_distributed(platform, marker.layout, base);
   }
 
   const ChaosPlan empty_plan;  // attached but empty: must change nothing
-  RunOptions with_empty = rig.options();
+  RunOptions with_empty = apps::marker_run_options(marker);
   with_empty.tracer = &empty_trace;
   with_empty.chaos = &empty_plan;
   {
-    Platform platform(three_site_spec());
-    middleware::run_distributed(platform, rig.layout, with_empty);
+    Platform platform(apps::east_west_spec(8, 4));
+    middleware::run_distributed(platform, marker.layout, with_empty);
   }
 
   const auto replay = chaos::audit_replay(base_trace.to_jsonl(), empty_trace.to_jsonl());
@@ -263,21 +197,21 @@ TEST(RetryJitter, SeededJitterIsDeterministicAndDefaultsOff) {
   // A flaky object store forces retry cycles to exhaust; with jitter each
   // re-opened cycle backs off by a seeded per-(node, chunk, cycle) factor.
   auto run_once = [](double jitter, trace::Tracer& tracer) {
-    MarkerRig rig(6, 2, 60000);
-    PlatformSpec spec = three_site_spec();
+    apps::MarkerData marker = apps::marker_data(60000, 6, 2);
+    PlatformSpec spec = apps::east_west_spec(8, 4);
     spec.sites[1].store->fault.fail_probability = 0.6;
     spec.sites[1].store->fault.seed = 77;
     Platform platform(spec);
-    storage::assign_stores_by_weights(rig.layout, {1.0, 2.0, 1.0},
+    storage::assign_stores_by_weights(marker.layout, {1.0, 2.0, 1.0},
                                       {platform.store_of_cluster(0),
                                        platform.store_of_cluster(1),
                                        platform.store_of_cluster(2)});
-    RunOptions o = rig.options();
+    RunOptions o = apps::marker_run_options(marker);
     o.retry.max_attempts = 1;  // every failure exhausts a cycle -> backoff
     o.retry.backoff_base_seconds = 0.05;
     o.retry.jitter_fraction = jitter;
     o.tracer = &tracer;
-    const RunResult result = middleware::run_distributed(platform, rig.layout, o);
+    const RunResult result = middleware::run_distributed(platform, marker.layout, o);
     EXPECT_GT(result.totals().store_faults, 0u);
     EXPECT_GT(result.totals().fetch_retries, 0u);
   };
@@ -297,15 +231,15 @@ TEST(RetryJitter, SeededJitterIsDeterministicAndDefaultsOff) {
 // --- WAN link faults ---------------------------------------------------------
 
 TEST(ChaosLinkFault, WindowStallsFlowsAndRunRecovers) {
-  MarkerRig rig(6, 2, 600000);
+  apps::MarkerData marker = apps::marker_data(600000, 6, 2);
   trace::Tracer clean_trace;
-  RunOptions clean = rig.options();
+  RunOptions clean = apps::marker_run_options(marker);
   clean.tracer = &clean_trace;
   double clean_time = 0.0;
   {
-    Platform platform(three_site_spec());
-    rig.spread_over(platform);
-    clean_time = middleware::run_distributed(platform, rig.layout, clean).total_time;
+    Platform platform(apps::east_west_spec(8, 4));
+    apps::spread_evenly(marker.layout, platform);
+    clean_time = middleware::run_distributed(platform, marker.layout, clean).total_time;
   }
 
   // Hard-cut the local<->east link from mid-run until past the clean finish:
@@ -323,16 +257,16 @@ TEST(ChaosLinkFault, WindowStallsFlowsAndRunRecovers) {
   plan.events.push_back(fault);
 
   trace::Tracer faulted_trace;
-  RunOptions faulted = rig.options();
+  RunOptions faulted = apps::marker_run_options(marker);
   faulted.tracer = &faulted_trace;
   faulted.chaos = &plan;
-  Platform platform(three_site_spec());
-  const RunResult result = middleware::run_distributed(platform, rig.layout, faulted);
+  Platform platform(apps::east_west_spec(8, 4));
+  const RunResult result = middleware::run_distributed(platform, marker.layout, faulted);
 
   EXPECT_EQ(faulted_trace.count(trace::EventKind::LinkDown), 1u);
   EXPECT_EQ(faulted_trace.count(trace::EventKind::LinkRestored), 1u);
   EXPECT_GT(result.total_time, clean_time);  // the cut cost wall-clock time
-  const auto once = chaos::audit_exactly_once(rig.executions(result));
+  const auto once = chaos::audit_exactly_once(executions(result, marker.layout));
   EXPECT_TRUE(once.ok) << once.detail;
 }
 
@@ -350,21 +284,15 @@ TEST(ChaosSiteOutage, BlackoutLosesNoWorkAndReplaysBitIdentically) {
 
   auto run_once = [&plan](trace::Tracer& tracer, std::vector<std::uint32_t>* counts,
                           bool check_coverage) {
-    MarkerRig rig(6, 2, 600000);
-    replica::ReplicationConfig rcfg;
-    rcfg.replication_factor = 2;
-    rcfg.placement = replica::PlacementPolicy::CrossSite;
-    replica::ReplicaSet rs{rcfg};
-    Platform platform(three_site_spec());
-    rig.spread_over(platform);
-    RunOptions o = rig.options();
-    o.replication = &rs;
-    o.retry.max_attempts = 3;
-    o.retry.backoff_base_seconds = 0.05;
+    apps::MarkerData marker = apps::marker_data(600000, 6, 2);
+    replica::ReplicaSet rs{apps::cross_site_replication()};
+    Platform platform(apps::east_west_spec(8, 4));
+    apps::spread_evenly(marker.layout, platform);
+    RunOptions o = apps::failover_run_options(marker, &rs);
     o.chaos = &plan;
     o.tracer = &tracer;
-    const RunResult result = middleware::run_distributed(platform, rig.layout, o);
-    if (counts) *counts = rig.executions(result);
+    const RunResult result = middleware::run_distributed(platform, marker.layout, o);
+    if (counts) *counts = executions(result, marker.layout);
     // Drive repair to quiescence post-run (the background actor stops with
     // the run): coverage must be restorable from the surviving copies.
     if (check_coverage) {
@@ -373,7 +301,7 @@ TEST(ChaosSiteOutage, BlackoutLosesNoWorkAndReplaysBitIdentically) {
         if (tasks.empty()) break;
         for (const auto& t : tasks) rs.repair_done(t, true, 1e9);
       }
-      const auto coverage = chaos::audit_coverage(rs, rig.layout);
+      const auto coverage = chaos::audit_coverage(rs, marker.layout);
       EXPECT_TRUE(coverage.ok) << coverage.detail;
     }
   };
@@ -410,23 +338,17 @@ TEST(ChaosSiteOutage, PermanentBlackoutStillCompletes) {
   outage.duration_seconds = 0.0;
   plan.events.push_back(outage);
 
-  MarkerRig rig(6, 2, 600000);
-  replica::ReplicationConfig rcfg;
-  rcfg.replication_factor = 2;
-  rcfg.placement = replica::PlacementPolicy::CrossSite;
-  replica::ReplicaSet rs{rcfg};
-  Platform platform(three_site_spec());
-  rig.spread_over(platform);
+  apps::MarkerData marker = apps::marker_data(600000, 6, 2);
+  replica::ReplicaSet rs{apps::cross_site_replication()};
+  Platform platform(apps::east_west_spec(8, 4));
+  apps::spread_evenly(marker.layout, platform);
   trace::Tracer tracer;
-  RunOptions o = rig.options();
-  o.replication = &rs;
-  o.retry.max_attempts = 3;
-  o.retry.backoff_base_seconds = 0.05;
+  RunOptions o = apps::failover_run_options(marker, &rs);
   o.chaos = &plan;
   o.tracer = &tracer;
-  const RunResult result = middleware::run_distributed(platform, rig.layout, o);
+  const RunResult result = middleware::run_distributed(platform, marker.layout, o);
 
-  const auto once = chaos::audit_exactly_once(rig.executions(result));
+  const auto once = chaos::audit_exactly_once(executions(result, marker.layout));
   EXPECT_TRUE(once.ok) << once.detail;
   EXPECT_EQ(tracer.count(trace::EventKind::SiteOutage), 1u);
   EXPECT_EQ(tracer.count(trace::EventKind::SiteRecovered), 0u);
@@ -457,21 +379,13 @@ TEST(ChaosSoak, RandomPlansPreserveInvariantsUnderFullStack) {
     directory::PlatformDirectory dir(platform);
     dir.bootstrap();
 
-    replica::ReplicationConfig rcfg;
-    rcfg.replication_factor = 2;
-    rcfg.placement = replica::PlacementPolicy::CrossSite;
-    replica::ReplicaSet rs{rcfg};
+    replica::ReplicaSet rs{apps::cross_site_replication()};
 
     qos::QosConfig qcfg;
     qcfg.tenant_weights = {{"alice", 1.0}, {"bob", 2.0}};
     qos::StoreQos q{qcfg};
 
-    workload::WorkloadOptions wopts;
-    wopts.policy = workload::SchedulingPolicy::FairShare;
-    wopts.directory = &dir;
-    wopts.pool.enabled = true;
-    wopts.pool.boot_seconds = 2.0;
-    workload::WorkloadManager manager(platform, wopts);
+    workload::WorkloadManager manager(platform, apps::failover_workload_options(dir));
 
     storage::LayoutSpec lspec;
     lspec.total_bytes = MiB(32);
@@ -522,8 +436,8 @@ TEST(PooledNodeEvents, LeasedDrainAndUnleasedCrashFinishExactlyOnce) {
   // The job leases cloud nodes 0 and 1 of 4: the drain on node 0 vacates a
   // leased node, the crash on node 3 names one the job never leased and
   // misses quietly.
-  MarkerRig rig(4, 4, 48000);
-  auto run = [&rig](std::vector<RunOptions::LifecycleEvent> events) {
+  apps::MarkerData marker = apps::marker_data(48000, 4, 4);
+  auto run = [&marker](std::vector<RunOptions::LifecycleEvent> events) {
     Platform platform(PlatformSpec::paper_testbed(16, 32));
     directory::PlatformDirectory dir(platform);
     dir.bootstrap();
@@ -532,13 +446,13 @@ TEST(PooledNodeEvents, LeasedDrainAndUnleasedCrashFinishExactlyOnce) {
     wopts.pool.enabled = true;
     wopts.pool.boot_seconds = 2.0;
     workload::WorkloadManager manager(platform, wopts);
-    storage::assign_stores_by_fraction(rig.layout, 0.5, platform.local_store_id(),
+    storage::assign_stores_by_fraction(marker.layout, 0.5, platform.local_store_id(),
                                        platform.cloud_store_id());
     workload::JobSpec spec;
     spec.name = "scan";
-    spec.layout = rig.layout;
+    spec.layout = marker.layout;
     spec.pool_nodes = 2;
-    spec.options = rig.options();
+    spec.options = apps::marker_run_options(marker);
     spec.options.lifecycle = std::move(events);
     manager.submit(std::move(spec), 0.0);
     return manager.run();
@@ -554,7 +468,7 @@ TEST(PooledNodeEvents, LeasedDrainAndUnleasedCrashFinishExactlyOnce) {
   EXPECT_EQ(job.lifecycle.drains_requested, 1u);
   EXPECT_EQ(job.lifecycle.nodes_vacated, 1u);
   EXPECT_EQ(job.lifecycle.nodes_crashed, 0u);
-  const auto once = chaos::audit_exactly_once(rig.executions(job));
+  const auto once = chaos::audit_exactly_once(executions(job, marker.layout));
   EXPECT_TRUE(once.ok) << once.detail;
   const auto bills = chaos::audit_bills(result);
   EXPECT_TRUE(bills.ok) << bills.detail;
@@ -609,6 +523,18 @@ TEST(ChaosAuditor, ExactlyOnceFlagsLossAndDoubleCount) {
   const auto twice = chaos::audit_exactly_once({1, 1, 2});
   EXPECT_FALSE(twice.ok);
   EXPECT_NE(twice.detail.find("2 times"), std::string::npos);
+}
+
+TEST(MarkerOracle, CountsExecutionsAndReportsPartialMerges) {
+  const apps::MarkerData marker = apps::marker_data(600, 3, 1);
+  const auto& chunks = marker.layout.chunks();
+  api::HashCountRobj robj;
+  robj.add(chunks[0].id, 2.0 * static_cast<double>(chunks[0].units));  // ran twice
+  robj.add(chunks[1].id, 0.5 * static_cast<double>(chunks[1].units));  // half merged
+  robj.add(chunks[2].id, static_cast<double>(chunks[2].units));
+  const apps::MarkerCounts counts = apps::marker_counts(robj, marker.layout);
+  EXPECT_EQ(counts.executions, (std::vector<std::uint32_t>{2, 0, 1}));
+  EXPECT_EQ(counts.partial, 1u);
 }
 
 TEST(ChaosAuditor, ReplayReportsFirstDivergingLine) {

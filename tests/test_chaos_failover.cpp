@@ -18,53 +18,35 @@
 // reduction checked on the result itself, not only on the commit ledger.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <string>
 #include <vector>
 
-#include "apps/wordcount.hpp"
+#include "apps/scenarios.hpp"
 #include "chaos/chaos.hpp"
 #include "common/serialize.hpp"
-#include "common/units.hpp"
 #include "directory/platform_directory.hpp"
-#include "engine/memory_dataset.hpp"
 #include "qos/store_qos.hpp"
 #include "replica/replica_set.hpp"
-#include "storage/data_layout.hpp"
 #include "trace/trace.hpp"
 #include "workload/workload_manager.hpp"
 
 namespace cloudburst {
 namespace {
 
-using namespace cloudburst::units;
 using chaos::ChaosEvent;
 using chaos::ChaosPlan;
-using middleware::RunOptions;
 
-/// perfbench chaos_failover's shape: 32 cores a site (4 local nodes, 16
-/// per cloud site), 48 files of 2 chunks spread evenly over the three
-/// stores, and a marker dataset whose every unit is its chunk's id.
+/// perfbench chaos_failover's shape: the east/west platform at 32 cores a
+/// site (4 local nodes, 16 per cloud site), 48 files of 2 chunks spread
+/// evenly over the three stores, and marker data.
 class FailoverRig {
  public:
-  FailoverRig()
-      : layout_(storage::build_layout_for_units(4'800'000, sizeof(apps::WordRecord), 48, 2)),
-        data_(marker_data(layout_)) {
-    const cluster::Platform platform(spec());
-    storage::assign_stores_by_weights(layout_, {1.0, 1.0, 1.0},
-                                      {platform.store_of_cluster(0),
-                                       platform.store_of_cluster(1),
-                                       platform.store_of_cluster(2)});
+  FailoverRig() : marker_(apps::marker_data(4'800'000, 48, 2)) {
+    apps::spread_evenly(marker_.layout, cluster::Platform(spec()));
   }
 
-  cluster::PlatformSpec spec() const {
-    cluster::PlatformSpec spec;
-    spec.sites.push_back(cluster::PlatformSpec::paper_local_site(32));
-    spec.sites.push_back(cluster::PlatformSpec::paper_cloud_site(32, "east"));
-    spec.sites.push_back(cluster::PlatformSpec::paper_cloud_site(32, "west"));
-    spec.wan_bandwidth = MBps(125);
-    spec.wan_latency = des::from_seconds(ms(25));
-    spec.set_wan(1, 2, MBps(60), des::from_seconds(ms(60)));
+  static cluster::PlatformSpec spec() {
+    cluster::PlatformSpec spec = apps::east_west_spec(32, 32);
     for (cluster::ClusterId cloud : {1u, 2u}) spec.store(cloud).fabric_bandwidth = 0.0;
     return spec;
   }
@@ -74,19 +56,12 @@ class FailoverRig {
     cluster::Platform platform(spec());
     directory::PlatformDirectory dir(platform);
     dir.bootstrap();
-    replica::ReplicationConfig rcfg;
-    rcfg.replication_factor = 2;
-    rcfg.placement = replica::PlacementPolicy::CrossSite;
-    replica::ReplicaSet replicas{rcfg};
+    replica::ReplicaSet replicas{apps::cross_site_replication()};
     qos::QosConfig qcfg;
     qcfg.tenant_weights = {{"alice", 1.0}, {"bob", 2.0}};
     qos::StoreQos store_qos{qcfg};
 
-    workload::WorkloadOptions wopts;
-    wopts.policy = workload::SchedulingPolicy::FairShare;
-    wopts.directory = &dir;
-    wopts.pool.enabled = true;
-    wopts.pool.boot_seconds = 2.0;
+    workload::WorkloadOptions wopts = apps::failover_workload_options(dir);
     wopts.tracer = tracer;
     workload::WorkloadManager manager(platform, wopts);
 
@@ -94,39 +69,14 @@ class FailoverRig {
       workload::JobSpec spec;
       spec.name = i == 0 ? "scan" : "probe";
       spec.tenant = i == 0 ? "alice" : "bob";
-      spec.layout = layout_;
-      RunOptions& o = spec.options;
-      o.profile.name = "chaos-failover";
-      o.profile.unit_bytes = sizeof(apps::WordRecord);
-      o.profile.bytes_per_second_per_core = KiB(512);
-      o.profile.per_job_overhead_seconds = 0.2;
-      o.profile.robj_bytes = KiB(16);
-      o.reduction_tree = false;
-      o.random_seed = 42 + i;
-      o.task = &task_;
-      o.dataset = &data_;
-      o.retry.max_attempts = 3;
-      o.retry.backoff_base_seconds = 0.05;
-      o.replication = &replicas;
-      o.qos = &store_qos;
-      o.chaos = plan;
+      spec.layout = marker_.layout;
+      spec.options = apps::failover_run_options(marker_, &replicas);
+      spec.options.random_seed = 42 + i;
+      spec.options.qos = &store_qos;
+      spec.options.chaos = plan;
       manager.submit(std::move(spec), 0.0);
     }
     return manager.run();
-  }
-
-  /// Per-chunk execution counts from a job's marker robj; a fractional
-  /// residue (a partial double count) reads as a count of 0.
-  std::vector<std::uint32_t> executions(const middleware::RunResult& run) const {
-    std::vector<std::uint32_t> counts(layout_.chunks().size(), 0);
-    if (!run.robj) return counts;
-    const auto& got = dynamic_cast<const api::HashCountRobj&>(*run.robj);
-    for (const auto& chunk : layout_.chunks()) {
-      const double units = static_cast<double>(chunk.units);
-      const auto count = static_cast<std::uint32_t>(got.get(chunk.id) / units + 0.5);
-      if (std::fabs(count * units - got.get(chunk.id)) <= 1e-6) counts[chunk.id] = count;
-    }
-    return counts;
   }
 
   /// Empty when every job ran each chunk exactly once and the bills
@@ -134,7 +84,9 @@ class FailoverRig {
   std::string audit(const workload::WorkloadResult& result) const {
     for (const auto& job : result.jobs) {
       if (job.rejected) return "job " + job.name + " rejected";
-      const auto once = chaos::audit_exactly_once(executions(job.run));
+      if (!job.run.robj) return "job " + job.name + " has no reduction object";
+      const auto once = chaos::audit_exactly_once(
+          apps::marker_counts(*job.run.robj, marker_.layout).executions);
       if (!once.ok) return "job " + job.name + ": " + once.detail;
     }
     const auto bills = chaos::audit_bills(result);
@@ -168,17 +120,7 @@ class FailoverRig {
   }
 
  private:
-  static engine::MemoryDataset marker_data(const storage::DataLayout& layout) {
-    std::vector<apps::WordRecord> records;
-    for (const auto& chunk : layout.chunks()) {
-      records.resize(records.size() + chunk.units, apps::WordRecord{chunk.id});
-    }
-    return engine::MemoryDataset::from_records(records);
-  }
-
-  storage::DataLayout layout_;
-  engine::MemoryDataset data_;
-  apps::WordCountTask task_;
+  apps::MarkerData marker_;
 };
 
 ChaosEvent window(ChaosEvent::Kind kind, cluster::ClusterId a, double at, double duration) {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/scenarios.hpp"
 #include "cluster/platform.hpp"
 #include "common/units.hpp"
 #include "des/simulator.hpp"
@@ -666,10 +667,7 @@ TEST(DirectoryIntegration, ComposesWithQosAndReplicationUnderDrain) {
   PlatformDirectory dir(platform);
   dir.bootstrap();
 
-  replica::ReplicationConfig rcfg;
-  rcfg.replication_factor = 2;
-  rcfg.placement = replica::PlacementPolicy::CrossSite;
-  replica::ReplicaSet rs{rcfg};
+  replica::ReplicaSet rs{apps::cross_site_replication()};
 
   qos::QosConfig qcfg;
   qcfg.tenant_weights = {{"batch", 1.0}, {"interactive", 3.0}};

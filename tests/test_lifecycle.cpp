@@ -12,6 +12,7 @@
 #include <unordered_map>
 
 #include "apps/datagen.hpp"
+#include "apps/scenarios.hpp"
 #include "apps/wordcount.hpp"
 #include "cache/chunk_cache.hpp"
 #include "chaos/chaos_plan.hpp"
@@ -180,13 +181,7 @@ TEST(LifecycleValidation, RejectsStandbysHoldingBackACloudSite) {
   // build order, so two of them would be all of "west": its master would
   // never ask for work and the head would wait for its robj forever.
   LifecycleRig rig;
-  PlatformSpec spec;
-  spec.sites.push_back(PlatformSpec::paper_local_site(8));
-  spec.sites.push_back(PlatformSpec::paper_cloud_site(4, "east"));
-  spec.sites.push_back(PlatformSpec::paper_cloud_site(4, "west"));
-  spec.wan_bandwidth = MBps(125);
-  spec.wan_latency = des::from_seconds(ms(25));
-  Platform platform(spec);
+  Platform platform(apps::east_west_spec(8, 4));
   ASSERT_EQ(platform.nodes(2).size(), 2u);
   storage::DataLayout layout =
       storage::build_layout_for_units(rig.data.units(), rig.data.unit_bytes(), 6, 4);

@@ -460,6 +460,69 @@ TEST(Runtime, ValidateRunRejectsNegativeOrNonFiniteRetryTimeoutAndHedge) {
   }
 }
 
+// --- timing rules ------------------------------------------------------------
+// A negative delay throws from Simulator::schedule mid-run and a NaN or an
+// infinity reaches des::from_seconds, so validate_run turns them away first.
+
+/// validate_run on a direct-mode Rig after `set` writes `value` into its options.
+void validate_direct(void (*set)(RunOptions&, double), double value) {
+  Rig rig;
+  rig.options.reduction_tree = false;
+  set(rig.options, value);
+  rig.validate();
+}
+
+/// Every value in `bad` is turned away; `good` passes.
+void expect_rejects(void (*set)(RunOptions&, double), std::initializer_list<double> bad,
+                    double good) {
+  for (const double value : bad) {
+    EXPECT_THROW(validate_direct(set, value), std::invalid_argument) << value;
+  }
+  EXPECT_NO_THROW(validate_direct(set, good)) << good;
+}
+
+TEST(Runtime, ValidateRunRejectsNegativeOrNonFiniteFailureDetection) {
+  expect_rejects([](RunOptions& o, double v) { o.failure_detection_seconds = v; },
+                 {-1.0, std::nan(""), HUGE_VAL}, 0.0);
+}
+
+TEST(Runtime, ValidateRunRejectsNegativeOrNonFiniteCheckpointInterval) {
+  expect_rejects([](RunOptions& o, double v) { o.checkpoint_interval_seconds = v; },
+                 {-1.0, std::nan(""), HUGE_VAL}, 2.0);
+}
+
+TEST(Runtime, ValidateRunRejectsNegativeOrNonFiniteElasticBootTime) {
+  expect_rejects(
+      [](RunOptions& o, double v) {
+        o.elastic.enabled = true;
+        o.elastic.boot_seconds = v;
+      },
+      {-1.0, std::nan(""), HUGE_VAL}, 0.0);
+}
+
+TEST(Runtime, ValidateRunRejectsNonFiniteElasticCheckInterval) {
+  expect_rejects(
+      [](RunOptions& o, double v) {
+        o.elastic.enabled = true;
+        o.elastic.check_interval_seconds = v;
+      },
+      {std::nan(""), HUGE_VAL}, 5.0);
+}
+
+TEST(Runtime, ValidateRunRejectsNonFiniteMigrationBootTime) {
+  expect_rejects(
+      [](RunOptions& o, double v) {
+        o.migration.standby_nodes = 1;
+        o.migration.boot_seconds = v;
+      },
+      {std::nan(""), HUGE_VAL}, 60.0);
+}
+
+TEST(Runtime, ValidateRunRejectsNonFiniteSpotReclaimRate) {
+  expect_rejects([](RunOptions& o, double v) { o.spot.reclaim_rate_per_hour = v; },
+                 {std::nan(""), HUGE_VAL}, 1.0);
+}
+
 TEST(Runtime, SecondRunOnTheSamePlatformTimesItselfFromItsOwnStart) {
   // docs/API.md's cold/warm cache example: two runs back to back on one
   // Platform. The second starts where the first drained, reads the chunks

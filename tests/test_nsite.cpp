@@ -7,6 +7,7 @@
 
 #include "apps/datagen.hpp"
 #include "apps/experiments.hpp"
+#include "apps/scenarios.hpp"
 #include "apps/wordcount.hpp"
 #include "common/units.hpp"
 #include "engine/gr_engine.hpp"
@@ -62,19 +63,6 @@ TEST(NSitePlatform, ExplicitTwoSiteSpecMatchesPaperTestbed) {
 
 // --- three-site runs --------------------------------------------------------
 
-/// Local cluster bursting into two cloud providers, data split three ways.
-PlatformSpec three_site_spec() {
-  PlatformSpec spec;
-  spec.sites.push_back(PlatformSpec::paper_local_site(16));
-  spec.sites.push_back(PlatformSpec::paper_cloud_site(8, "east"));
-  spec.sites.push_back(PlatformSpec::paper_cloud_site(8, "west"));
-  spec.wan_bandwidth = MBps(125);
-  spec.wan_latency = des::from_seconds(ms(25));
-  // The two providers are further from each other than from the local site.
-  spec.set_wan(1, 2, MBps(60), des::from_seconds(ms(60)));
-  return spec;
-}
-
 DataLayout three_way_layout(Platform& platform, std::uint64_t total_bytes,
                             std::uint32_t files, std::uint32_t chunks_per_file) {
   storage::LayoutSpec lspec;
@@ -83,9 +71,7 @@ DataLayout three_way_layout(Platform& platform, std::uint64_t total_bytes,
   lspec.chunks_per_file = chunks_per_file;
   lspec.unit_bytes = 64;
   DataLayout layout = storage::build_layout(lspec);
-  assign_stores_by_weights(layout, {1.0, 1.0, 1.0},
-                           {platform.store_of_cluster(0), platform.store_of_cluster(1),
-                            platform.store_of_cluster(2)});
+  apps::spread_evenly(layout, platform);
   return layout;
 }
 
@@ -99,7 +85,7 @@ RunOptions three_site_options() {
 }
 
 TEST(NSiteRun, ThreeSitesCompleteWithPerSiteDecomposition) {
-  Platform platform(three_site_spec());
+  Platform platform(apps::east_west_spec(16, 8));
   ASSERT_EQ(platform.cluster_count(), 3u);
   ASSERT_EQ(platform.store_count(), 3u);
   const DataLayout layout = three_way_layout(platform, MiB(1536), 12, 3);
@@ -125,7 +111,7 @@ TEST(NSiteRun, ThreeSitesCompleteWithPerSiteDecomposition) {
 }
 
 TEST(NSiteRun, BytesFromStoreMatrixAccountsEveryByte) {
-  Platform platform(three_site_spec());
+  Platform platform(apps::east_west_spec(16, 8));
   const DataLayout layout = three_way_layout(platform, MiB(1536), 12, 3);
   const RunResult result = run_distributed(platform, layout, three_site_options());
 
@@ -165,11 +151,9 @@ TEST(NSiteRun, ThreeSiteGlobalReductionMatchesSerialEngine) {
   const auto ref = engine::gr_run(task, data, engine::GrEngineOptions{});
   const auto& ref_counts = dynamic_cast<const api::HashCountRobj&>(*ref);
 
-  Platform platform(three_site_spec());
+  Platform platform(apps::east_west_spec(16, 8));
   DataLayout layout = storage::build_layout_for_units(data.units(), data.unit_bytes(), 6, 4);
-  assign_stores_by_weights(layout, {1.0, 1.0, 1.0},
-                           {platform.store_of_cluster(0), platform.store_of_cluster(1),
-                            platform.store_of_cluster(2)});
+  apps::spread_evenly(layout, platform);
 
   RunOptions options;
   options.profile.unit_bytes = data.unit_bytes();
@@ -223,13 +207,13 @@ TEST(NSiteRun, ComputeOnlySiteReadsItsAffinityStore) {
 }
 
 TEST(NSiteRun, ThreeSiteFailureRecovers) {
-  Platform clean_platform(three_site_spec());
+  Platform clean_platform(apps::east_west_spec(16, 8));
   const DataLayout layout = three_way_layout(clean_platform, MiB(1536), 12, 3);
   RunOptions options = three_site_options();
   options.reduction_tree = false;
   const RunResult clean = run_distributed(clean_platform, layout, options);
 
-  Platform platform(three_site_spec());
+  Platform platform(apps::east_west_spec(16, 8));
   options.lifecycle.push_back(
       {RunOptions::LifecycleEvent::Kind::Crash, 2, 1, 0.4 * clean.total_time});
   const RunResult result = run_distributed(platform, layout, options);

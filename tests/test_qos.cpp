@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "apps/experiments.hpp"
+#include "apps/scenarios.hpp"
 #include "cache/chunk_cache.hpp"
 #include "cluster/platform.hpp"
 #include "common/units.hpp"
@@ -423,10 +424,7 @@ TEST(QosIntegration, ComposesWithCacheFaultsAndReplicationInAWorkload) {
   ccfg.capacity_bytes = MiB(64);
   cache::CacheFleet fleet(ccfg);
 
-  replica::ReplicationConfig rcfg;
-  rcfg.replication_factor = 2;
-  rcfg.placement = replica::PlacementPolicy::CrossSite;
-  replica::ReplicaSet rs{rcfg};
+  replica::ReplicaSet rs{apps::cross_site_replication()};
 
   QosConfig qcfg;
   qcfg.tenant_weights = {{"batch", 1.0}, {"interactive", 3.0}};

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "apps/experiments.hpp"
+#include "apps/scenarios.hpp"
 #include "cache/chunk_cache.hpp"
 #include "common/units.hpp"
 #include "middleware/job_execution.hpp"
@@ -39,18 +40,6 @@ using replica::ReplicaSet;
 using replica::ReplicationConfig;
 using storage::StoreId;
 
-/// Local cluster plus two cloud providers — three stores, asymmetric WAN.
-PlatformSpec three_site_spec() {
-  PlatformSpec spec;
-  spec.sites.push_back(PlatformSpec::paper_local_site(8));
-  spec.sites.push_back(PlatformSpec::paper_cloud_site(8, "east"));
-  spec.sites.push_back(PlatformSpec::paper_cloud_site(8, "west"));
-  spec.wan_bandwidth = MBps(125);
-  spec.wan_latency = des::from_seconds(ms(25));
-  spec.set_wan(1, 2, MBps(60), des::from_seconds(ms(60)));
-  return spec;
-}
-
 storage::DataLayout three_way_layout(Platform& platform) {
   storage::LayoutSpec lspec;
   lspec.total_bytes = MiB(96);
@@ -58,10 +47,7 @@ storage::DataLayout three_way_layout(Platform& platform) {
   lspec.chunks_per_file = 2;
   lspec.unit_bytes = 64;
   storage::DataLayout layout = storage::build_layout(lspec);
-  storage::assign_stores_by_weights(
-      layout, {1.0, 1.0, 1.0},
-      {platform.store_of_cluster(0), platform.store_of_cluster(1),
-       platform.store_of_cluster(2)});
+  apps::spread_evenly(layout, platform);
   return layout;
 }
 
@@ -77,7 +63,7 @@ TEST(ReplicaSet, RejectsDegenerateConfig) {
 }
 
 TEST(ReplicaSet, AttachRejectsGeometryChange) {
-  Platform p(three_site_spec());
+  Platform p(apps::east_west_spec(8, 8));
   const auto layout = three_way_layout(p);
   ReplicaSet rs;
   rs.attach(layout, p);
@@ -94,7 +80,7 @@ TEST(ReplicaSet, AttachRejectsGeometryChange) {
 // --- placement ---------------------------------------------------------------
 
 TEST(ReplicaPlacement, CrossSiteSpreadIsDeterministicAndDistinct) {
-  Platform p(three_site_spec());
+  Platform p(apps::east_west_spec(8, 8));
   const auto layout = three_way_layout(p);
   ReplicationConfig cfg;
   cfg.replication_factor = 3;
@@ -132,7 +118,7 @@ TEST(ReplicaPlacement, ReplicationFactorClampsToStoreCount) {
 }
 
 TEST(ReplicaPlacement, SameSitePlacesOnCheapestWanNeighbors) {
-  Platform p(three_site_spec());
+  Platform p(apps::east_west_spec(8, 8));
   const auto layout = three_way_layout(p);
   ReplicationConfig cfg;
   cfg.replication_factor = 2;
@@ -154,7 +140,7 @@ TEST(ReplicaPlacement, SameSitePlacesOnCheapestWanNeighbors) {
 }
 
 TEST(ReplicaPlacement, HotChunkStartsBareAndEarnsCopiesFromHits) {
-  Platform p(three_site_spec());
+  Platform p(apps::east_west_spec(8, 8));
   const auto layout = three_way_layout(p);
   ReplicationConfig cfg;
   cfg.replication_factor = 2;
@@ -183,7 +169,7 @@ TEST(ReplicaPlacement, HotChunkStartsBareAndEarnsCopiesFromHits) {
 }
 
 TEST(ReplicaPlacement, HotChunkFallsBackToFetchCountHeatWithoutACache) {
-  Platform p(three_site_spec());
+  Platform p(apps::east_west_spec(8, 8));
   const auto layout = three_way_layout(p);
   ReplicationConfig cfg;
   cfg.replication_factor = 2;
@@ -247,12 +233,7 @@ TEST(ReplicaAcceptance, HotChunkPromotesFromDemandFetchesWhenNoCacheRuns) {
 // store id (the old tie-break). The outstanding-routed-bytes signal makes
 // successive resolves alternate between the two copies.
 TEST(ReplicaRouting, EqualCostTiesSplitLoadAcrossReplicas) {
-  PlatformSpec spec;
-  spec.sites.push_back(PlatformSpec::paper_local_site(8));
-  spec.sites.push_back(PlatformSpec::paper_cloud_site(8, "east"));
-  spec.sites.push_back(PlatformSpec::paper_cloud_site(8, "west"));
-  spec.wan_bandwidth = MBps(125);
-  spec.wan_latency = des::from_seconds(ms(25));
+  PlatformSpec spec = apps::east_west_spec(8, 8);
   // East <-> west is cheap, so CrossSite replicates east's chunks to west;
   // site 0 then reads both copies at identical (default) WAN cost.
   spec.set_wan(1, 2, MBps(500), des::from_seconds(ms(5)));
@@ -307,12 +288,7 @@ TEST(ReplicaRouting, EqualCostTiesSplitLoadAcrossReplicas) {
 }
 
 TEST(ReplicaRouting, ResolveChargesRoutedBytesUntilSettled) {
-  PlatformSpec spec;
-  spec.sites.push_back(PlatformSpec::paper_local_site(8));
-  spec.sites.push_back(PlatformSpec::paper_cloud_site(8, "east"));
-  spec.sites.push_back(PlatformSpec::paper_cloud_site(8, "west"));
-  spec.wan_bandwidth = MBps(125);
-  spec.wan_latency = des::from_seconds(ms(25));
+  PlatformSpec spec = apps::east_west_spec(8, 8);
   spec.set_wan(1, 2, MBps(500), des::from_seconds(ms(5)));
   Platform p(spec);
 
@@ -346,7 +322,7 @@ TEST(ReplicaRouting, ResolveChargesRoutedBytesUntilSettled) {
 }
 
 TEST(ReplicaRouting, ResolvePrefersOwnSiteThenFailsOverAndRevives) {
-  Platform p(three_site_spec());
+  Platform p(apps::east_west_spec(8, 8));
   const auto layout = three_way_layout(p);
   ReplicationConfig cfg;
   cfg.replication_factor = 3;
@@ -375,7 +351,7 @@ TEST(ReplicaRouting, ResolvePrefersOwnSiteThenFailsOverAndRevives) {
 }
 
 TEST(ReplicaRouting, AllCopiesLostFallsBackToPrimary) {
-  Platform p(three_site_spec());
+  Platform p(apps::east_west_spec(8, 8));
   const auto layout = three_way_layout(p);
   ReplicationConfig cfg;
   cfg.replication_factor = 3;
@@ -388,7 +364,7 @@ TEST(ReplicaRouting, AllCopiesLostFallsBackToPrimary) {
 }
 
 TEST(ReplicaRouting, SuspectPenaltyExpiresAfterConfiguredWindow) {
-  Platform p(three_site_spec());
+  Platform p(apps::east_west_spec(8, 8));
   const auto layout = three_way_layout(p);
   ReplicationConfig cfg;
   cfg.replication_factor = 3;
@@ -412,7 +388,7 @@ TEST(ReplicaRouting, ThrottleWindowSteersReadsSharingTheStoreConvention) {
   // The route oracle must treat a throttle window exactly as the store does:
   // half-open [begin, end). At t = begin the throttled store is penalized;
   // at t = end it is clean again.
-  PlatformSpec spec = three_site_spec();
+  PlatformSpec spec = apps::east_west_spec(8, 8);
   auto& fault = spec.sites[0].store->fault;
   fault.throttles.push_back({/*begin=*/100.0, /*end=*/200.0,
                              /*bandwidth_factor=*/0.05, /*fail=*/0.5});
@@ -433,7 +409,7 @@ TEST(ReplicaRouting, ThrottleWindowSteersReadsSharingTheStoreConvention) {
 // --- repair planning ---------------------------------------------------------
 
 TEST(ReplicaRepair, PlansFromHealthiestSourceAndSettlesAccounting) {
-  Platform p(three_site_spec());
+  Platform p(apps::east_west_spec(8, 8));
   const auto layout = three_way_layout(p);
   ReplicationConfig cfg;
   cfg.replication_factor = 2;
@@ -480,7 +456,7 @@ TEST(ReplicaRepair, PlansFromHealthiestSourceAndSettlesAccounting) {
 }
 
 TEST(ReplicaRepair, ActorRunsTransfersUnderConcurrencyCap) {
-  Platform p(three_site_spec());
+  Platform p(apps::east_west_spec(8, 8));
   const auto layout = three_way_layout(p);
   ReplicationConfig cfg;
   cfg.replication_factor = 2;

@@ -37,6 +37,7 @@
 #include "apps/kmeans.hpp"
 #include "apps/knn.hpp"
 #include "apps/pagerank.hpp"
+#include "apps/scenarios.hpp"
 #include "apps/wordcount.hpp"
 #include "cache/chunk_cache.hpp"
 #include "common/serialize.hpp"
@@ -207,13 +208,7 @@ void hash_cost(Fnv& h, Seen& seen, const cost::CostReport& c) {
 
 /// Local cluster bursting into two cloud providers with faulty stores.
 PlatformSpec three_site_spec() {
-  PlatformSpec spec;
-  spec.sites.push_back(PlatformSpec::paper_local_site(8));
-  spec.sites.push_back(PlatformSpec::paper_cloud_site(8, "east"));
-  spec.sites.push_back(PlatformSpec::paper_cloud_site(8, "west"));
-  spec.wan_bandwidth = MBps(125);
-  spec.wan_latency = des::from_seconds(ms(25));
-  spec.set_wan(1, 2, MBps(60), des::from_seconds(ms(60)));
+  PlatformSpec spec = apps::east_west_spec(8, 8);
   for (std::size_t site = 1; site < 3; ++site) {
     auto& fault = spec.sites[site].store->fault;
     fault.fail_probability = 0.4;
@@ -223,20 +218,14 @@ PlatformSpec three_site_spec() {
   return spec;
 }
 
-storage::DataLayout spread_layout(Platform& platform, std::size_t sites,
-                                  std::uint64_t bytes) {
+storage::DataLayout spread_layout(const Platform& platform, std::uint64_t bytes) {
   storage::LayoutSpec lspec;
   lspec.total_bytes = bytes;
   lspec.num_files = 12;
   lspec.chunks_per_file = 4;
   lspec.unit_bytes = 64;
   storage::DataLayout layout = storage::build_layout(lspec);
-  std::vector<double> weights(sites, 1.0);
-  std::vector<storage::StoreId> stores;
-  for (std::size_t s = 0; s < sites; ++s) {
-    stores.push_back(platform.store_of_cluster(static_cast<cluster::ClusterId>(s)));
-  }
-  storage::assign_stores_by_weights(layout, weights, stores);
+  apps::spread_evenly(layout, platform);
   return layout;
 }
 
@@ -285,7 +274,7 @@ void expect_counters_nonzero(const Seen& seen) {
 /// has work.
 struct ComposedRun {
   Platform platform{three_site_spec()};
-  storage::DataLayout layout = spread_layout(platform, 3, MiB(768));
+  storage::DataLayout layout = spread_layout(platform, MiB(768));
   cache::CacheFleet fleet{cache_config()};
   replica::ReplicaSet rs{replication_config()};
   qos::StoreQos q;
@@ -310,9 +299,7 @@ struct ComposedRun {
     return c;
   }
   static replica::ReplicationConfig replication_config() {
-    replica::ReplicationConfig c;
-    c.replication_factor = 2;
-    c.placement = replica::PlacementPolicy::CrossSite;
+    replica::ReplicationConfig c = apps::cross_site_replication();
     c.repair_interval_seconds = 0.5;
     return c;
   }
@@ -411,7 +398,7 @@ TEST(RunRecord, SiteCountersSumFieldByFieldAndGrowStores) {
 TEST(RunRecordPin, ElasticRun) {
   // Deadline-driven activations: rentals that bill from their boot time.
   Platform platform(PlatformSpec::paper_testbed(8, 16));
-  storage::DataLayout layout = spread_layout(platform, 2, MiB(1536));
+  storage::DataLayout layout = spread_layout(platform, MiB(1536));
   storage::assign_stores_by_fraction(layout, 0.0, 0, 1);
   RunOptions o;
   o.profile.name = "pin-elastic";
@@ -443,15 +430,12 @@ TEST(RunRecordPin, TwoJobWorkload) {
   // Two tenants share the faulty platform, its cache, replicas and QoS; the
   // retry layer takes a second attempt before a fetch cycle fails.
   Platform platform(three_site_spec());
-  const storage::DataLayout layout = spread_layout(platform, 3, MiB(384));
+  const storage::DataLayout layout = spread_layout(platform, MiB(384));
   cache::CacheConfig ccfg;
   ccfg.capacity_bytes = MiB(64);
   ccfg.prefetch.enabled = true;
   cache::CacheFleet fleet(ccfg);
-  replica::ReplicationConfig rcfg;
-  rcfg.replication_factor = 2;
-  rcfg.placement = replica::PlacementPolicy::CrossSite;
-  replica::ReplicaSet rs{rcfg};
+  replica::ReplicaSet rs{apps::cross_site_replication()};
   qos::QosConfig qcfg;
   qcfg.tenant_weights = {{"batch", 1.0}, {"interactive", 3.0}};
   qos::StoreQos q{qcfg};
@@ -489,7 +473,7 @@ TEST(RunRecordPin, MigrationRun) {
   // Two standby cloud slaves, spot reclaims drawn at a high rate, and a
   // scripted crash: lost nodes lease standbys that bill from their boot.
   Platform platform(PlatformSpec::paper_testbed(8, 12));
-  storage::DataLayout layout = spread_layout(platform, 2, MiB(768));
+  storage::DataLayout layout = spread_layout(platform, MiB(768));
   trace::Tracer tracer;
   RunOptions o = faulty_options();
   o.tracer = &tracer;
@@ -529,7 +513,7 @@ TEST(RunRecordPin, PooledWorkload) {
   wopts.pool.boot_seconds = 5.0;
   wopts.pool.idle_reap_seconds = 10.0;
   workload::WorkloadManager manager(platform, wopts);
-  const storage::DataLayout layout = spread_layout(platform, 2, MiB(96));
+  const storage::DataLayout layout = spread_layout(platform, MiB(96));
   const double arrivals[] = {0.0, 0.0, 150.0};
   for (int i = 0; i < 3; ++i) {
     workload::JobSpec spec;

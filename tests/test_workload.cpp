@@ -10,7 +10,9 @@
 #include <vector>
 
 #include "apps/experiments.hpp"
+#include "apps/scenarios.hpp"
 #include "common/units.hpp"
+#include "directory/platform_directory.hpp"
 #include "middleware/runtime.hpp"
 #include "trace/trace.hpp"
 #include "workload/workload_manager.hpp"
@@ -284,6 +286,41 @@ TEST(WorkloadManager, FifoRunsToCompletionInSubmissionOrder) {
   EXPECT_DOUBLE_EQ(result.jobs[1].start_seconds, result.jobs[0].finish_seconds);
   EXPECT_GT(result.jobs[1].queue_seconds(), 0.0);
   EXPECT_DOUBLE_EQ(result.makespan, result.jobs[1].finish_seconds);
+}
+
+TEST(WorkloadManager, SecondWorkloadOnOnePlatformTimesItselfFromItsStart) {
+  // A workload on a platform that already ran one reports the queue times,
+  // latencies, makespan and bill of the same workload on a fresh platform:
+  // submissions are delays from the manager's start, and so is the makespan.
+  for (const bool pooled : {false, true}) {
+    const auto run = [pooled](WorkloadRig& rig) {
+      directory::PlatformDirectory dir(rig.platform);
+      dir.bootstrap();
+      rig.options.reduction_tree = !pooled;
+      WorkloadManager manager(rig.platform,
+                              pooled ? apps::failover_workload_options(dir) : WorkloadOptions{});
+      manager.submit(rig.job("first"), 0.0);
+      manager.submit(rig.job("second"), 0.5);
+      return manager.run();
+    };
+    WorkloadRig fresh_rig;
+    const WorkloadResult fresh = run(fresh_rig);
+    WorkloadRig reused_rig;
+    run(reused_rig);
+    const WorkloadResult again = run(reused_rig);
+
+    ASSERT_EQ(again.jobs.size(), fresh.jobs.size());
+    for (std::size_t j = 0; j < fresh.jobs.size(); ++j) {
+      EXPECT_NEAR(again.jobs[j].queue_seconds(), fresh.jobs[j].queue_seconds(), 1e-6)
+          << "pooled=" << pooled << " job " << j;
+      EXPECT_NEAR(again.jobs[j].latency_seconds(), fresh.jobs[j].latency_seconds(), 1e-6)
+          << "pooled=" << pooled << " job " << j;
+    }
+    EXPECT_GT(fresh.makespan, 0.0);
+    EXPECT_NEAR(again.makespan, fresh.makespan, 1e-6) << "pooled=" << pooled;
+    EXPECT_NEAR(again.platform_cost.total_usd(), fresh.platform_cost.total_usd(), 1e-9)
+        << "pooled=" << pooled;
+  }
 }
 
 TEST(WorkloadManager, SjfStartsShortestEstimateFirst) {
