@@ -5,9 +5,12 @@
 // for knn/kmeans (so clustering has real structure), a Zipf-in-degree web
 // graph with minimum out-degree 1 for pagerank (no dangling pages, matching
 // the driver's damping treatment), and Zipf word streams for wordcount.
-// Everything is deterministic from the seed. Zipf draws come from one
-// ZipfSampler per call (common/rng.hpp), and records are written straight
-// into the dataset's byte buffer.
+// Everything is deterministic from the spec. Each generator splits its
+// records into blocks of kDatagenBlockRecords; block b draws from its own Rng
+// substream keyed by (seed, generator, b) and writes its own byte range of
+// the dataset, so blocks run in parallel and the bytes never depend on the
+// worker count. Zipf draws come from one ZipfSampler per call
+// (common/rng.hpp).
 #pragma once
 
 #include <cstddef>
@@ -18,6 +21,13 @@
 #include "engine/memory_dataset.hpp"
 
 namespace cloudburst::apps {
+
+/// Records per generator block (DESIGN.md, "Synthetic data generation").
+inline constexpr std::size_t kDatagenBlockRecords = 32768;
+
+/// Runs every later generator call's blocks on `workers` threads (one runs
+/// them inline); 0 restores the default, min(hardware_concurrency, blocks).
+void set_datagen_workers_for_test(std::size_t workers);
 
 struct PointGenSpec {
   std::size_t count = 0;

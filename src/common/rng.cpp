@@ -1,6 +1,5 @@
 #include "common/rng.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -32,17 +31,19 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double s)
     one_minus_s_ = 1.0 - s;
     inv_one_minus_s_ = 1.0 / one_minus_s_;
   }
-  hx0_ = h(0.5) - 1.0;
-  const double hn = h(static_cast<double>(n_) + 0.5);
-  span_ = hn - hx0_;
+  hx0_ = h(1.5) - 1.0;
+  span_ = h(static_cast<double>(n_) + 0.5) - hx0_;
   if (!std::isfinite(hx0_) || !std::isfinite(span_)) {
     throw std::invalid_argument("ZipfSampler: envelope overflows for this exponent");
   }
-  head_.resize(std::min(n_, kZipfHeadRanks));
-  for (std::size_t i = 0; i < head_.size(); ++i) {
-    const double kd = static_cast<double>(i + 1);
-    head_[i] = h(kd + 0.5) - std::pow(kd, -s_);
-  }
+  // squeeze_ = 2 - h_inv(h(2.5) - 2^-s). Off the log branch h_inv's base is
+  // expanded to 2.5^(1-s) - (1-s) 2^-s, which does not cancel at large s.
+  // Past s of about 1074 the base underflows to 0 and the squeeze is -inf:
+  // it never accepts, and every draw takes the full test.
+  squeeze_ = 2.0 - (log_branch_ ? h_inv(h(2.5) - 0.5)
+                                : std::pow(std::pow(2.5, one_minus_s_) -
+                                               one_minus_s_ * std::pow(2.0, -s_),
+                                           inv_one_minus_s_));
 }
 
 double ZipfSampler::h(double x) const {
@@ -60,14 +61,14 @@ std::uint64_t ZipfSampler::operator()(Rng& rng) const {
     const double u = hx0_ + rng.next_double() * span_;
     // Round h_inv(u) to the nearest rank and clamp it to [1, n]. Comparing
     // in double picks the same rank as truncating to an integer, and a NaN
-    // (h_inv of a negative base when s < 1) clamps to rank 1 instead of
-    // reaching an undefined cast.
-    const double x = h_inv(u) + 0.5;
-    const std::uint64_t k =
-        !(x >= 1.0) ? 1 : (x >= nd + 1.0 ? n_ : static_cast<std::uint64_t>(x));
+    // clamps to rank 1 instead of reaching an undefined cast.
+    const double x = h_inv(u);
+    const double rounded = x + 0.5;
+    const std::uint64_t k = !(rounded >= 1.0)
+                                ? 1
+                                : (rounded >= nd + 1.0 ? n_ : static_cast<std::uint64_t>(rounded));
     const double kd = static_cast<double>(k);
-    const double threshold = k <= head_.size() ? head_[k - 1] : h(kd + 0.5) - std::pow(kd, -s_);
-    if (u >= threshold) return k - 1;  // zero-based rank
+    if (kd - x <= squeeze_ || u >= h(kd + 0.5) - std::pow(kd, -s_)) return k - 1;  // zero-based
   }
 }
 

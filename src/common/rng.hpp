@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace cloudburst {
 
@@ -126,21 +125,17 @@ class Rng {
   Xoshiro256StarStar gen_;
 };
 
-/// Ranks whose acceptance thresholds ZipfSampler precomputes (32 KiB of
-/// doubles). At n = 500000, s = 1.1 they cover 79 % of the draws.
-inline constexpr std::uint64_t kZipfHeadRanks = 4096;
-
 /// Zipf-distributed integers in [0, n) with exponent `s`, by Hormann &
-/// Derflinger's rejection-inversion (ACM TOMACS 1996). The envelope bounds
-/// and the thresholds of ranks 1..min(n, kZipfHeadRanks) are computed once
-/// here; rarer ranks compute theirs per draw. A draw consumes the same
-/// next_double() values and applies the same test as evaluating the whole
-/// formula per call, so its outputs do not depend on the table.
+/// Derflinger's rejection-inversion (ACM TOMACS 1996). The envelope starts
+/// at h(1.5) - 1, so rank 1's unit of area is always accepted, and the
+/// published squeeze accepts most other draws without evaluating their
+/// threshold. The output follows k^-s exactly for s >= 0 and s <= -1, where
+/// k^-s is convex.
 class ZipfSampler {
  public:
   /// Throws std::invalid_argument when `s` is not finite or the envelope
-  /// h(0.5), h(n + 0.5) overflows a double (s above about 1025, or s below
-  /// about -100 at n = 1000); the draw loop would never accept.
+  /// h(1.5) - 1, h(n + 0.5) is not finite (s below about -101 at n = 1000);
+  /// the draw loop could not run. Any finite s >= 1 is accepted.
   ZipfSampler(std::uint64_t n, double s);
 
   /// Zero-based rank; always 0, drawing nothing, when n <= 1.
@@ -155,9 +150,9 @@ class ZipfSampler {
   bool log_branch_;  ///< s == 1: h is log and h_inv is exp
   double one_minus_s_ = 0.0;
   double inv_one_minus_s_ = 0.0;
-  double hx0_ = 0.0;   ///< h(0.5) - 1: the envelope extended below rank 1
-  double span_ = 0.0;  ///< h(n + 0.5) - hx0_
-  std::vector<double> head_;  ///< head_[k - 1] = h(k + 0.5) - k^-s
+  double hx0_ = 0.0;      ///< h(1.5) - 1: rank 1's unit of area below h(1.5)
+  double span_ = 0.0;     ///< h(n + 0.5) - hx0_
+  double squeeze_ = 0.0;  ///< 2 - h_inv(h(2.5) - 2^-s): accept when k - x <= squeeze_
 };
 
 }  // namespace cloudburst

@@ -570,8 +570,8 @@ TEST(KernelPin, WordCountZipf) {
   spec.seed = 21;
   const auto data = generate_words(spec);
   WordCountTask task;
-  EXPECT_EQ(robj_digest(*fold_chunks(task, data, 4000, 999)), "411ada66a367f875");
-  EXPECT_EQ(map_digest(task, data, 999), "2c3130be9a3b602e");
+  EXPECT_EQ(robj_digest(*fold_chunks(task, data, 4000, 999)), "753bf3dbae35362a");
+  EXPECT_EQ(map_digest(task, data, 999), "f26bf94607cf8f2c");
 }
 
 TEST(KernelPin, Kmeans) {
@@ -594,8 +594,8 @@ TEST(KernelPin, Kmeans) {
   EXPECT_GT(sums.at(1 * 6 + 5), 0.0);   // centroid 1 takes its points...
   EXPECT_EQ(sums.at(3 * 6 + 5), 0.0);   // ...so its twin takes none
   EXPECT_EQ(sums.at(4 * 6 + 5), 0.0);   // the NaN centroid never wins
-  EXPECT_EQ(robj_digest(*robj), "99ae7dbcfee64283");
-  EXPECT_EQ(map_digest(task, data, 256), "c1d3e60262577019");
+  EXPECT_EQ(robj_digest(*robj), "bde5410936b46f3a");
+  EXPECT_EQ(map_digest(task, data, 256), "47942547cd3760e9");
 }
 
 TEST(KernelPin, KmeansManyCentroids) {
@@ -613,8 +613,8 @@ TEST(KernelPin, KmeansManyCentroids) {
                          static_cast<float>(c / 20) * 5.5f - 8.25f});
   }
   KmeansTask task(centroids);
-  EXPECT_EQ(robj_digest(*fold_chunks(task, data, 900, 300)), "7028639733622e96");
-  EXPECT_EQ(map_digest(task, data, 300), "47276bdb4f48148d");
+  EXPECT_EQ(robj_digest(*fold_chunks(task, data, 900, 300)), "38092d1deac084b6");
+  EXPECT_EQ(map_digest(task, data, 300), "ad48257f79419033");
 }
 
 TEST(KernelPin, Knn) {
@@ -624,7 +624,7 @@ TEST(KernelPin, Knn) {
   spec.seed = 29;
   auto data = generate_points(spec);
   KnnTask task(16, std::vector<float>(6, 0.25f));
-  EXPECT_EQ(robj_digest(*fold_chunks(task, data, 1200, 333)), "29ef06fccbde2044");
+  EXPECT_EQ(robj_digest(*fold_chunks(task, data, 1200, 333)), "6775390f195868b2");
 
   // Every point at one spot: all distances tie and ids break them.
   std::vector<std::byte> same(data.size_bytes());
@@ -648,8 +648,8 @@ TEST(KernelPin, PageRank) {
   for (std::uint32_t p = 0; p < spec.pages; ++p) total += ranks[p] = 1.0 + (p % 13) * 0.37;
   for (double& r : ranks) r /= total;
   PageRankTask task(ranks, degrees);
-  EXPECT_EQ(robj_digest(*fold_chunks(task, edges, 2000, 512)), "8239611294208571");
-  EXPECT_EQ(map_digest(task, edges, 512), "bcfa5cb178183eec");
+  EXPECT_EQ(robj_digest(*fold_chunks(task, edges, 2000, 512)), "e44c0d2218185ab6");
+  EXPECT_EQ(map_digest(task, edges, 512), "b02163dca840ff3c");
 }
 
 TEST(KernelPin, VectorFoldMerges) {
@@ -681,8 +681,9 @@ TEST(KernelPin, VectorFoldMerges) {
 }
 
 // --- generator bytes -----------------------------------------------------------------
-// Page counts and vocabularies sit below and above the Zipf sampler's 4096-rank
-// head table, and s = 1.0 takes the sampler's log/exp branch.
+// Page counts and vocabularies run from 2 to 100000, s = 1.0 takes the Zipf
+// sampler's log/exp branch, and the 200000-edge and 50000-word cases span
+// several kDatagenBlockRecords blocks.
 
 std::string bytes_digest(const MemoryDataset& data) {
   Fnv h;
@@ -694,54 +695,95 @@ std::string bytes_digest(const MemoryDataset& data) {
   return h.hex();
 }
 
+GraphGenSpec edge_spec(std::uint32_t pages, std::uint64_t edges, std::uint64_t seed) {
+  GraphGenSpec spec;
+  spec.pages = pages;
+  spec.edges = edges;
+  spec.seed = seed;
+  return spec;
+}
+
+WordGenSpec word_spec(std::uint64_t vocabulary, double zipf_s, std::size_t count = 50000) {
+  WordGenSpec spec;
+  spec.count = count;
+  spec.vocabulary = vocabulary;
+  spec.zipf_s = zipf_s;
+  spec.seed = 11;
+  return spec;
+}
+
+PointGenSpec point_spec(std::size_t count, std::size_t dim, std::size_t components,
+                        std::uint64_t seed) {
+  PointGenSpec spec;
+  spec.count = count;
+  spec.dim = dim;
+  spec.mixture_components = components;
+  spec.seed = seed;
+  return spec;
+}
+
+const std::pair<GraphGenSpec, const char*> kEdgePins[] = {
+    {edge_spec(2, 50, 3), "c5bb817029a5530f"},
+    {edge_spec(1000, 20000, 7), "e521905e8c4eb89b"},
+    {edge_spec(50000, 200000, 8), "cac1d424da6cbc29"}};
+
+const std::pair<WordGenSpec, const char*> kWordPins[] = {
+    {word_spec(1, 1.05), "b4aedca2aaa15b6c"},
+    {word_spec(2000, 1.05), "6e6575d55bb8c43c"},
+    {word_spec(100000, 1.05), "7b1744932440894e"},
+    {word_spec(2000, 1.0), "5ee51c772fe30c80"},
+    {word_spec(100000, 1.0), "c8334e18cc65cd88"}};
+
+const std::pair<PointGenSpec, const char*> kPointPin = {point_spec(5000, 6, 5, 13),
+                                                        "2a0ae0fb04236c38"};
+
 TEST(DatagenPin, Edges) {
-  struct Case {
-    std::uint32_t pages;
-    std::uint64_t edges;
-    std::uint64_t seed;
-    const char* digest;
-  };
-  const Case cases[] = {{2, 50, 3, "42dda1abe0b64f4f"},
-                        {1000, 20000, 7, "a6a5424219e950cc"},
-                        {50000, 200000, 8, "1af70a99e29dc7f4"}};
-  for (const auto& c : cases) {
-    GraphGenSpec spec;
-    spec.pages = c.pages;
-    spec.edges = c.edges;
-    spec.seed = c.seed;
-    EXPECT_EQ(bytes_digest(generate_edges(spec)), c.digest) << c.pages;
+  for (const auto& [spec, digest] : kEdgePins) {
+    EXPECT_EQ(bytes_digest(generate_edges(spec)), digest) << spec.pages;
   }
 }
 
 TEST(DatagenPin, Words) {
-  struct Case {
-    std::uint64_t vocabulary;
-    double zipf_s;
-    const char* digest;
-  };
-  const Case cases[] = {{1, 1.05, "b4aedca2aaa15b6c"},
-                        {2000, 1.05, "3e6dac6b5dfbd56c"},
-                        {100000, 1.05, "344fa593789cf77c"},
-                        {2000, 1.0, "9ccd73a8c6b5a45b"},
-                        {100000, 1.0, "6991bf16eff71f42"}};
-  for (const auto& c : cases) {
-    WordGenSpec spec;
-    spec.count = 50000;
-    spec.vocabulary = c.vocabulary;
-    spec.zipf_s = c.zipf_s;
-    spec.seed = 11;
-    EXPECT_EQ(bytes_digest(generate_words(spec)), c.digest)
-        << c.vocabulary << " " << c.zipf_s;
+  for (const auto& [spec, digest] : kWordPins) {
+    EXPECT_EQ(bytes_digest(generate_words(spec)), digest)
+        << spec.vocabulary << " " << spec.zipf_s;
   }
 }
 
 TEST(DatagenPin, Points) {
-  PointGenSpec spec;
-  spec.count = 5000;
-  spec.dim = 6;
-  spec.mixture_components = 5;
-  spec.seed = 13;
-  EXPECT_EQ(bytes_digest(generate_points(spec)), "caf5fbc55aaf5ddd");
+  EXPECT_EQ(bytes_digest(generate_points(kPointPin.first)), kPointPin.second);
+}
+
+TEST(DatagenPin, BytesIndependentOfWorkerCount) {
+  // Every pinned spec, plus one spec per generator whose blocks do not
+  // divide its records evenly; the edge spec's guaranteed out-edges also
+  // cross a block boundary.
+  const std::size_t block = kDatagenBlockRecords;
+  std::vector<PointGenSpec> points = {kPointPin.first, point_spec(2 * block + 77, 3, 8, 14)};
+  std::vector<GraphGenSpec> graphs = {
+      edge_spec(static_cast<std::uint32_t>(block + 100), 3 * block + 1, 9)};
+  for (const auto& pin : kEdgePins) graphs.push_back(pin.first);
+  std::vector<WordGenSpec> words = {word_spec(5000, 1.1, 2 * block + 1)};
+  for (const auto& pin : kWordPins) words.push_back(pin.first);
+
+  struct RestoreWorkers {
+    ~RestoreWorkers() { set_datagen_workers_for_test(0); }
+  } restore;
+  const auto generate_all = [&](std::size_t workers) {
+    set_datagen_workers_for_test(workers);
+    std::vector<std::vector<std::byte>> out;
+    const auto keep = [&out](const MemoryDataset& data) {
+      out.emplace_back(data.data(), data.data() + data.size_bytes());
+    };
+    for (const auto& spec : points) keep(generate_points(spec));
+    for (const auto& spec : graphs) keep(generate_edges(spec));
+    for (const auto& spec : words) keep(generate_words(spec));
+    return out;
+  };
+  const auto one = generate_all(1);
+  const auto four = generate_all(4);
+  ASSERT_EQ(one.size(), four.size());
+  for (std::size_t i = 0; i < one.size(); ++i) EXPECT_TRUE(one[i] == four[i]) << "case " << i;
 }
 
 // --- records -----------------------------------------------------------------------

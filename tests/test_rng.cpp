@@ -5,8 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 #include <set>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -103,44 +104,78 @@ TEST(Rng, BernoulliMatchesProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
 }
 
-/// Rejection-inversion (Hormann & Derflinger) evaluated from scratch on every
-/// draw: the reference the sampler must reproduce bit for bit.
-std::uint64_t per_call_zipf(Rng& rng, std::uint64_t n, double s) {
-  if (n <= 1) return 0;
-  const double nd = static_cast<double>(n);
-  auto h = [s](double x) {
-    return s == 1.0 ? std::log(x) : (std::pow(x, 1.0 - s) - 1.0) / (1.0 - s);
-  };
-  auto h_inv = [s](double x) {
-    return s == 1.0 ? std::exp(x) : std::pow(1.0 + x * (1.0 - s), 1.0 / (1.0 - s));
-  };
-  const double hx0 = h(0.5) - 1.0;
-  const double hn = h(nd + 0.5);
-  while (true) {
-    const double u = hx0 + rng.next_double() * (hn - hx0);
-    const double x = h_inv(u);
-    const std::uint64_t k = static_cast<std::uint64_t>(x + 0.5);
-    const std::uint64_t clamped = k < 1 ? 1 : (k > n ? n : k);
-    const double kd = static_cast<double>(clamped);
-    if (u >= h(kd + 0.5) - std::pow(kd, -s)) return clamped - 1;
+/// Pearson's chi-square of `draws` samples of ZipfSampler(n, s) against the
+/// exact pmf k^-s / sum_j j^-s. Adjacent ranks share a bin until the bin
+/// expects at least 20 draws; a short last bin joins the one before it.
+/// Returns {statistic, degrees of freedom}.
+std::pair<double, std::size_t> zipf_chi_square(std::uint64_t n, double s, std::uint64_t draws,
+                                               std::uint64_t seed) {
+  std::vector<double> weight(n);
+  long double total = 0.0L;
+  for (std::uint64_t k = n; k >= 1; --k) {  // smallest terms first when s > 0
+    weight[k - 1] = std::pow(static_cast<double>(k), -s);
+    total += weight[k - 1];
   }
+  std::vector<std::uint64_t> count(n, 0);
+  const ZipfSampler zipf(n, s);
+  Rng rng(seed);
+  for (std::uint64_t i = 0; i < draws; ++i) ++count[zipf(rng)];
+
+  constexpr long double kMinExpected = 20.0L;
+  std::vector<std::pair<long double, std::uint64_t>> bins;  // {expected, observed}
+  long double expected = 0.0L;
+  std::uint64_t observed = 0;
+  for (std::uint64_t k = 0; k < n; ++k) {
+    expected += draws * weight[k] / total;
+    observed += count[k];
+    if (expected >= kMinExpected) {
+      bins.emplace_back(expected, observed);
+      expected = 0.0L;
+      observed = 0;
+    }
+  }
+  if (bins.empty()) {
+    bins.emplace_back(expected, observed);
+  } else {
+    bins.back().first += expected;
+    bins.back().second += observed;
+  }
+  long double chi2 = 0.0L;
+  for (const auto& [e, o] : bins) chi2 += (o - e) * (o - e) / e;
+  return {static_cast<double>(chi2), bins.size() - 1};
 }
 
-TEST(ZipfSampler, MatchesPerCallFormula) {
-  for (const std::uint64_t n : {1u, 2u, 4096u, 4097u, 500000u}) {
-    for (const double s : {0.5, 1.0, 1.05, 1.1, 2.0}) {
-      const ZipfSampler zipf(n, s);
-      Rng a(1234 + n), b(1234 + n);
-      std::uint64_t mismatches = 0;
-      for (int i = 0; i < 100000; ++i) mismatches += zipf(a) != per_call_zipf(b, n, s);
-      EXPECT_EQ(mismatches, 0u) << "n=" << n << " s=" << s;
-      EXPECT_EQ(a.next_u64(), b.next_u64()) << "n=" << n << " s=" << s;
+/// Upper 1e-5 quantile of chi-square with `df` degrees of freedom
+/// (Wilson-Hilferty approximation). One bin (df = 0) tests nothing.
+double chi_square_critical(std::size_t df) {
+  if (df == 0) return std::numeric_limits<double>::infinity();
+  constexpr double kZ = 4.265;  // standard normal upper 1e-5 quantile
+  const double a = 2.0 / (9.0 * static_cast<double>(df));
+  return static_cast<double>(df) * std::pow(1.0 - a + kZ * std::sqrt(a), 3.0);
+}
+
+TEST(ZipfSampler, MatchesExactPmfByChiSquare) {
+  // s = -1 and s = 0 cover k^-s increasing and flat; s = 1.0 takes the
+  // log/exp branch; s = 50 puts all but about 2^-50 of the mass on rank 1.
+  for (const std::uint64_t n : {2u, 1000u, 4097u, 500000u}) {
+    for (const double s : {-1.0, 0.0, 0.5, 1.0, 1.1, 2.0, 10.0, 50.0}) {
+      const auto [chi2, df] = zipf_chi_square(n, s, 200000, 1234 + n);
+      EXPECT_LE(chi2, chi_square_critical(df)) << "n=" << n << " s=" << s << " df=" << df;
     }
   }
 }
 
+TEST(ZipfSampler, ReturnsAtLargeExponent) {
+  // An envelope starting at h(0.5) - 1 rejected nearly every draw here.
+  const ZipfSampler zipf(1000, 50.0);
+  Rng rng(5);
+  std::uint64_t above_rank_zero = 0;
+  for (int i = 0; i < 1000; ++i) above_rank_zero += zipf(rng) != 0;
+  EXPECT_EQ(above_rank_zero, 0u);  // rank 2 has probability below 1e-15
+}
+
 TEST(ZipfSampler, StaysInRange) {
-  // s < 1 can put h_inv's base below zero (a NaN rank candidate).
+  // Exponents below 1, at 0 and next to 0 take h_inv's power branch.
   for (const double s : {1.2, 0.1, 0.0, -1.0, 1e-300}) {
     const ZipfSampler zipf(100, s);
     Rng rng(88);
@@ -174,9 +209,19 @@ TEST(ZipfSampler, RejectsNonFiniteExponent) {
 }
 
 TEST(ZipfSampler, RejectsOverflowingEnvelope) {
-  // 0.5^(1 - s) and (n + 0.5)^(1 - s) overflow; the draw loop would never accept.
-  EXPECT_THROW(ZipfSampler(1000, 2000.0), std::invalid_argument);
+  // The envelope is h(1.5) - 1 .. h(n + 0.5). For s < 1, (n + 0.5)^(1 - s)
+  // overflows once (1 - s) ln(n + 0.5) passes ln(DBL_MAX), about 709.8: at
+  // n = 1000 that is s below -101.7.
+  EXPECT_NO_THROW(ZipfSampler(1000, -101.0));
+  EXPECT_THROW(ZipfSampler(1000, -102.5), std::invalid_argument);
   EXPECT_THROW(ZipfSampler(1000, -2000.0), std::invalid_argument);
+  // For s > 1 both ends stay finite (1.5^(1 - s) only underflows), so any
+  // finite exponent builds and draws rank 0.
+  for (const double s : {2000.0, 1e300}) {
+    const ZipfSampler zipf(1000, s);
+    Rng rng(6);
+    EXPECT_EQ(zipf(rng), 0u) << s;
+  }
 }
 
 TEST(Rng, SubstreamsAreIndependent) {

@@ -595,7 +595,7 @@ TEST(RunRecordPin, RealExecutionDirectRun) {
   result.robj->serialize(writer);
   for (const std::uint8_t byte : writer.take()) h.add(std::uint64_t{byte});
   hash_trace(h, tracer);
-  EXPECT_EQ(h.hex(), "1887108acfeed747");
+  EXPECT_EQ(h.hex(), "d798e9e8da79a162");
 }
 
 // --- kernel lanes ---------------------------------------------------------------
@@ -723,12 +723,12 @@ void expect_lanes_match_inline(bool tree, const std::vector<std::string>& want) 
 
 TEST(KernelLanes, DirectRunsMatchInline) {
   expect_lanes_match_inline(
-      false, {"03e9ca8a7d24fb65", "bdaffc46e03fe62d", "1593f118eeffd435", "9ad91f45f631cfed"});
+      false, {"d3ddeaf67ef9e5da", "945aca085f9ed1a3", "8eea775c3534fee0", "1e9a4f98f34a8569"});
 }
 
 TEST(KernelLanes, TreeRunsMatchInline) {
   expect_lanes_match_inline(
-      true, {"b487acf3efe0b434", "8492a5a0fcd30d32", "6b2adebf88c2ea7c", "1206bb66f23dcc70"});
+      true, {"1ca1c1798bbbe442", "b3e3d2ed39d7293c", "00189e5130e3627d", "9e44fea4e02e4a51"});
 }
 
 // --- robj hand-off -----------------------------------------------------------------
@@ -812,15 +812,15 @@ void expect_handoffs(bool tree, const std::vector<HandoffPin>& want) {
 }
 
 TEST(RobjHandoffPin, DirectRunsShipIdentityDeltas) {
-  expect_handoffs(false, {{22, 178784, 34, 250176, 8, "0b3e971ce6964d18"},
-                          {22, 12870, 34, 19890, 8, "d3658730fcfde89f"},
-                          {22, 528198, 34, 816306, 8, "38016fd8521c2653"}});
+  expect_handoffs(false, {{22, 178736, 34, 250288, 8, "44914fac54c6d1a8"},
+                          {22, 12870, 34, 19890, 8, "c52abe10a3c06dfa"},
+                          {22, 528198, 34, 816306, 8, "f51478e024ec1814"}});
 }
 
 TEST(RobjHandoffPin, TreeRuns) {
-  expect_handoffs(true, {{0, 0, 12, 219312, 0, "0b3e971ce6964d18"},
-                         {0, 0, 12, 7020, 0, "d3658730fcfde89f"},
-                         {0, 0, 12, 288108, 0, "01b0233efed06093"}});
+  expect_handoffs(true, {{0, 0, 12, 218944, 0, "44914fac54c6d1a8"},
+                         {0, 0, 12, 7020, 0, "c52abe10a3c06dfa"},
+                         {0, 0, 12, 288108, 0, "c687aad8d33d5cde"}});
 }
 
 }  // namespace
