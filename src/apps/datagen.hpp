@@ -47,14 +47,14 @@ std::vector<std::vector<float>> mixture_centers(const PointGenSpec& spec);
 struct GraphGenSpec {
   std::uint32_t pages = 0;  ///< must be >= 2 (no self-loops)
   std::uint64_t edges = 0;  ///< must be >= pages (min out-degree 1)
-  double popularity_skew = 1.1;  ///< Zipf exponent for destination popularity; finite
+  double popularity_skew = 1.1;  ///< Zipf exponent for destination popularity; finite, not in (-1, 0)
   std::uint64_t seed = 1;
 };
 
 /// Directed edges: every page gets one guaranteed out-edge, the rest go from
 /// uniform sources to Zipf-popular destinations. No edge is a self-loop.
 /// Throws std::invalid_argument on fewer than 2 pages, fewer edges than
-/// pages, or a non-finite skew.
+/// pages, or a skew ZipfSampler rejects (non-finite or in (-1, 0)).
 engine::MemoryDataset generate_edges(const GraphGenSpec& spec);
 
 /// Out-degree per page for a generated edge set (pagerank needs it).
@@ -64,13 +64,13 @@ std::vector<std::uint32_t> out_degrees(const engine::MemoryDataset& edges,
 struct WordGenSpec {
   std::size_t count = 0;
   std::uint64_t vocabulary = 10000;
-  double zipf_s = 1.05;  ///< Zipf exponent of word popularity; finite
+  double zipf_s = 1.05;  ///< Zipf exponent of word popularity; finite, not in (-1, 0)
   std::uint64_t seed = 1;
 };
 
 /// Zipf-distributed word ids in [0, vocabulary). Throws
-/// std::invalid_argument on a zero count or vocabulary or a non-finite
-/// exponent.
+/// std::invalid_argument on a zero count or vocabulary or an exponent
+/// ZipfSampler rejects (non-finite or in (-1, 0)).
 engine::MemoryDataset generate_words(const WordGenSpec& spec);
 
 }  // namespace cloudburst::apps

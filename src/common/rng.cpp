@@ -26,6 +26,11 @@ double Rng::exponential(double rate) {
 ZipfSampler::ZipfSampler(std::uint64_t n, double s)
     : n_(n), s_(s), log_branch_(s == 1.0) {
   if (!std::isfinite(s)) throw std::invalid_argument("ZipfSampler: exponent must be finite");
+  // Between -1 and 0, k^-s is concave: the hat undershoots it and ranks >= 2
+  // get too little mass.
+  if (s > -1.0 && s < 0.0) {
+    throw std::invalid_argument("ZipfSampler: exponent must be <= -1 or >= 0");
+  }
   if (n_ <= 1) return;
   if (!log_branch_) {
     one_minus_s_ = 1.0 - s;

@@ -130,12 +130,13 @@ class Rng {
 /// at h(1.5) - 1, so rank 1's unit of area is always accepted, and the
 /// published squeeze accepts most other draws without evaluating their
 /// threshold. The output follows k^-s exactly for s >= 0 and s <= -1, where
-/// k^-s is convex.
+/// k^-s is convex; exponents in between are rejected.
 class ZipfSampler {
  public:
-  /// Throws std::invalid_argument when `s` is not finite or the envelope
-  /// h(1.5) - 1, h(n + 0.5) is not finite (s below about -101 at n = 1000);
-  /// the draw loop could not run. Any finite s >= 1 is accepted.
+  /// Throws std::invalid_argument when `s` is not finite, when -1 < s < 0
+  /// (the hat would undershoot k^-s), or when the envelope h(1.5) - 1,
+  /// h(n + 0.5) is not finite (s below about -101 at n = 1000); the draw
+  /// loop could not run. Any finite s >= 1 is accepted.
   ZipfSampler(std::uint64_t n, double s);
 
   /// Zero-based rank; always 0, drawing nothing, when n <= 1.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace cloudburst::des {
 
@@ -35,20 +37,6 @@ EventHandle Simulator::schedule(SimDuration delay, EventFn fn) {
 
 EventHandle Simulator::schedule_at(SimTime when, EventFn fn) {
   if (when < now_) throw std::invalid_argument("Simulator::schedule_at: time in the past");
-  return push(when, next_seq_++, std::move(fn));
-}
-
-EventHandle Simulator::schedule_reserved(SimTime when, std::uint64_t seq, EventFn fn) {
-  if (when < now_) {
-    throw std::invalid_argument("Simulator::schedule_reserved: time in the past");
-  }
-  if (seq >= next_seq_) {
-    throw std::invalid_argument("Simulator::schedule_reserved: sequence not reserved");
-  }
-  return push(when, seq, std::move(fn));
-}
-
-EventHandle Simulator::push(SimTime when, std::uint64_t seq, EventFn fn) {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -59,7 +47,7 @@ EventHandle Simulator::push(SimTime when, std::uint64_t seq, EventFn fn) {
   }
   EventRecord& rec = slab_[slot];
   rec.time = when;
-  rec.seq = seq;
+  rec.seq = next_seq_++;
   rec.live = true;
   rec.fn = std::move(fn);
   queue_.push_back(QueueEntry{rec.time, rec.seq, slot, rec.generation});
@@ -67,6 +55,17 @@ EventHandle Simulator::push(SimTime when, std::uint64_t seq, EventFn fn) {
   ++live_count_;
   ++scheduled_;
   return EventHandle(self_, slot, rec.generation);
+}
+
+void Simulator::attach_timers(TimerSource& source) {
+  if (timers_ != nullptr) {
+    throw std::logic_error("Simulator::attach_timers: a timer source is already attached");
+  }
+  timers_ = &source;
+}
+
+void Simulator::detach_timers(TimerSource& source) {
+  if (timers_ == &source) timers_ = nullptr;
 }
 
 bool Simulator::cancel(std::uint32_t slot, std::uint32_t generation) {
@@ -102,31 +101,43 @@ void Simulator::maybe_compact() {
   dead_in_queue_ = 0;
 }
 
-bool Simulator::step() {
-  while (!queue_.empty()) {
-    const QueueEntry top = queue_.front();
+bool Simulator::fire_next(SimTime deadline) {
+  // Cancelled entries (slot possibly reused since) leave lazily, here.
+  while (!queue_.empty() &&
+         slab_[queue_.front().slot].generation != queue_.front().generation) {
     std::pop_heap(queue_.begin(), queue_.end(), Later{});
     queue_.pop_back();
-    EventRecord& rec = slab_[top.slot];
-    if (rec.generation != top.generation) {
-      // Cancelled (slot possibly reused since): lazy deletion.
-      --dead_in_queue_;
-      continue;
-    }
-    // Release the slot before running: handles report !pending() during the
-    // callback, and the callback may itself schedule into this slot.
-    EventFn fn = std::move(rec.fn);
-    rec.live = false;
-    ++rec.generation;
-    free_slots_.push_back(top.slot);
-    --live_count_;
-    now_ = top.time;
+    --dead_in_queue_;
+  }
+  TimerSource::Key timer{};
+  const bool has_timer = timers_ != nullptr && timers_->next_timer(timer);
+  if (has_timer && (queue_.empty() || timer.time < queue_.front().time ||
+                    (timer.time == queue_.front().time && timer.seq < queue_.front().seq))) {
+    if (timer.time > deadline) return false;
+    now_ = timer.time;
     ++executed_;
-    if (fn) fn();
+    timers_->fire_next_timer();
     return true;
   }
-  return false;
+  if (queue_.empty() || queue_.front().time > deadline) return false;
+  const QueueEntry top = queue_.front();
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  queue_.pop_back();
+  EventRecord& rec = slab_[top.slot];
+  // Release the slot before running: handles report !pending() during the
+  // callback, and the callback may itself schedule into this slot.
+  EventFn fn = std::move(rec.fn);
+  rec.live = false;
+  ++rec.generation;
+  free_slots_.push_back(top.slot);
+  --live_count_;
+  now_ = top.time;
+  ++executed_;
+  if (fn) fn();
+  return true;
 }
+
+bool Simulator::step() { return fire_next(std::numeric_limits<SimTime>::max()); }
 
 SimTime Simulator::run() {
   while (step()) {
@@ -135,24 +146,49 @@ SimTime Simulator::run() {
 }
 
 SimTime Simulator::run_until(SimTime deadline) {
-  while (!queue_.empty()) {
-    // Skip cancelled entries without advancing the clock.
-    const QueueEntry& top = queue_.front();
-    if (slab_[top.slot].generation != top.generation) {
-      std::pop_heap(queue_.begin(), queue_.end(), Later{});
-      queue_.pop_back();
-      --dead_in_queue_;
+  while (fire_next(deadline)) {
+  }
+  // Drained before the deadline: the clock stays at the last event.
+  if (now_ < deadline && pending_events() > 0) now_ = deadline;
+  return now_;
+}
+
+void Simulator::check_invariants() const {
+  const auto fail = [](const std::string& what) {
+    throw std::logic_error("Simulator invariant violated: " + what);
+  };
+  std::size_t live = 0;
+  for (const EventRecord& rec : slab_) live += rec.live;
+  if (live != live_count_) {
+    fail(std::to_string(live) + " live slab records, but the live count is " +
+         std::to_string(live_count_));
+  }
+  // Each live record has exactly one queue entry of its generation; every
+  // other entry is dead and counted as such.
+  std::size_t queued = 0;
+  std::size_t dead = 0;
+  for (const QueueEntry& e : queue_) {
+    if (e.slot >= slab_.size()) fail("a queue entry points past the slab");
+    const EventRecord& rec = slab_[e.slot];
+    if (rec.generation != e.generation) {
+      ++dead;
       continue;
     }
-    if (top.time > deadline) break;
-    step();
+    if (!rec.live) fail("a live queue entry points at a freed slot");
+    if (rec.time != e.time || rec.seq != e.seq) {
+      fail("a queue entry's key disagrees with its slab record");
+    }
+    if (e.time < now_) fail("a live event is due before now");
+    ++queued;
   }
-  if (now_ < deadline && queue_.empty()) {
-    // Queue drained before the deadline: clock stays at the last event.
-    return now_;
+  if (queued != live_count_) fail("live events and live queue entries differ in number");
+  if (dead != dead_in_queue_) fail("the dead-entry count disagrees with the queue");
+  if (!std::is_heap(queue_.begin(), queue_.end(), Later{})) fail("the event queue is not a heap");
+  TimerSource::Key timer{};
+  if (timers_ != nullptr && timers_->next_timer(timer) &&
+      (timer.time < now_ || timer.seq >= next_seq_)) {
+    fail("the timer source's earliest timer is before now or holds an unreserved sequence");
   }
-  if (now_ < deadline) now_ = deadline;
-  return now_;
 }
 
 }  // namespace cloudburst::des

@@ -3,9 +3,19 @@
 // A Simulator owns a priority queue of (time, sequence, callback) events.
 // Ties on time break by insertion sequence (or by a sequence number reserved
 // earlier, see reserve_sequence), which makes every run fully deterministic.
-// Events may be cancelled via the EventHandle returned at scheduling time
-// (used e.g. by the network layer to move its flow-completion wake event when
-// fair-share rates change).
+// Events may be cancelled via the EventHandle returned at scheduling time.
+//
+// Timer source
+// ------------
+// One client may keep its own queue of timers and attach it as the
+// simulator's TimerSource (net::Network does this with its flow timers).
+// Each timer carries a sequence number from reserve_sequence(), and step()
+// merges the source's earliest timer with the event queue in the same
+// (time, seq) order, so a timer fires exactly where an event scheduled at
+// reservation time would have. Timer firings count as executed events and
+// pending timers as pending events; they are never scheduled or cancelled
+// through the kernel, so scheduled_events() and cancelled_events() do not
+// count them.
 //
 // Event storage & performance
 // ---------------------------
@@ -30,6 +40,7 @@
 // callback) alive.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -40,6 +51,30 @@
 namespace cloudburst::des {
 
 class Simulator;
+
+/// Timers kept outside the kernel's queue and merged into it by key (see
+/// "Timer source" above). A source attaches itself with
+/// Simulator::attach_timers and must detach before it is destroyed; unlike
+/// an EventHandle, it must not outlive the Simulator.
+class TimerSource {
+ public:
+  /// The ordering key of a timer: the kernel's (time, sequence).
+  struct Key {
+    SimTime time;
+    std::uint64_t seq;
+  };
+
+  /// The earliest pending timer's key; false if none is pending. The key is
+  /// never before now() and its seq came from reserve_sequence().
+  virtual bool next_timer(Key& key) const = 0;
+  /// Fire the earliest timer; the kernel has already set now() to its time.
+  virtual void fire_next_timer() = 0;
+  /// Number of pending timers.
+  virtual std::size_t pending_timers() const = 0;
+
+ protected:
+  ~TimerSource() = default;
+};
 
 /// Cancellation token for a scheduled event. Copyable; cancelling twice is a
 /// no-op, as is cancelling an event that already fired or whose Simulator is
@@ -82,16 +117,15 @@ class Simulator {
   /// Schedule at an absolute time >= now().
   EventHandle schedule_at(SimTime when, EventFn fn);
 
-  /// Take the next tie-break sequence number without queueing anything.
-  /// schedule_reserved() later queues an event under that number, so it
-  /// fires exactly where an event scheduled at reservation time would have.
-  /// This lets a client keep its own queue of timers and hand the kernel only
-  /// the earliest one (net::Network's flow completions work this way).
+  /// Take the next tie-break sequence number without queueing anything. A
+  /// timer source keys its timers with these numbers (see "Timer source").
   std::uint64_t reserve_sequence() { return next_seq_++; }
 
-  /// Schedule at an absolute time >= now() under a sequence number from
-  /// reserve_sequence(). At most one live event may hold a given number.
-  EventHandle schedule_reserved(SimTime when, std::uint64_t seq, EventFn fn);
+  /// Merge `source`'s timers into this simulator's run. A simulator takes
+  /// one source: attaching a second throws std::logic_error.
+  void attach_timers(TimerSource& source);
+  /// Forget `source` (a no-op unless it is the attached one).
+  void detach_timers(TimerSource& source);
 
   /// Run until the event queue drains. Returns the final simulated time.
   SimTime run();
@@ -100,17 +134,28 @@ class Simulator {
   /// min(deadline, last-event time). Returns the final simulated time.
   SimTime run_until(SimTime deadline);
 
-  /// Execute at most one event. False if the queue was empty.
+  /// Execute at most one event or timer. False if both were empty.
   bool step();
 
-  /// Number of scheduled events that have neither fired nor been cancelled
-  /// (live events only; lazily-deleted queue entries are not counted).
-  std::size_t pending_events() const { return live_count_; }
+  /// Number of scheduled events that have neither fired nor been cancelled,
+  /// plus the attached source's pending timers (lazily-deleted queue entries
+  /// are not counted).
+  std::size_t pending_events() const {
+    return live_count_ + (timers_ != nullptr ? timers_->pending_timers() : 0);
+  }
+  /// Events and timers that fired.
   std::uint64_t executed_events() const { return executed_; }
-  /// Events ever queued (schedule, schedule_at, schedule_reserved).
+  /// Events ever queued (schedule, schedule_at); timers are not counted.
   std::uint64_t scheduled_events() const { return scheduled_; }
   /// Events removed by a cancel before they fired.
   std::uint64_t cancelled_events() const { return cancelled_; }
+
+  /// Audit the kernel's state; throws std::logic_error naming the first
+  /// violation. Checks that the live-event count matches the live slab
+  /// records, that every live queue entry matches a live record (and no
+  /// record is queued twice or not at all), that no live entry or timer is
+  /// due before now(), and that the queue is heap-ordered.
+  void check_invariants() const;
 
  private:
   friend class EventHandle;
@@ -141,7 +186,9 @@ class Simulator {
     }
   };
 
-  EventHandle push(SimTime when, std::uint64_t seq, EventFn fn);
+  /// Fire the next event or timer if it is due at or before `deadline`.
+  /// Dead entries at the queue top are dropped either way.
+  bool fire_next(SimTime deadline);
   bool cancel(std::uint32_t slot, std::uint32_t generation);
   bool is_pending(std::uint32_t slot, std::uint32_t generation) const;
   /// Drop dead queue entries once they outnumber live ones.
@@ -158,6 +205,7 @@ class Simulator {
   std::vector<EventRecord> slab_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<QueueEntry> queue_;  ///< binary heap ordered by Later
+  TimerSource* timers_ = nullptr;  ///< merged by (time, seq); see attach_timers
 
   std::shared_ptr<Simulator*> self_;  ///< handles' liveness tag
 };

@@ -121,9 +121,10 @@ struct Harness {
     }
   }
 
-  // Runs the op sequence; after each op audits the solver state and appends
-  // a bit-pattern hash of the most recent flows' rates (exact-equality
-  // signature, localizes a divergence to the first differing op).
+  // Runs the op sequence; after each op audits the solver and kernel state
+  // and appends a bit-pattern hash of the most recent flows' rates
+  // (exact-equality signature, localizes a divergence to the first differing
+  // op).
   void drive(const std::vector<Op>& ops, std::vector<std::uint64_t>& rate_sig) {
     for (std::size_t i = 0; i < ops.size(); ++i) {
       sim.schedule_at(ops[i].at, [this, &ops, &rate_sig, i] {
@@ -137,6 +138,7 @@ struct Harness {
               [this, idx] { completed.emplace(idx, sim.now()); }));
         }
         net.check_invariants();
+        sim.check_invariants();
         std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
         const std::size_t begin = flows.size() > 64 ? flows.size() - 64 : 0;
         for (std::size_t k = begin; k < flows.size(); ++k) {
@@ -178,7 +180,8 @@ TEST(ScopedRebalanceDifferential, MatchesGlobalReferenceOver10kOps) {
 // Two endpoints on a0's access link: a0 <-> twin-b paths run
 // [a0 nic, wan-ab, a0 nic] and a0 <-> twin-a paths [a0 nic, a0 nic], so a
 // flow contends twice on one link and leaves both of its registrations on
-// departure. check_invariants() runs after every op in both modes.
+// departure. Both check_invariants() (network and simulator) run after
+// every op in both modes.
 TEST(ScopedRebalanceDifferential, PathsCrossingALinkTwiceMatchGlobalReference) {
   const std::vector<Op> ops = make_ops(4'000, 11, 0x7417'2026'1017ull);
   Harness scoped(Network::RebalanceMode::kScoped, /*twin_access=*/true);
@@ -278,8 +281,9 @@ TEST(ScopedRebalance, DisjointComponentChurnDoesNotPerturbCompletion) {
 
 // 64 flows share one link and every completion starts a replacement, so each
 // arrival and departure re-rates all 64. Re-rating only re-keys the
-// network's completion heap: the DES sees the activations and one wake event
-// per completion, not a cancel + schedule per re-rated flow.
+// network's timer heap, which the kernel merges with its queue: the DES
+// queue sees no activation, completion or cancel + schedule per re-rated
+// flow at all.
 TEST(NetworkChurn, SixtyFourFlowsOnOneLinkTakeUnderTwoSchedulesPerEvent) {
   des::Simulator sim;
   Network net(sim);
@@ -306,6 +310,8 @@ TEST(NetworkChurn, SixtyFourFlowsOnOneLinkTakeUnderTwoSchedulesPerEvent) {
                            static_cast<double>(sim.executed_events());
   EXPECT_LT(per_event, 2.0) << sim.scheduled_events() << " schedules for "
                             << sim.executed_events() << " events";
+  EXPECT_EQ(sim.scheduled_events(), 0u);
+  EXPECT_EQ(sim.cancelled_events(), 0u);
   EXPECT_EQ(net.active_flows(), 0u);
 }
 
@@ -495,6 +501,7 @@ TEST(NetworkSettleReplay, SharedPathClassesMatchPinnedSignature) {
   };
   const auto after_op = [&] {
     net.check_invariants();
+    sim.check_invariants();
     for (FlowId id : live) {
       add_bits(net.flow_remaining(id));
       add_bits(net.flow_rate(id));
