@@ -81,9 +81,9 @@ ChaosPlan random_plan(const RandomPlanOptions& opts) {
     ChaosEvent ev;
     ev.kind = kind;
     // Node faults also avoid the protected site: it may be a single-node
-    // cluster (the paper testbed's local side), and losing a cluster's last
-    // slave to a *graceful* drain is unsurvivable by design — the master
-    // still holds the work and has nobody to grant it to.
+    // cluster (the paper testbed's local side), whose only node validate_run
+    // lets no node event name, and it is the cluster left to adopt the work
+    // of clusters that lose every slave.
     ev.site_a = pick_site(rng, opts.sites, opts.protected_site);
     ev.node_index = static_cast<std::uint32_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(std::max(1u, opts.nodes_per_site)) - 1));

@@ -50,8 +50,8 @@ struct RandomPlanOptions {
 
   /// Never black out / store-fault / crash / drain / reclaim on this site
   /// (the head's home site must survive — validate_run rejects blackouts of
-  /// it, and it may be a single-node cluster that cannot lose its last
-  /// slave gracefully).
+  /// it, and it may be a single-node cluster whose only node no node event
+  /// may name).
   cluster::ClusterId protected_site = 0;
 };
 

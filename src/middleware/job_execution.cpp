@@ -294,7 +294,11 @@ JobExecution::JobExecution(cluster::Platform& platform, const storage::DataLayou
            .on_finished = std::move(on_finished)},
       pool_leases_(std::move(pool_leases)) {
   ctx_.recorder.init(platform.cluster_count(), platform.store_count());
-  ctx_.on_node_lost = [this](cluster::ClusterId site) { return lease_replacement(site); };
+  ctx_.on_node_lost = [this](cluster::ClusterId site) {
+    if (lease_replacement(site)) return true;
+    if (MasterNode* master = master_of(site); !master->has_capacity()) lose_cluster(master);
+    return false;
+  };
   setup_chunk_offsets();
   resolve_membership();
   setup_qos();
@@ -941,20 +945,20 @@ void JobExecution::begin_site_outage(cluster::ClusterId site) {
   }
   ctx_.trace(trace::EventKind::SiteOutage, "chaos", site, cancelled);
 
-  // 6. Control plane: the master goes silent now; the head notices one
-  //    detection interval later and re-grants every chunk it had granted the
-  //    dead cluster to the survivors (exactly-once: the dead cluster's robj
-  //    never merges).
-  if (master && !master->evacuated()) {
-    master->evacuate();
-    const net::EndpointId master_ep = master->endpoint();
-    platform_.sim().schedule(
-        des::from_seconds(ctx_.options.failure_detection_seconds),
-        [this, master_ep] {
-          if (ctx_.recorder.finished) return;
-          head_->on_master_failed(master_ep);
-        });
-  }
+  // 6. Control plane: the cluster is lost.
+  if (master) lose_cluster(master);
+}
+
+void JobExecution::lose_cluster(MasterNode* master) {
+  if (master->evacuated()) return;
+  // The master goes silent now; the head notices one detection interval
+  // later and re-grants every chunk it had granted the lost cluster to the
+  // survivors (exactly-once: the lost cluster's robj never merges).
+  master->evacuate();
+  platform_.sim().schedule(des::from_seconds(ctx_.options.failure_detection_seconds),
+                           [this, ep = master->endpoint()] {
+                             if (!ctx_.recorder.finished) head_->on_master_failed(ep);
+                           });
 }
 
 void JobExecution::recover_site(cluster::ClusterId site) {

@@ -150,9 +150,14 @@ class JobExecution {
   /// and whole-site blackouts with recovery.
   void setup_chaos();
   /// Site blackout: WAN links cut, store dark, slaves killed and their
-  /// in-flight flows cancelled, directory services retired, master
-  /// evacuated and the head told to re-grant its uncommitted work.
+  /// in-flight flows cancelled, directory services retired, and the cluster
+  /// lost.
   void begin_site_outage(cluster::ClusterId site);
+  /// The one way to lose a cluster, shared by a blackout and by a master
+  /// left with work and no capacity (RunContext::on_node_lost): evacuate the
+  /// master and, one failure_detection_seconds later, have the head re-grant
+  /// its uncommitted work. A no-op for an evacuated master.
+  void lose_cluster(MasterNode* master);
   /// Window end: links back to nominal capacity, store online, directory
   /// services re-registered (fresh generation) for future placement. Nodes
   /// killed by the outage stay dead for this job.

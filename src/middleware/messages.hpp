@@ -65,7 +65,9 @@ struct Message {
   // cluster's previous robj, all of which this one covers.
   std::uint32_t want = 0;
 
-  // BatchAssign
+  // BatchAssign: the granted chunks. SlaveRobj: the chunks the robj covers
+  // (those the slave finished since its previous robj), out of band like
+  // `job`.
   std::vector<storage::ChunkId> batch;
   bool exhausted = false;
 

@@ -337,10 +337,13 @@ struct RunContext {
   }
 
   /// Fired by a master when a node is lost (crashed, reclaimed, or vacated)
-  /// while the cluster still has work. Returns true if a held slave was
+  /// while the cluster still has work, or when work reaches a cluster with
+  /// no running, draining or booting slave. Returns true if a held slave was
   /// activated as a replacement — the master then re-pools the lost chunks
   /// so the booting replacement (and idle survivors) pull them, instead of
-  /// push-assigning everything to survivors immediately.
+  /// push-assigning everything to survivors immediately. Without a
+  /// replacement, a cluster left with no such slave is lost: the master is
+  /// evacuated and the head re-grants its work, as after a blackout.
   std::function<bool(cluster::ClusterId)> on_node_lost{};
 
   /// Fired by a slave the moment it vacates (drain settled, final delta-robj

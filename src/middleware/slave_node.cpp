@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -335,6 +336,7 @@ void SlaveNode::on_processed(storage::ChunkId chunk, double duration) {
     done.type = MsgType::JobDone;
     done.chunk = chunk;
     ctx_.send(node_.endpoint, master_, kControlMessageBytes, std::move(done));
+    unshipped_.push_back(chunk);
   }
 
   top_up_requests();
@@ -407,6 +409,7 @@ void SlaveNode::send_robj(net::EndpointId dst, std::uint32_t round) {
   Message msg;
   msg.type = MsgType::SlaveRobj;
   msg.want = round;
+  msg.batch = std::exchange(unshipped_, {});
   fence_kernels();
   const std::uint64_t bytes = ctx_.pack_robj(robj(), msg);
   ctx_.trace(trace::EventKind::RobjSent, node_.name, bytes);

@@ -162,6 +162,9 @@ class SlaveNode {
   /// of re-hammering the store in phase.
   std::uint64_t backoff_draws_ = 0;
   std::deque<storage::ChunkId> ready_;                       ///< fetched, awaiting CPU
+  /// Direct mode: chunks finished since this node last shipped its robj,
+  /// which the next SlaveRobj covers.
+  std::vector<storage::ChunkId> unshipped_;
   std::unordered_map<storage::ChunkId, double> fetch_start_; ///< per-chunk timer
   /// Replication only: replica store each assigned chunk reads from (empty
   /// without a ReplicaSet — the layout primary is implied).

@@ -354,82 +354,6 @@ TEST(ChaosSiteOutage, PermanentBlackoutStillCompletes) {
   EXPECT_EQ(tracer.count(trace::EventKind::SiteRecovered), 0u);
 }
 
-// --- seeded soak over a full workload stack ----------------------------------
-
-TEST(ChaosSoak, RandomPlansPreserveInvariantsUnderFullStack) {
-  // Replicated + QoS'd + pooled workload over the paper testbed, hammered by
-  // seeded random plans. Every run must terminate (the ctest TIMEOUT is the
-  // watchdog) with complete work and exactly-partitioned bills.
-  for (const std::uint64_t seed : {11u, 23u, 47u}) {
-    chaos::RandomPlanOptions po;
-    po.seed = seed * 7919;
-    po.sites = 2;  // paper testbed: local + cloud
-    po.nodes_per_site = 1;  // testbed local site has a single (multi-core) node
-    po.horizon_seconds = 20.0;
-    po.max_window_seconds = 8.0;
-    po.link_faults = 2;
-    po.store_outages = 1;
-    po.node_crashes = 1;
-    po.node_drains = 1;
-    po.spot_reclaims = 1;
-    po.site_outages = 1;
-    const ChaosPlan plan = chaos::random_plan(po);
-
-    Platform platform(PlatformSpec::paper_testbed(4, 4));
-    directory::PlatformDirectory dir(platform);
-    dir.bootstrap();
-
-    replica::ReplicaSet rs{apps::cross_site_replication()};
-
-    qos::QosConfig qcfg;
-    qcfg.tenant_weights = {{"alice", 1.0}, {"bob", 2.0}};
-    qos::StoreQos q{qcfg};
-
-    workload::WorkloadManager manager(platform, apps::failover_workload_options(dir));
-
-    storage::LayoutSpec lspec;
-    lspec.total_bytes = MiB(32);
-    lspec.num_files = 8;
-    lspec.chunks_per_file = 2;
-    lspec.unit_bytes = 64;
-    DataLayout layout = storage::build_layout(lspec);
-    storage::assign_stores_by_fraction(layout, 0.5, platform.local_store_id(),
-                                       platform.cloud_store_id());
-
-    // Both jobs carry the same plan: platform-scoped faults (links, stores,
-    // directory) are idempotent across jobs; actor-scoped faults (kills,
-    // master evacuation) are per job. All jobs submit at t = 0 because chaos
-    // times are relative to job construction.
-    for (int i = 0; i < 2; ++i) {
-      workload::JobSpec spec;
-      spec.name = i == 0 ? "scan" : "probe";
-      spec.tenant = i == 0 ? "alice" : "bob";
-      spec.layout = layout;
-      spec.options.profile.name = "chaos-soak";
-      spec.options.profile.unit_bytes = 64;
-      spec.options.profile.bytes_per_second_per_core = KiB(512);
-      spec.options.profile.robj_bytes = KiB(32);
-      spec.options.reduction_tree = false;
-      spec.options.retry.max_attempts = 3;
-      spec.options.retry.backoff_base_seconds = 0.05;
-      spec.options.replication = &rs;
-      spec.options.qos = &q;
-      spec.options.chaos = &plan;
-      manager.submit(std::move(spec), 0.0);
-    }
-    const auto result = manager.run();
-
-    ASSERT_EQ(result.jobs.size(), 2u) << "seed " << seed;
-    for (const auto& job : result.jobs) {
-      // No completed work lost: every chunk was processed (faults may force
-      // re-execution, never loss).
-      EXPECT_GE(job.run.total_jobs(), 16u) << job.name << " seed " << seed;
-    }
-    const auto bills = chaos::audit_bills(result);
-    EXPECT_TRUE(bills.ok) << bills.detail << " (seed " << seed << ")";
-  }
-}
-
 // --- pooled jobs take lifecycle entries like chaos node events --------------
 
 TEST(PooledNodeEvents, LeasedDrainAndUnleasedCrashFinishExactlyOnce) {
